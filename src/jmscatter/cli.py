@@ -338,6 +338,10 @@ def stability_rows(
     rows = []
     for n_basis in n_values:
         features = []
+        # F depends on the basis size only, not on its scale.
+        f_edge = ham.f_weight_quadrature(
+            cfg.nonlinearity_n, cfg.ell, int(n_basis), int(n_basis)
+        )[-1, -1]
         for lam in lambdas:
             sub = replace(cfg, lam=float(lam), basis_size_n=int(n_basis))
             h, dten = _build_problem(sub, override)
@@ -352,9 +356,6 @@ def stability_rows(
             pot_edge = abs(
                 ham.potential_matrix(rule, sub.potential, sub.lam, sub.basis_size_n)[-1, -1]
             )
-            f_edge = ham.f_weight_quadrature(
-                sub.nonlinearity_n, sub.ell, sub.basis_size_n, sub.basis_size_n
-            )[-1, -1]
             rows.append({
                 "lam": float(lam), "N": int(n_basis),
                 "abs_one_minus_S": res.abs_one_minus_s,

@@ -24,7 +24,7 @@ from math import lgamma
 import numpy as np
 
 from .hamiltonian import free_matrix_coeffs
-from .specfun import gegenbauer_associated, hyp2f1_series, re_upper_gamma_neg
+from .specfun import hyp2f1_series, re_upper_gamma_neg
 
 
 @dataclass(frozen=True)

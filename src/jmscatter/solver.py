@@ -79,27 +79,24 @@ class ScatteringResult:
 def r_matrix(dten: DTensor, coefficients: np.ndarray, lam: float) -> RMatrix:
     """Contract interior coefficients into the effective interaction.
 
-    Per canonical tuple the coefficient weight sums every distinct
-    multiset split into n unconjugated and n conjugated factors with
-    multinomial multiplicities; position-wise combinations would count
-    repeated indices more than once. The weight is real up to roundoff
-    (conjugate splits pair up), and the final matrix is symmetrized with
-    the defect recorded.
+    The D tensor contracted with n coefficient vectors and n conjugated
+    ones is a node sum, so it is assembled in node space:
+
+        R = (2 lam^2 / ell!)^n Lambda diag(xi^{n ell} e^{-n xi} |psi|^{2n}) Lambda^T,
+
+    with psi = sum_k a_k L~_k at the Gauss nodes. The matrix product is
+    symmetric only up to roundoff; it is symmetrized with the defect
+    recorded.
     """
     a = np.asarray(coefficients, dtype=complex)
     if a.size < dten.n_basis:
         raise ValueError("coefficient vector shorter than the basis")
-    a = a[: dten.n_basis]
-    pu = a[dten.split_u].prod(axis=1)
-    pv = np.conj(a)[dten.split_v].prod(axis=1)
-    contrib = dten.split_coeff * pu * pv
-    weights = np.zeros(dten.tuples.shape[0], dtype=complex)
-    np.add.at(weights, dten.split_tuple, contrib)
+    psi = a[: dten.n_basis] @ dten.values
     pref = (2.0 * lam**2 / factorial(dten.ell)) ** dten.n
-    raw = pref * np.tensordot(weights, dten.stack, axes=(0, 0))
-    defect = float(np.abs(raw - raw.conj().T).max())
-    sym = 0.5 * (raw + raw.conj().T)
-    return RMatrix(matrix=sym.real, hermiticity_defect=defect)
+    weight = pref * dten.node_weight * (psi.real**2 + psi.imag**2) ** dten.n
+    raw = (dten.stencil * weight) @ dten.stencil.T
+    defect = float(np.abs(raw - raw.T).max())
+    return RMatrix(matrix=0.5 * (raw + raw.T), hermiticity_defect=defect)
 
 
 def greens_matrix(h_eff: np.ndarray, energy: float) -> np.ndarray:

@@ -18,12 +18,7 @@ from jmscatter.hamiltonian import (
     f_weight_analytic,
     f_weight_quadrature,
 )
-from jmscatter.linearize import (
-    c_tensor_matrix_poly,
-    c_tensor_quadrature,
-    d_tensor,
-    quadrature_bound,
-)
+from jmscatter.linearize import d_tensor, quadrature_bound
 from jmscatter.quadrature import build_rule, integrate_weighted
 from jmscatter.reference import (
     chi_reconstruct,
@@ -42,6 +37,7 @@ from jmscatter.solver import (
     scan,
     solve_energy,
 )
+from oracles import c_tensor_matrix_poly, c_tensor_quadrature
 
 CONFIG_DIR = files("jmscatter") / "configs"
 

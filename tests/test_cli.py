@@ -43,7 +43,7 @@ def minimal(**extra):
 class TestLoadConfig:
     def test_bundled_configs_all_parse(self):
         names = sorted(p.name for p in CONFIG_DIR.iterdir() if p.name.endswith(".yaml"))
-        assert len(names) == 10
+        assert len(names) == 8
         for name in names:
             cfg = load_config(str(CONFIG_DIR / name))
             assert cfg.basis_size_n >= 2

@@ -1,17 +1,19 @@
-"""Linearization tensors: dual routes, symmetry, sparsity, caching."""
+"""Linearization tensors: dual routes, symmetry, sparsity, factored form."""
 
 from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 
-from jmscatter.linearize import (
+from jmscatter.linearize import d_tensor, quadrature_bound
+from jmscatter.quadrature import build_rule
+from jmscatter.solver import r_matrix
+from oracles import (
     c_tensor_matrix_poly,
     c_tensor_quadrature,
-    d_tensor,
-    quadrature_bound,
+    d_tensor_expanded,
+    r_matrix_expanded,
 )
-from jmscatter.quadrature import build_rule
 
 
 def make_rule(n, ell, n_basis, extra=0):
@@ -34,7 +36,9 @@ class TestQuadratureBound:
     def test_override_accepts_below_bound(self):
         rule = build_rule(10, 0)
         dten = d_tensor(2, 0, 8, rule, override=True)
-        assert dten.stack.shape[1:] == (8, 8)
+        assert dten.stencil.shape == (8, 10)
+        assert dten.values.shape == (8, 10)
+        assert dten.node_weight.shape == (10,)
 
 
 class TestCTensorDualRoutes:
@@ -91,7 +95,7 @@ class TestCTensorDualRoutes:
 class TestDTensor:
     def test_stack_blocks_symmetric(self):
         n, ell, n_basis = 1, 1, 8
-        dten = d_tensor(n, ell, n_basis, make_rule(n, ell, n_basis))
+        dten = d_tensor_expanded(n, ell, n_basis, make_rule(n, ell, n_basis))
         for block in dten.stack:
             assert np.abs(block - block.T).max() < 1e-14
 
@@ -99,7 +103,7 @@ class TestDTensor:
         # independent reassembly of a few entries straight from the rule
         n, ell, n_basis = 1, 0, 6
         rule = make_rule(n, ell, n_basis)
-        dten = d_tensor(n, ell, n_basis, rule)
+        dten = d_tensor_expanded(n, ell, n_basis, rule)
         lam_stencil = rule.vectors[:n_basis, :]
         xi = rule.nodes
         znode = xi ** (n * ell) * np.exp(-n * xi)
@@ -115,24 +119,35 @@ class TestDTensor:
         # the same rule must give identical stacks on repeated builds
         n, ell, n_basis = 2, 1, 6
         rule = make_rule(n, ell, n_basis)
-        a = d_tensor(n, ell, n_basis, rule)
-        b = d_tensor(n, ell, n_basis, rule)
+        a = d_tensor_expanded(n, ell, n_basis, rule)
+        b = d_tensor_expanded(n, ell, n_basis, rule)
         assert np.array_equal(a.stack, b.stack)
-
-    def test_cache_roundtrip(self, tmp_path):
-        n, ell, n_basis = 1, 0, 6
-        rule = make_rule(n, ell, n_basis)
-        first = d_tensor(n, ell, n_basis, rule, cache_dir=tmp_path)
-        files = list(tmp_path.glob("dtensor_*.npz"))
-        assert len(files) == 1
-        second = d_tensor(n, ell, n_basis, rule, cache_dir=tmp_path)
-        assert np.array_equal(first.stack, second.stack)
-        assert [tuple(t) for t in first.tuples] == [tuple(t) for t in second.tuples]
 
     def test_split_weights_real_and_paired(self):
         # every split multiset pairs with its conjugate partner, so the
         # accumulated weight of a real coefficient vector is real
         n, ell, n_basis = 2, 0, 5
-        dten = d_tensor(n, ell, n_basis, make_rule(n, ell, n_basis))
+        dten = d_tensor_expanded(n, ell, n_basis, make_rule(n, ell, n_basis))
         assert dten.split_coeff.dtype.kind in "fi"
         assert np.all(dten.split_coeff > 0)
+
+
+class TestNodeSpaceDualRoute:
+    # the node-space assembly against the expanded tuple stack contracted
+    # with its multiset splits; order None means the exactness bound, and
+    # order 10 at (2, 0, 8) sits below it, so both routes take the override
+    @pytest.mark.parametrize(
+        "n,ell,n_basis,order",
+        [(1, 0, 8, 40), (1, 1, 6, 40), (2, 1, 8, None), (2, 0, 8, 10), (3, 1, 6, 21)],
+    )
+    def test_r_matrix_matches_expanded_contraction(self, n, ell, n_basis, order):
+        rule = build_rule(order or quadrature_bound(n, n_basis), ell)
+        override = rule.order < quadrature_bound(n, n_basis)
+        rng = np.random.default_rng(100 * n + 10 * ell + n_basis)
+        coeffs = rng.normal(size=n_basis) + 1j * rng.normal(size=n_basis)
+        lam = 1.3
+        want = r_matrix_expanded(
+            d_tensor_expanded(n, ell, n_basis, rule, override=override), coeffs, lam
+        )
+        got = r_matrix(d_tensor(n, ell, n_basis, rule, override=override), coeffs, lam).matrix
+        assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()

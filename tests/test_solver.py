@@ -11,7 +11,7 @@ from jmscatter.hamiltonian import (
     assemble_linear,
     f_weight_quadrature,
 )
-from jmscatter.linearize import c_tensor_quadrature, d_tensor, quadrature_bound
+from jmscatter.linearize import d_tensor, quadrature_bound
 from jmscatter.quadrature import build_rule
 from jmscatter.solver import (
     ScatteringResult,
@@ -25,6 +25,7 @@ from jmscatter.solver import (
     scan,
     solve_energy,
 )
+from oracles import c_tensor_quadrature
 
 
 def random_symmetric(size, seed):
@@ -50,6 +51,19 @@ def trapezoid_setup():
     ham = assemble_linear(potential, n_basis=20, ell=1, lam=1.0, rule=rule)
     dten = d_tensor(2, 1, 20, rule, override=True)
     return ham, dten
+
+
+@pytest.fixture(scope="module", params=[0, 1])
+def septic_setup(request):
+    # n = 3 at N = 20: an expanded D tensor would stack C(25, 6) = 177,100
+    # canonical 6-tuples of 20 x 20 doubles (about 567 MB)
+    ell = request.param
+    rule = build_rule(quadrature_bound(3, 20), ell)
+    potential = PiecewiseLinearPotential(
+        breakpoints=(0.0, 1.2, 3.0, 7.0), values=(0.0, 2.4, 2.4, 0.0)
+    )
+    ham = assemble_linear(potential, n_basis=20, ell=ell, lam=1.0, rule=rule)
+    return ham, d_tensor(3, ell, 20, rule)
 
 
 class TestGreens:
@@ -230,6 +244,27 @@ class TestSolveEnergy:
         assert res.bifurcation is not None
         assert res.bifurcation[0] == pytest.approx(1.730, abs=1e-2)
         assert res.bifurcation[1] == pytest.approx(0.075, abs=1e-2)
+
+    @pytest.mark.parametrize("energy", [1.0, 2.0, 3.0])
+    def test_septic_unimodular_every_order(self, septic_setup, energy):
+        ham, dten = septic_setup
+        res = solve_energy(energy, ham, dten, coupling=0.02)
+        assert res.iterations >= 1
+        for s in res.history:
+            assert abs(abs(s) - 1.0) < 1e-12
+
+    def test_septic_small_coupling_continuity(self, septic_setup):
+        ham, dten = septic_setup
+        s0 = solve_energy(1.0, ham).s_matrix
+        s1 = solve_energy(1.0, ham, dten, coupling=1e-6).s_matrix
+        assert abs(s1 - s0) < 1e-4
+        # elsewhere the first-order response dS/dg is larger, but the
+        # departure from the linear S still shrinks in proportion to g
+        for energy in (2.0, 3.0):
+            s0 = solve_energy(energy, ham).s_matrix
+            big = abs(solve_energy(energy, ham, dten, coupling=1e-6).s_matrix - s0)
+            small = abs(solve_energy(energy, ham, dten, coupling=1e-7).s_matrix - s0)
+            assert big == pytest.approx(10.0 * small, rel=1e-2)
 
     def test_iteration_cap_requires_work(self, gauss_setup):
         ham, dten = gauss_setup
