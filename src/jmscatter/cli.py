@@ -22,7 +22,7 @@ import yaml
 
 from . import hamiltonian as ham
 from .linearize import DTensor, d_tensor, quadrature_bound
-from .quadrature import build_rule
+from .quadrature import QuadratureRule, build_rule
 from .reference import (
     chi_reconstruct,
     energy_point,
@@ -215,10 +215,16 @@ def load_config(path: str) -> RunConfig:
     )
 
 
-def _build_problem(cfg: RunConfig, override: bool) -> tuple[ham.LinearHamiltonian, DTensor | None]:
+def _problem_rule(cfg: RunConfig) -> QuadratureRule:
+    """The config's quadrature rule, refused before it is built if there is no potential."""
     if cfg.potential is None:
         raise ConfigError("this command requires a 'potential' entry in the config")
-    rule = build_rule(cfg.quadrature_order, cfg.ell)
+    return build_rule(cfg.quadrature_order, cfg.ell)
+
+
+def _build_problem(
+    cfg: RunConfig, rule: QuadratureRule, override: bool
+) -> tuple[ham.LinearHamiltonian, DTensor | None]:
     h = ham.assemble_linear(
         cfg.potential, n_basis=cfg.basis_size_n, ell=cfg.ell, lam=cfg.lam, rule=rule
     )
@@ -233,18 +239,18 @@ def _build_problem(cfg: RunConfig, override: bool) -> tuple[ham.LinearHamiltonia
     return h, dten
 
 
-def _scan_results(cfg: RunConfig, threads: int, override: bool) -> list[ScatteringResult]:
-    h, dten = _build_problem(cfg, override)
+def _scan_results(cfg: RunConfig, override: bool) -> list[ScatteringResult]:
+    h, dten = _build_problem(cfg, _problem_rule(cfg), override)
     return scan(
         list(cfg.energies), h, dten, coupling=cfg.coupling_g, tolerance=cfg.tolerance,
         bifurcation_tolerance=cfg.bifurcation_tolerance,
-        max_iterations=cfg.max_iterations, threads=threads,
+        max_iterations=cfg.max_iterations,
     )
 
 
-def cmd_scan(cfg: RunConfig, out, threads: int = 1, override: bool = False) -> None:
+def cmd_scan(cfg: RunConfig, out, override: bool = False) -> None:
     """CSV: one row per energy with status and final scattering matrix."""
-    results = _scan_results(cfg, threads, override)
+    results = _scan_results(cfg, override)
     out.write("E,status,iterations,abs_one_minus_S,re_S,im_S,bif_value_a,bif_value_b\n")
     for res in results:
         bif_a = bif_b = ""
@@ -258,9 +264,9 @@ def cmd_scan(cfg: RunConfig, out, threads: int = 1, override: bool = False) -> N
         )
 
 
-def cmd_table(cfg: RunConfig, out, threads: int = 1, override: bool = False) -> None:
+def cmd_table(cfg: RunConfig, out, override: bool = False) -> None:
     """Text table of |1 - S_m| per perturbation order m, energies as columns."""
-    results = _scan_results(cfg, threads, override)
+    results = _scan_results(cfg, override)
     header = ["m"] + [f"E={e:g}" for e in cfg.energies]
     out.write("\t".join(header) + "\n")
     depth = max(len(res.history) for res in results)
@@ -334,7 +340,7 @@ def stability_rows(
     continuum levels scale with lambda and never match.
     """
     energy = cfg.energies[0]
-    rule = build_rule(cfg.quadrature_order, cfg.ell)
+    rule = _problem_rule(cfg)
     rows = []
     for n_basis in n_values:
         features = []
@@ -344,7 +350,7 @@ def stability_rows(
         )[-1, -1]
         for lam in lambdas:
             sub = replace(cfg, lam=float(lam), basis_size_n=int(n_basis))
-            h, dten = _build_problem(sub, override)
+            h, dten = _build_problem(sub, rule, override)
             res = solve_energy(
                 energy, h, dten, coupling=sub.coupling_g, tolerance=sub.tolerance,
                 bifurcation_tolerance=sub.bifurcation_tolerance,
@@ -438,9 +444,9 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="YAML run configuration")
         p.add_argument("--output", default="-", help="output path, '-' for stdout")
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--override-quadrature-bound", action="store_true",
-                       help="proceed below the tensor exactness bound")
+        if name != "basis-check":
+            p.add_argument("--override-quadrature-bound", action="store_true",
+                           help="proceed below the tensor exactness bound")
         if name == "stability-scan":
             p.add_argument("--lambda-grid", default=None,
                            help="comma-separated basis scales")
@@ -453,11 +459,9 @@ def main(argv=None) -> int:
         sink = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8")
         try:
             if args.command == "scan":
-                cmd_scan(cfg, sink, threads=args.threads,
-                         override=args.override_quadrature_bound)
+                cmd_scan(cfg, sink, override=args.override_quadrature_bound)
             elif args.command == "table":
-                cmd_table(cfg, sink, threads=args.threads,
-                          override=args.override_quadrature_bound)
+                cmd_table(cfg, sink, override=args.override_quadrature_bound)
             elif args.command == "basis-check":
                 cmd_basis_check(cfg, sink)
             else:

@@ -10,8 +10,7 @@ nonlinear weight integrals
     F^(n,ell)_ij = (1/ell!) int_0^inf x^{(n+1) ell} e^{-(n+1) x}
                    L~_i^ell(x) L~_j^ell(x) dx,
 
-computed either from a terminating-hypergeometric closed form or
-exactly by a Gauss rule in the rescaled variable.
+computed exactly by a Gauss rule in the rescaled variable.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from typing import Union
 import numpy as np
 
 from .quadrature import QuadratureRule, build_rule
-from .specfun import hyp2f1_terminating, laguerre_normalized
+from .specfun import laguerre_normalized
 
 
 @dataclass(frozen=True)
@@ -117,7 +116,11 @@ class FreeMatrixCoeffs:
 
 @dataclass(frozen=True)
 class LinearHamiltonian:
-    """Truncated interior Hamiltonian H = K + Lambda W Lambda^T plus its context."""
+    """Truncated interior Hamiltonian H = K + Lambda W Lambda^T plus its context.
+
+    `eigenvalues` and `eigenvectors` diagonalize `matrix`; every solve
+    takes its order-0 resolvent from them.
+    """
 
     matrix: np.ndarray
     coeffs: FreeMatrixCoeffs
@@ -174,8 +177,8 @@ def assemble_linear(
 ) -> LinearHamiltonian:
     """Build the N x N interior Hamiltonian and its eigendecomposition.
 
-    The eigendecomposition is kept because linear problems resolve many
-    energies from one diagonalization; the nonlinear iteration ignores it.
+    The eigendecomposition is kept because every energy of a scan, linear
+    or not, resolves its order 0 from this one diagonalization.
     """
     if n_basis < 2:
         raise ValueError("need at least two basis states for the edge relations")
@@ -198,50 +201,6 @@ def assemble_linear(
         eigenvalues=evals,
         eigenvectors=evecs,
     )
-
-
-def f_weight_analytic(n: int, ell: int, rows: int, cols: int) -> np.ndarray:
-    """Closed-form F^(n,ell) block of shape (rows, cols).
-
-    With sigma = n+1,
-
-        F_ij = sqrt(i! j! (i+ell)! (j+ell)!) / sigma^{sigma ell + 1}
-               * sum_{k=0}^{min(i,j)} sigma^{-2k} / ((ell+k)!)^2
-                 * (k + sigma ell)! / (k! (i-k)! (j-k)!)
-                 * 2F1(k-i, k+sigma ell+1; k+ell+1; 1/sigma)
-                 * 2F1(k-j, k+sigma ell+1; k+ell+1; 1/sigma),
-
-    with all factorial ratios taken through log-gamma. The terminating
-    hypergeometric factors alternate in sign, so for very large indices
-    the quadrature route is the better-conditioned reference.
-    """
-    if n < 1:
-        raise ValueError("nonlinearity exponent n must be >= 1")
-    if ell < 0:
-        raise ValueError("ell must be nonnegative")
-    sigma = n + 1
-    out = np.empty((rows, cols))
-    x = 1.0 / sigma
-    for i in range(rows):
-        for j in range(cols):
-            logpref = 0.5 * (
-                lgamma(i + 1) + lgamma(j + 1) + lgamma(i + ell + 1) + lgamma(j + ell + 1)
-            ) - (sigma * ell + 1) * math.log(sigma)
-            total = 0.0
-            for k in range(min(i, j) + 1):
-                logterm = (
-                    -2 * k * math.log(sigma)
-                    - 2 * lgamma(ell + k + 1)
-                    + lgamma(k + sigma * ell + 1)
-                    - lgamma(k + 1)
-                    - lgamma(i - k + 1)
-                    - lgamma(j - k + 1)
-                )
-                hyp = hyp2f1_terminating(k - i, k + sigma * ell + 1, k + ell + 1, x)
-                hyp *= hyp2f1_terminating(k - j, k + sigma * ell + 1, k + ell + 1, x)
-                total += math.exp(logpref + logterm) * hyp
-            out[i, j] = total
-    return out
 
 
 def f_weight_quadrature(n: int, ell: int, rows: int, cols: int, order: int | None = None) -> np.ndarray:

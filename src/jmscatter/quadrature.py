@@ -109,27 +109,3 @@ def eigendecompose(jac: JacobiMatrix) -> QuadratureRule:
 def build_rule(order: int, ell: int) -> QuadratureRule:
     """Convenience composition of `build_jacobi` and `eigendecompose`."""
     return eigendecompose(build_jacobi(order, ell))
-
-
-def integrate_weighted(rule: QuadratureRule, fvals: np.ndarray):
-    """Integrate f against the weight: sum_l weights[l] * fvals[..., l].
-
-    `fvals` holds samples of f at `rule.nodes` along the last axis. Exact
-    for polynomials of degree <= 2*order - 1.
-    """
-    fvals = np.asarray(fvals)
-    if fvals.shape[-1] != rule.order:
-        raise ValueError("sample axis does not match the quadrature order")
-    return fvals @ rule.weights
-
-
-def quadrature_values(rule: QuadratureRule, kmax: int) -> np.ndarray:
-    """Rows 0..kmax of the node-value table L~_k^ell(nodes).
-
-    Degrees up to order-1 come straight from the eigenvectors; the table
-    cannot be extended past that without a fresh recursion, so asking for
-    more is an error.
-    """
-    if not 0 <= kmax < rule.order:
-        raise ValueError("kmax must lie in [0, order)")
-    return rule.values[: kmax + 1, :]

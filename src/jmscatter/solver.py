@@ -5,14 +5,14 @@ order m. Order zero is the linear problem. Each later order contracts
 the previous order's interior coefficients into the effective
 interaction R, resolves the interior Green's function, reads the
 scattering matrix off the basis-edge matching relation, and refreshes
-the coefficients. Termination is convergence of S, a certified cycle of
-period 2 or 3 (checked in that order, after convergence), or the
-iteration cap.
+the coefficients. Every order reads only the edge column G[:, N-1] of
+the resolvent and takes it from an eigendecomposition. Termination is
+convergence of S, a certified cycle of period 2 or 3 (checked in that
+order, after convergence), or the iteration cap.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import factorial
 from typing import Sequence
@@ -99,80 +99,26 @@ def r_matrix(dten: DTensor, coefficients: np.ndarray, lam: float) -> RMatrix:
     return RMatrix(matrix=0.5 * (raw + raw.T), hermiticity_defect=defect)
 
 
-def greens_matrix(h_eff: np.ndarray, energy: float) -> np.ndarray:
-    """Interior resolvent (H_eff - E)^{-1} by direct inversion."""
-    shifted = h_eff - energy * np.eye(h_eff.shape[0])
-    cond = np.linalg.cond(shifted)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise SingularMatrixError(f"resolvent condition number {cond:.3e} at E={energy!r}")
-    return np.linalg.inv(shifted)
-
-
 def greens_spectral(eigenvalues: np.ndarray, eigenvectors: np.ndarray, energy: float) -> np.ndarray:
-    """Interior resolvent from a precomputed eigendecomposition.
+    """Edge column G[:, N-1] of the interior resolvent (H - E)^{-1}.
 
-    One diagonalization serves a whole energy scan of a fixed operator;
-    this is the cheap path for linear problems.
+    With H = V diag(e) V^T, G[:, N-1] = V (V[N-1, :] / (e - E)). The
+    ratio max|e_k - E| / min|e_k - E| is the 2-norm condition number of
+    the symmetric H - E; above the limit the energy is treated as an
+    on-grid singularity.
     """
     gaps = eigenvalues - energy
-    scale = np.abs(eigenvalues).max() + abs(energy)
-    if np.abs(gaps).min() < scale / _COND_LIMIT:
-        raise SingularMatrixError(f"eigenvalue within resolvent limit of E={energy!r}")
-    return (eigenvectors / gaps[np.newaxis, :]) @ eigenvectors.T
+    distance = np.abs(gaps)
+    if not distance.max() <= _COND_LIMIT * distance.min():
+        raise SingularMatrixError(
+            f"resolvent condition number above {_COND_LIMIT:.0e} at E={energy!r}"
+        )
+    return eigenvectors @ (eigenvectors[-1] / gaps)
 
 
-# Eigenvalue spacing below which the minor-ratio resolvent formulas lose
-# their partial-fraction denominators and direct inversion takes over.
-_DEGENERACY_GAP = 1e-12
-
-
-def _too_degenerate(eigenvalues: np.ndarray) -> bool:
-    gaps = np.diff(np.sort(eigenvalues))
-    return bool(gaps.size) and float(gaps.min()) < _DEGENERACY_GAP
-
-
-def greens_diagonal_minor(h_eff: np.ndarray, index: int, energy: float) -> float:
-    """Diagonal resolvent entry as a ratio of characteristic polynomials.
-
-    G_ii(E) = prod_k (e'_k - E) / prod_k (e_k - E), where e' are the
-    eigenvalues of the operator with row and column i deleted. They
-    interlace the full spectrum, so pairing the factors in sorted order
-    keeps every partial ratio moderate. Near-degenerate spectra fall back
-    to direct inversion.
-    """
-    full = np.sort(np.linalg.eigvalsh(h_eff))
-    if _too_degenerate(full):
-        return float(greens_matrix(h_eff, energy)[index, index])
-    deleted = np.delete(np.delete(h_eff, index, axis=0), index, axis=1)
-    part = np.sort(np.linalg.eigvalsh(deleted))
-    value = 1.0 / (full[-1] - energy)
-    for k in range(part.size):
-        value *= (part[k] - energy) / (full[k] - energy)
-    return float(value)
-
-
-def greens_offdiag_minor(h_eff: np.ndarray, row: int, col: int, energy: float) -> float:
-    """Off-diagonal resolvent entry from cofactor minors at the poles.
-
-    Partial fractions over the simple poles of the resolvent give
-
-        G_ij(E) = (-1)^{i+j} sum_k M_ij(e_k) / [(e_k - E) prod_{m != k} (e_m - e_k)]
-
-    with M_ij(z) the determinant of (H - z I) with row i and column j
-    deleted. No eigenvectors are needed. Near-degenerate spectra fall
-    back to direct inversion, where the pole expansion degrades.
-    """
-    eigenvalues = np.linalg.eigvalsh(h_eff)
-    if _too_degenerate(eigenvalues):
-        return float(greens_matrix(h_eff, energy)[row, col])
-    size = h_eff.shape[0]
-    total = 0.0
-    for k in range(size):
-        shifted = h_eff - eigenvalues[k] * np.eye(size)
-        minor = np.delete(np.delete(shifted, row, axis=0), col, axis=1)
-        gaps = np.delete(eigenvalues, k) - eigenvalues[k]
-        total += np.linalg.det(minor) / ((eigenvalues[k] - energy) * np.prod(gaps))
-    return float((-1) ** (row + col) * total)
+def greens_matrix(h_eff: np.ndarray, energy: float) -> np.ndarray:
+    """Edge column of the resolvent of a symmetric H_eff, by diagonalization."""
+    return greens_spectral(*np.linalg.eigh(h_eff), energy)
 
 
 def phase_shift(ref: ReferenceCoefficients, g_corner: float, b_edge: float, n_basis: int) -> complex:
@@ -225,118 +171,106 @@ def solve_energy(
     tolerance: float = 1e-8,
     bifurcation_tolerance: float = 1e-3,
     max_iterations: int = 50,
-    _allow_nudge: bool = True,
 ) -> ScatteringResult:
     """Run the perturbative iteration at one energy.
 
-    Order 0 solves the linear problem. Orders m >= 1 rebuild the
-    effective interaction from order m-1 and re-solve. After a cycle of
-    period 2 or 3 is certified, iteration continues to the cap or until
-    the cycle values themselves settle, so the reported pair is the
-    converged cycle rather than its transient.
+    Order 0 solves the linear problem from the eigendecomposition kept
+    on `hamiltonian`. Orders m >= 1 rebuild the effective interaction
+    from order m-1 and re-solve. After a cycle of period 2 or 3 is
+    certified, iteration continues to the cap or until the cycle values
+    themselves settle, so the reported pair is the converged cycle
+    rather than its transient.
+
+    If a resolvent at any order is numerically singular, the whole
+    solve is repeated once at the energy raised by the relative nudge;
+    the result carries the energy actually solved. A second singular
+    resolvent raises SingularMatrixError.
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
+    settings = (hamiltonian, dten, coupling, tolerance, bifurcation_tolerance, max_iterations)
+    try:
+        return _iterate(energy, *settings)
+    except SingularMatrixError:
+        return _iterate(energy * (1.0 + _ENERGY_NUDGE), *settings)
+
+
+def _iterate(
+    energy: float,
+    hamiltonian: LinearHamiltonian,
+    dten: DTensor | None,
+    coupling: float,
+    tolerance: float,
+    bifurcation_tolerance: float,
+    max_iterations: int,
+) -> ScatteringResult:
     n = hamiltonian.n_basis
     lam = hamiltonian.lam
     b_edge = hamiltonian.coeffs.b[n - 1]
-    try:
-        ref = reference_coefficients(energy_point(energy, lam), hamiltonian.ell, n)
+    ref = reference_coefficients(energy_point(energy, lam), hamiltonian.ell, n)
 
-        history: list[complex] = []
-        defect = 0.0
+    g = greens_spectral(hamiltonian.eigenvalues, hamiltonian.eigenvectors, energy)
+    s = phase_shift(ref, g[n - 1], b_edge, n)
+    history = [s]
+    defect = abs(abs(s) - 1.0)
+    if coupling == 0.0 or dten is None:
+        return ScatteringResult(
+            energy=energy, status="converged", iterations=0, s_matrix=s,
+            history=tuple(history), unimodularity_defect=defect,
+        )
+    coeffs = interior_coefficients(s, ref, g, b_edge, n)
 
-        g0 = greens_matrix(hamiltonian.matrix, energy)
-        s = phase_shift(ref, g0[n - 1, n - 1], b_edge, n)
-        coeffs = interior_coefficients(s, ref, g0[:, n - 1], b_edge, n)
+    streak2 = streak3 = 0
+    certified_period = 0
+    for m in range(1, max_iterations + 1):
+        eff = hamiltonian.matrix + coupling * r_matrix(dten, coeffs, lam).matrix
+        g = greens_matrix(eff, energy)
+        s = phase_shift(ref, g[n - 1], b_edge, n)
+        coeffs = interior_coefficients(s, ref, g, b_edge, n)
         history.append(s)
         defect = max(defect, abs(abs(s) - 1.0))
 
-        if coupling == 0.0 or dten is None:
+        step1 = abs(history[-1] - history[-2])
+        if step1 < tolerance:
             return ScatteringResult(
-                energy=energy, status="converged", iterations=0, s_matrix=s,
+                energy=energy, status="converged", iterations=m, s_matrix=s,
                 history=tuple(history), unimodularity_defect=defect,
             )
 
-        streak2 = streak3 = 0
-        certified_period = 0
-        for m in range(1, max_iterations + 1):
-            eff = hamiltonian.matrix + coupling * r_matrix(dten, coeffs, lam).matrix
-            g = greens_matrix(eff, energy)
-            s = phase_shift(ref, g[n - 1, n - 1], b_edge, n)
-            coeffs = interior_coefficients(s, ref, g[:, n - 1], b_edge, n)
-            history.append(s)
-            defect = max(defect, abs(abs(s) - 1.0))
-
-            step1 = abs(history[-1] - history[-2])
-            if step1 < tolerance:
+        if certified_period:
+            # Ride the certified cycle until its values settle.
+            back = abs(history[-1] - history[-1 - certified_period])
+            if back < tolerance or m == max_iterations:
                 return ScatteringResult(
-                    energy=energy, status="converged", iterations=m, s_matrix=s,
+                    energy=energy, status="bifurcated", iterations=m, s_matrix=s,
                     history=tuple(history), unimodularity_defect=defect,
+                    bifurcation=_distinct_cycle(history, certified_period),
+                    period=certified_period,
                 )
+            continue
 
-            if certified_period:
-                # Ride the certified cycle until its values settle.
-                back = abs(history[-1] - history[-1 - certified_period])
-                if back < tolerance or m == max_iterations:
-                    return ScatteringResult(
-                        energy=energy, status="bifurcated", iterations=m, s_matrix=s,
-                        history=tuple(history), unimodularity_defect=defect,
-                        bifurcation=_distinct_cycle(history, certified_period),
-                        period=certified_period,
-                    )
-                continue
+        if m >= 2 and abs(history[-1] - history[-3]) < bifurcation_tolerance and step1 >= bifurcation_tolerance:
+            streak2 += 1
+        else:
+            streak2 = 0
+        if (
+            m >= 3
+            and abs(history[-1] - history[-4]) < bifurcation_tolerance
+            and step1 >= bifurcation_tolerance
+            and abs(history[-1] - history[-3]) >= bifurcation_tolerance
+        ):
+            streak3 += 1
+        else:
+            streak3 = 0
+        if streak2 >= _CYCLE_STREAK:
+            certified_period = 2
+        elif streak3 >= _CYCLE_STREAK:
+            certified_period = 3
 
-            if m >= 2 and abs(history[-1] - history[-3]) < bifurcation_tolerance and step1 >= bifurcation_tolerance:
-                streak2 += 1
-            else:
-                streak2 = 0
-            if (
-                m >= 3
-                and abs(history[-1] - history[-4]) < bifurcation_tolerance
-                and step1 >= bifurcation_tolerance
-                and abs(history[-1] - history[-3]) >= bifurcation_tolerance
-            ):
-                streak3 += 1
-            else:
-                streak3 = 0
-            if streak2 >= _CYCLE_STREAK:
-                certified_period = 2
-            elif streak3 >= _CYCLE_STREAK:
-                certified_period = 3
-
-        return ScatteringResult(
-            energy=energy, status="max-iterations", iterations=max_iterations, s_matrix=s,
-            history=tuple(history), unimodularity_defect=defect,
-        )
-    except SingularMatrixError:
-        if not _allow_nudge:
-            raise
-        return solve_energy(
-            energy * (1.0 + _ENERGY_NUDGE), hamiltonian, dten,
-            coupling=coupling, tolerance=tolerance,
-            bifurcation_tolerance=bifurcation_tolerance,
-            max_iterations=max_iterations, _allow_nudge=False,
-        )
-
-
-def _solve_linear_spectral(energy: float, hamiltonian: LinearHamiltonian) -> ScatteringResult:
-    n = hamiltonian.n_basis
-    b_edge = hamiltonian.coeffs.b[n - 1]
-
-    def attempt(e):
-        ref = reference_coefficients(energy_point(e, hamiltonian.lam), hamiltonian.ell, n)
-        g = greens_spectral(hamiltonian.eigenvalues, hamiltonian.eigenvectors, e)
-        s = phase_shift(ref, g[n - 1, n - 1], b_edge, n)
-        return ScatteringResult(
-            energy=e, status="converged", iterations=0, s_matrix=s,
-            history=(s,), unimodularity_defect=abs(abs(s) - 1.0),
-        )
-
-    try:
-        return attempt(energy)
-    except SingularMatrixError:
-        return attempt(energy * (1.0 + _ENERGY_NUDGE))
+    return ScatteringResult(
+        energy=energy, status="max-iterations", iterations=max_iterations, s_matrix=s,
+        history=tuple(history), unimodularity_defect=defect,
+    )
 
 
 def scan(
@@ -348,28 +282,19 @@ def scan(
     tolerance: float = 1e-8,
     bifurcation_tolerance: float = 1e-3,
     max_iterations: int = 50,
-    threads: int = 1,
 ) -> list[ScatteringResult]:
-    """Solve a whole energy grid, in input order.
+    """Solve a whole energy grid, in input order, one `solve_energy` each.
 
-    Linear problems reuse the Hamiltonian eigendecomposition across the
-    grid. Nonlinear grids iterate independently per energy and may be
-    spread over worker threads; ordering of the results is by input
-    position either way.
+    Every energy starts from the one eigendecomposition of the linear
+    Hamiltonian, so a linear grid costs no diagonalization per energy.
     """
-    if coupling == 0.0 or dten is None:
-        return [_solve_linear_spectral(e, hamiltonian) for e in energies]
-
-    def run(e):
-        return solve_energy(
+    return [
+        solve_energy(
             e, hamiltonian, dten, coupling=coupling, tolerance=tolerance,
             bifurcation_tolerance=bifurcation_tolerance, max_iterations=max_iterations,
         )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, energies))
-    return [run(e) for e in energies]
+        for e in energies
+    ]
 
 
 def resonance_energy(

@@ -1,14 +1,13 @@
 """Special functions for the J-matrix scattering machinery.
 
-Normalized and associated Laguerre polynomials, cylindrical Bessel
-functions, the real part of the upper incomplete gamma function at
-negative argument, terminating and convergent Gauss hypergeometric
-series, and Gegenbauer plus associated Gegenbauer polynomials.
+Normalized Laguerre polynomials, cylindrical Bessel functions, the
+exponential integral, the real part of the upper incomplete gamma
+function at negative argument, and the convergent Gauss hypergeometric
+series.
 
-All polynomial evaluation goes through upward three-term recursions;
-factorial ratios, where unavoidable, go through log-gamma. Closed forms
-built from raw factorials overflow long before the basis sizes used
-here and are deliberately avoided.
+Polynomials are evaluated by upward three-term recursions. Closed
+forms built from raw factorials overflow long before the basis sizes
+used here and are deliberately avoided.
 """
 
 from __future__ import annotations
@@ -20,15 +19,11 @@ from scipy import special as _sp
 
 __all__ = [
     "laguerre_normalized",
-    "laguerre_associated_normalized",
     "bessel_j",
     "bessel_y",
     "re_upper_gamma_neg",
     "exp_integral_ei",
-    "hyp2f1_terminating",
     "hyp2f1_series",
-    "gegenbauer",
-    "gegenbauer_associated",
 ]
 
 # Hard cap on series length; exceeding it raises instead of silently truncating.
@@ -71,52 +66,6 @@ def laguerre_normalized(k: int, ell: int, x):
         pnew = ((2 * m + ell + 1 - x) * p - math.sqrt(m * (m + ell)) * pm1) / math.sqrt(
             (m + 1) * (m + ell + 1)
         )
-        pm1, p = p, pnew
-    return p if p.ndim else float(p)
-
-
-def laguerre_associated_normalized(k: int, ell: int, x, j: int = 1):
-    """Associated (abbreviated) normalized Laguerre polynomial L~_k^ell(x; j).
-
-    Solves the same three-term recursion as the normalized family but with
-    the coefficient index shifted by the association order j:
-
-        sigma_{k+j} p_{k+1} = (x - eta_{k+j}) p_k - sigma_{k+j-1} p_{k-1},
-
-    eta_k = 2k+ell+1, sigma_k = sqrt((k+1)(k+ell+1)), p_{-1} := 0, p_0 = 1.
-    For j = 0 this reproduces (-1)^k L~_k^ell(x).
-
-    Parameters
-    ----------
-    k : int
-        Degree, >= -1 (k = -1 returns 0 by convention).
-    ell : int
-        Order, >= 0.
-    x : float or ndarray
-        Argument.
-    j : int
-        Association order, >= 0 (default 1, the case used by the
-        cosine-like closed form).
-    """
-    if k < -1:
-        raise ValueError("degree must be >= -1")
-    if ell < 0 or j < 0:
-        raise ValueError("order and association order must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    if k == -1:
-        z = np.zeros_like(x)
-        return z if z.ndim else 0.0
-
-    def eta(m):
-        return 2 * m + ell + 1
-
-    def sigma(m):
-        return math.sqrt((m + 1) * (m + ell + 1))
-
-    pm1 = np.zeros_like(x)
-    p = np.ones_like(x)
-    for m in range(k):
-        pnew = ((x - eta(m + j)) * p - sigma(m + j - 1) * pm1) / sigma(m + j)
         pm1, p = p, pnew
     return p if p.ndim else float(p)
 
@@ -184,25 +133,6 @@ def re_upper_gamma_neg(ell: int, u: float) -> float:
     return sign / math.factorial(ell) * (finite - exp_integral_ei(u))
 
 
-def hyp2f1_terminating(a: int, b: float, c: float, x: float) -> float:
-    """Gauss hypergeometric 2F1(a, b; c; x) for nonpositive integer a.
-
-    The series terminates after |a|+1 terms and is summed exactly. Raises
-    if c hits a nonpositive integer before the series terminates.
-    """
-    if a > 0 or a != int(a):
-        raise ValueError("terminating 2F1 requires a nonpositive integer a")
-    k = int(-a)
-    if c <= 0 and c == int(c) and -int(c) < k:
-        raise ValueError("c reaches a nonpositive integer inside the sum")
-    total = 1.0
-    term = 1.0
-    for m in range(k):
-        term *= (a + m) * (b + m) / ((c + m) * (m + 1)) * x
-        total += term
-    return total
-
-
 def hyp2f1_series(a: float, b: float, c: float, x: float) -> float:
     """Gauss series for 2F1(a, b; c; x), 0 <= x < 1.
 
@@ -221,35 +151,3 @@ def hyp2f1_series(a: float, b: float, c: float, x: float) -> float:
         if abs(term) < _SERIES_RTOL * abs(total):
             return total
     raise ArithmeticError("2F1 series exceeded the term cap")
-
-
-def gegenbauer(k: int, nu: float, x: float) -> float:
-    """Gegenbauer polynomial C_k^nu(x) by its standard recursion (k = -1 gives 0)."""
-    if k == -1:
-        return 0.0
-    if k < -1:
-        raise ValueError("degree must be >= -1")
-    pm1 = 0.0
-    p = 1.0
-    for m in range(k):
-        pnew = (2 * (m + nu) * x * p - (m + 2 * nu - 1) * pm1) / (m + 1)
-        pm1, p = p, pnew
-    return p
-
-
-def gegenbauer_associated(k: int, nu: float, x: float) -> float:
-    """Associated Gegenbauer polynomial by the shifted recursion.
-
-    2(k+nu+1) x C_k = (k+2) C_{k+1} + (k+2nu) C_{k-1}, with C_{-1} = 0,
-    C_0 = 1 (hence C_1 = (nu+1)x).
-    """
-    if k == -1:
-        return 0.0
-    if k < -1:
-        raise ValueError("degree must be >= -1")
-    pm1 = 0.0
-    p = 1.0
-    for m in range(k):
-        pnew = (2 * (m + nu + 1) * x * p - (m + 2 * nu) * pm1) / (m + 2)
-        pm1, p = p, pnew
-    return p

@@ -17,14 +17,21 @@ weights. Both are stored over canonical (sorted) index tuples only.
 The package assembles the effective interaction in node space instead;
 these routes enumerate the combinatorics and so cross-check it at
 small N.
+
+The other routes here are independent of the package's production
+paths: the full resolvent by direct inversion and its entries as
+determinant ratios, the closed-form nonlinear weight integrals, the
+associated Laguerre and Gegenbauer recursions, and plain weighted
+quadrature sums.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, lgamma
 
 import numpy as np
 
@@ -245,3 +252,227 @@ def r_matrix_expanded(dten: ExpandedDTensor, coefficients: np.ndarray, lam: floa
     pref = (2.0 * lam**2 / factorial(dten.ell)) ** dten.n
     raw = pref * np.tensordot(weights, dten.stack, axes=(0, 0))
     return (0.5 * (raw + raw.conj().T)).real
+
+
+def greens_inverse(h_eff: np.ndarray, energy: float) -> np.ndarray:
+    """Full interior resolvent (H_eff - E)^{-1} by direct inversion."""
+    return np.linalg.inv(h_eff - energy * np.eye(h_eff.shape[0]))
+
+
+# Eigenvalue spacing below which the minor-ratio resolvent formulas lose
+# their partial-fraction denominators and direct inversion takes over.
+_DEGENERACY_GAP = 1e-12
+
+
+def _too_degenerate(eigenvalues: np.ndarray) -> bool:
+    gaps = np.diff(np.sort(eigenvalues))
+    return bool(gaps.size) and float(gaps.min()) < _DEGENERACY_GAP
+
+
+def greens_diagonal_minor(h_eff: np.ndarray, index: int, energy: float) -> float:
+    """Diagonal resolvent entry as a ratio of characteristic polynomials.
+
+    G_ii(E) = prod_k (e'_k - E) / prod_k (e_k - E), where e' are the
+    eigenvalues of the operator with row and column i deleted. They
+    interlace the full spectrum, so pairing the factors in sorted order
+    keeps every partial ratio moderate. Near-degenerate spectra fall back
+    to direct inversion.
+    """
+    full = np.sort(np.linalg.eigvalsh(h_eff))
+    if _too_degenerate(full):
+        return float(greens_inverse(h_eff, energy)[index, index])
+    deleted = np.delete(np.delete(h_eff, index, axis=0), index, axis=1)
+    part = np.sort(np.linalg.eigvalsh(deleted))
+    value = 1.0 / (full[-1] - energy)
+    for k in range(part.size):
+        value *= (part[k] - energy) / (full[k] - energy)
+    return float(value)
+
+
+def greens_offdiag_minor(h_eff: np.ndarray, row: int, col: int, energy: float) -> float:
+    """Off-diagonal resolvent entry from cofactor minors at the poles.
+
+    Partial fractions over the simple poles of the resolvent give
+
+        G_ij(E) = (-1)^{i+j} sum_k M_ij(e_k) / [(e_k - E) prod_{m != k} (e_m - e_k)]
+
+    with M_ij(z) the determinant of (H - z I) with row i and column j
+    deleted. No eigenvectors are needed. Near-degenerate spectra fall
+    back to direct inversion, where the pole expansion degrades.
+    """
+    eigenvalues = np.linalg.eigvalsh(h_eff)
+    if _too_degenerate(eigenvalues):
+        return float(greens_inverse(h_eff, energy)[row, col])
+    size = h_eff.shape[0]
+    total = 0.0
+    for k in range(size):
+        shifted = h_eff - eigenvalues[k] * np.eye(size)
+        minor = np.delete(np.delete(shifted, row, axis=0), col, axis=1)
+        gaps = np.delete(eigenvalues, k) - eigenvalues[k]
+        total += np.linalg.det(minor) / ((eigenvalues[k] - energy) * np.prod(gaps))
+    return float((-1) ** (row + col) * total)
+
+
+def f_weight_analytic(n: int, ell: int, rows: int, cols: int) -> np.ndarray:
+    """Closed-form F^(n,ell) block of shape (rows, cols).
+
+    With sigma = n+1,
+
+        F_ij = sqrt(i! j! (i+ell)! (j+ell)!) / sigma^{sigma ell + 1}
+               * sum_{k=0}^{min(i,j)} sigma^{-2k} / ((ell+k)!)^2
+                 * (k + sigma ell)! / (k! (i-k)! (j-k)!)
+                 * 2F1(k-i, k+sigma ell+1; k+ell+1; 1/sigma)
+                 * 2F1(k-j, k+sigma ell+1; k+ell+1; 1/sigma),
+
+    with all factorial ratios taken through log-gamma. The terminating
+    hypergeometric factors alternate in sign, so for very large indices
+    the quadrature route is the better-conditioned reference.
+    """
+    if n < 1:
+        raise ValueError("nonlinearity exponent n must be >= 1")
+    if ell < 0:
+        raise ValueError("ell must be nonnegative")
+    sigma = n + 1
+    out = np.empty((rows, cols))
+    x = 1.0 / sigma
+    for i in range(rows):
+        for j in range(cols):
+            logpref = 0.5 * (
+                lgamma(i + 1) + lgamma(j + 1) + lgamma(i + ell + 1) + lgamma(j + ell + 1)
+            ) - (sigma * ell + 1) * math.log(sigma)
+            total = 0.0
+            for k in range(min(i, j) + 1):
+                logterm = (
+                    -2 * k * math.log(sigma)
+                    - 2 * lgamma(ell + k + 1)
+                    + lgamma(k + sigma * ell + 1)
+                    - lgamma(k + 1)
+                    - lgamma(i - k + 1)
+                    - lgamma(j - k + 1)
+                )
+                hyp = hyp2f1_terminating(k - i, k + sigma * ell + 1, k + ell + 1, x)
+                hyp *= hyp2f1_terminating(k - j, k + sigma * ell + 1, k + ell + 1, x)
+                total += math.exp(logpref + logterm) * hyp
+            out[i, j] = total
+    return out
+
+
+def laguerre_associated_normalized(k: int, ell: int, x, j: int = 1):
+    """Associated (abbreviated) normalized Laguerre polynomial L~_k^ell(x; j).
+
+    Solves the same three-term recursion as the normalized family but with
+    the coefficient index shifted by the association order j:
+
+        sigma_{k+j} p_{k+1} = (x - eta_{k+j}) p_k - sigma_{k+j-1} p_{k-1},
+
+    eta_k = 2k+ell+1, sigma_k = sqrt((k+1)(k+ell+1)), p_{-1} := 0, p_0 = 1.
+    For j = 0 this reproduces (-1)^k L~_k^ell(x).
+
+    Parameters
+    ----------
+    k : int
+        Degree, >= -1 (k = -1 returns 0 by convention).
+    ell : int
+        Order, >= 0.
+    x : float or ndarray
+        Argument.
+    j : int
+        Association order, >= 0 (default 1, the case used by the
+        cosine-like closed form).
+    """
+    if k < -1:
+        raise ValueError("degree must be >= -1")
+    if ell < 0 or j < 0:
+        raise ValueError("order and association order must be nonnegative")
+    x = np.asarray(x, dtype=float)
+    if k == -1:
+        z = np.zeros_like(x)
+        return z if z.ndim else 0.0
+
+    def eta(m):
+        return 2 * m + ell + 1
+
+    def sigma(m):
+        return math.sqrt((m + 1) * (m + ell + 1))
+
+    pm1 = np.zeros_like(x)
+    p = np.ones_like(x)
+    for m in range(k):
+        pnew = ((x - eta(m + j)) * p - sigma(m + j - 1) * pm1) / sigma(m + j)
+        pm1, p = p, pnew
+    return p if p.ndim else float(p)
+
+
+def hyp2f1_terminating(a: int, b: float, c: float, x: float) -> float:
+    """Gauss hypergeometric 2F1(a, b; c; x) for nonpositive integer a.
+
+    The series terminates after |a|+1 terms and is summed exactly. Raises
+    if c hits a nonpositive integer before the series terminates.
+    """
+    if a > 0 or a != int(a):
+        raise ValueError("terminating 2F1 requires a nonpositive integer a")
+    k = int(-a)
+    if c <= 0 and c == int(c) and -int(c) < k:
+        raise ValueError("c reaches a nonpositive integer inside the sum")
+    total = 1.0
+    term = 1.0
+    for m in range(k):
+        term *= (a + m) * (b + m) / ((c + m) * (m + 1)) * x
+        total += term
+    return total
+
+
+def gegenbauer(k: int, nu: float, x: float) -> float:
+    """Gegenbauer polynomial C_k^nu(x) by its standard recursion (k = -1 gives 0)."""
+    if k == -1:
+        return 0.0
+    if k < -1:
+        raise ValueError("degree must be >= -1")
+    pm1 = 0.0
+    p = 1.0
+    for m in range(k):
+        pnew = (2 * (m + nu) * x * p - (m + 2 * nu - 1) * pm1) / (m + 1)
+        pm1, p = p, pnew
+    return p
+
+
+def gegenbauer_associated(k: int, nu: float, x: float) -> float:
+    """Associated Gegenbauer polynomial by the shifted recursion.
+
+    2(k+nu+1) x C_k = (k+2) C_{k+1} + (k+2nu) C_{k-1}, with C_{-1} = 0,
+    C_0 = 1 (hence C_1 = (nu+1)x).
+    """
+    if k == -1:
+        return 0.0
+    if k < -1:
+        raise ValueError("degree must be >= -1")
+    pm1 = 0.0
+    p = 1.0
+    for m in range(k):
+        pnew = (2 * (m + nu + 1) * x * p - (m + 2 * nu) * pm1) / (m + 2)
+        pm1, p = p, pnew
+    return p
+
+
+def integrate_weighted(rule: QuadratureRule, fvals: np.ndarray):
+    """Integrate f against the weight: sum_l weights[l] * fvals[..., l].
+
+    `fvals` holds samples of f at `rule.nodes` along the last axis. Exact
+    for polynomials of degree <= 2*order - 1.
+    """
+    fvals = np.asarray(fvals)
+    if fvals.shape[-1] != rule.order:
+        raise ValueError("sample axis does not match the quadrature order")
+    return fvals @ rule.weights
+
+
+def quadrature_values(rule: QuadratureRule, kmax: int) -> np.ndarray:
+    """Rows 0..kmax of the node-value table L~_k^ell(nodes).
+
+    Degrees up to order-1 come straight from the eigenvectors; the table
+    cannot be extended past that without a fresh recursion, so asking for
+    more is an error.
+    """
+    if not 0 <= kmax < rule.order:
+        raise ValueError("kmax must lie in [0, order)")
+    return rule.values[: kmax + 1, :]

@@ -15,11 +15,10 @@ from jmscatter.cli import _build_problem, load_config, select_parameters, stabil
 from jmscatter.hamiltonian import (
     PowerExponentialPotential,
     assemble_linear,
-    f_weight_analytic,
     f_weight_quadrature,
 )
 from jmscatter.linearize import d_tensor, quadrature_bound
-from jmscatter.quadrature import build_rule, integrate_weighted
+from jmscatter.quadrature import build_rule
 from jmscatter.reference import (
     chi_reconstruct,
     energy_point,
@@ -27,17 +26,16 @@ from jmscatter.reference import (
     reference_coefficients,
     regular_target,
 )
-from jmscatter.solver import (
+from jmscatter.solver import greens_spectral, r_matrix, resonance_energy, scan, solve_energy
+from oracles import (
+    c_tensor_matrix_poly,
+    c_tensor_quadrature,
+    f_weight_analytic,
     greens_diagonal_minor,
-    greens_matrix,
+    greens_inverse,
     greens_offdiag_minor,
-    greens_spectral,
-    r_matrix,
-    resonance_energy,
-    scan,
-    solve_energy,
+    integrate_weighted,
 )
-from oracles import c_tensor_matrix_poly, c_tensor_quadrature
 
 CONFIG_DIR = files("jmscatter") / "configs"
 
@@ -55,7 +53,7 @@ GAUSS_L1_CONVERGED = (0.193032, 0.324751, 0.868347, 1.962627, 0.778133, 0.123286
 
 def run_config(name, override=False):
     cfg = load_config(str(CONFIG_DIR / name))
-    ham, dten = _build_problem(cfg, override)
+    ham, dten = _build_problem(cfg, build_rule(cfg.quadrature_order, cfg.ell), override)
     results = scan(
         list(cfg.energies), ham, dten, coupling=cfg.coupling_g,
         tolerance=cfg.tolerance, bifurcation_tolerance=cfg.bifurcation_tolerance,
@@ -189,13 +187,14 @@ def test_criterion_6_property_suite(rule100_l0):
     assert rm.hermiticity_defect < 1e-10 * np.abs(rm.matrix).max()
     assert np.array_equal(rm.matrix, rm.matrix.T)
 
-    # resolvent: three routes agree entry by entry
+    # resolvent: three routes agree entry by entry (the spectral route
+    # gives the edge column only)
     rng = np.random.default_rng(6)
     h = rng.normal(size=(6, 6))
     h = 0.5 * (h + h.T)
     evals, evecs = np.linalg.eigh(h)
-    direct = greens_matrix(h, 0.31)
-    assert np.abs(direct - greens_spectral(evals, evecs, 0.31)).max() < 1e-9
+    direct = greens_inverse(h, 0.31)
+    assert np.abs(direct[:, -1] - greens_spectral(evals, evecs, 0.31)).max() < 1e-9
     for i in range(6):
         assert greens_diagonal_minor(h, i, 0.31) == pytest.approx(
             direct[i, i], rel=1e-9, abs=1e-12

@@ -174,6 +174,23 @@ class TestMain:
         assert code == EXIT_CONFIG
         assert "--override-quadrature-bound" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["scan", "table", "stability-scan"])
+    def test_missing_potential_is_a_config_error(self, tmp_path, capsys, verb):
+        mapping = minimal()
+        del mapping["potential"]
+        assert main([verb, "--config", write_config(tmp_path, mapping)]) == EXIT_CONFIG
+        assert "requires a 'potential'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb,flag", [
+        ("basis-check", "--override-quadrature-bound"),
+        ("scan", "--threads=2"),
+    ])
+    def test_unread_flags_are_rejected(self, tmp_path, verb, flag):
+        path = write_config(tmp_path, minimal())
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--config", path, flag])
+        assert exc.value.code == EXIT_CONFIG
+
     def test_scan_output_and_determinism(self, tmp_path):
         path = write_config(tmp_path, minimal(
             energy_grid={"start": 1.0, "stop": 1.4, "step": 0.1},

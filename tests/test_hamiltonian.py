@@ -6,6 +6,7 @@ import pytest
 from jmscatter import hamiltonian as ham
 from jmscatter.quadrature import build_jacobi, build_rule
 from jmscatter.reference import energy_point, reference_coefficients
+from oracles import f_weight_analytic
 
 
 class TestPotentials:
@@ -116,11 +117,11 @@ class TestPotentialMatrix:
 class TestNonlinearWeight:
     def test_frozen_corner_values(self):
         # hand-computed integrals of the lowest basis products
-        assert ham.f_weight_analytic(1, 0, 1, 1)[0, 0] == pytest.approx(0.5, rel=1e-14)
-        assert ham.f_weight_analytic(2, 0, 1, 1)[0, 0] == pytest.approx(1.0 / 3.0, rel=1e-14)
-        assert ham.f_weight_analytic(1, 0, 2, 2)[1, 0] == pytest.approx(0.25, rel=1e-13)
-        assert ham.f_weight_analytic(1, 1, 1, 1)[0, 0] == pytest.approx(0.25, rel=1e-13)
-        assert ham.f_weight_analytic(1, 1, 2, 2)[1, 0] == pytest.approx(
+        assert f_weight_analytic(1, 0, 1, 1)[0, 0] == pytest.approx(0.5, rel=1e-14)
+        assert f_weight_analytic(2, 0, 1, 1)[0, 0] == pytest.approx(1.0 / 3.0, rel=1e-14)
+        assert f_weight_analytic(1, 0, 2, 2)[1, 0] == pytest.approx(0.25, rel=1e-13)
+        assert f_weight_analytic(1, 1, 1, 1)[0, 0] == pytest.approx(0.25, rel=1e-13)
+        assert f_weight_analytic(1, 1, 2, 2)[1, 0] == pytest.approx(
             1.0 / (8.0 * np.sqrt(2.0)), rel=1e-13
         )
 
@@ -131,12 +132,12 @@ class TestNonlinearWeight:
         # (2e-10 by 25x25, 7e-9 by 30x30); the working basis size holds
         # comfortable agreement, and the exact quadrature route is the
         # production path
-        fa = ham.f_weight_analytic(n, ell, 20, 20)
+        fa = f_weight_analytic(n, ell, 20, 20)
         fq = ham.f_weight_quadrature(n, ell, 20, 20)
         assert np.abs(fa - fq).max() < 1e-10
 
     def test_analytic_symmetric(self):
-        f = ham.f_weight_analytic(2, 1, 30, 30)
+        f = f_weight_analytic(2, 1, 30, 30)
         assert np.abs(f - f.T).max() < 1e-12
 
     def test_edge_diagonal_decays_with_size(self):
@@ -147,6 +148,6 @@ class TestNonlinearWeight:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ham.f_weight_analytic(0, 0, 5, 5)
+            f_weight_analytic(0, 0, 5, 5)
         with pytest.raises(ValueError):
             ham.f_weight_quadrature(1, -1, 5, 5)

@@ -11,7 +11,7 @@ from jmscatter.reference import (
     reference_coefficients,
     regular_target,
 )
-from jmscatter.specfun import laguerre_associated_normalized
+from oracles import laguerre_associated_normalized
 
 FIG_PAIRS = ((0, 1.5), (1, 1.0), (2, 1.5), (3, 2.5))
 

@@ -12,20 +12,24 @@ from jmscatter.hamiltonian import (
     f_weight_quadrature,
 )
 from jmscatter.linearize import d_tensor, quadrature_bound
+from jmscatter import solver
 from jmscatter.quadrature import build_rule
 from jmscatter.solver import (
     ScatteringResult,
     SingularMatrixError,
-    greens_diagonal_minor,
     greens_matrix,
-    greens_offdiag_minor,
     greens_spectral,
     r_matrix,
     resonance_energy,
     scan,
     solve_energy,
 )
-from oracles import c_tensor_quadrature
+from oracles import (
+    c_tensor_quadrature,
+    greens_diagonal_minor,
+    greens_inverse,
+    greens_offdiag_minor,
+)
 
 
 def random_symmetric(size, seed):
@@ -69,29 +73,30 @@ def septic_setup(request):
 class TestGreens:
     def test_scalar_case(self):
         out = greens_matrix(np.array([[2.0]]), 1.0)
-        assert out.shape == (1, 1)
-        assert out[0, 0] == pytest.approx(1.0, rel=1e-14)
+        assert out.shape == (1,)
+        assert out[0] == pytest.approx(1.0, rel=1e-14)
 
     def test_inverse_residual(self):
+        # the edge column solves (H - E) g = e_{N-1}
         h = random_symmetric(6, seed=11)
         g = greens_matrix(h, 0.37)
-        residual = (h - 0.37 * np.eye(6)) @ g - np.eye(6)
+        residual = (h - 0.37 * np.eye(6)) @ g - np.eye(6)[:, -1]
         assert np.abs(residual).max() < 1e-9
 
     def test_direct_matches_spectral(self):
         h = random_symmetric(6, seed=12)
         evals, evecs = np.linalg.eigh(h)
         for energy in (-1.3, 0.2, 0.9, 2.7):
-            direct = greens_matrix(h, energy)
-            spectral = greens_spectral(evals, evecs, energy)
-            assert np.abs(direct - spectral).max() < 1e-10
+            direct = greens_inverse(h, energy)[:, -1]
+            assert np.abs(greens_matrix(h, energy) - direct).max() < 1e-10
+            assert np.abs(greens_spectral(evals, evecs, energy) - direct).max() < 1e-10
 
     def test_minor_ratio_routes_match_direct(self):
         # two determinant-based constructions of individual entries,
         # sharing nothing with the inversion route
         h = random_symmetric(6, seed=13)
         for energy in (-2.0, -0.5, 0.31, 1.11, 3.4):
-            direct = greens_matrix(h, energy)
+            direct = greens_inverse(h, energy)
             for i in range(6):
                 assert greens_diagonal_minor(h, i, energy) == pytest.approx(
                     direct[i, i], rel=1e-9, abs=1e-12
@@ -122,6 +127,22 @@ class TestGreens:
             greens_matrix(h, float(evals[2]))
         with pytest.raises(SingularMatrixError):
             greens_spectral(evals, evecs, float(evals[2]))
+        # refused exactly where the 2-norm condition number of H - E
+        # exceeds 1e12: offsets from a level giving about 1e11 and 1e13
+        widest = np.abs(evals - evals[2]).max()
+        for target, refused in ((1e11, False), (1e13, True)):
+            energy = float(evals[2] + widest / target)
+            cond = np.linalg.cond(h - energy * np.eye(5))
+            assert cond == pytest.approx(target, rel=0.1)
+            assert (cond > 1e12) == refused
+            if refused:
+                with pytest.raises(SingularMatrixError):
+                    greens_spectral(evals, evecs, energy)
+                with pytest.raises(SingularMatrixError):
+                    greens_matrix(h, energy)
+            else:
+                assert np.isfinite(greens_spectral(evals, evecs, energy)).all()
+                assert np.isfinite(greens_matrix(h, energy)).all()
 
 
 @pytest.fixture(scope="module")
@@ -227,14 +248,27 @@ class TestSolveEnergy:
         assert res.energy != trapped
         assert abs(abs(res.s_matrix) - 1.0) < 1e-8
 
-    def test_threaded_scan_matches_serial(self, gauss_setup):
+    def test_linear_eigenvalue_energy_is_nudged(self, gauss_setup):
+        ham, _ = gauss_setup
+        trapped = float(ham.eigenvalues[np.argmin(np.abs(ham.eigenvalues - 2.5))])
+        (res,) = scan((trapped,), ham)
+        assert res.energy != trapped
+        assert res.energy == pytest.approx(trapped, rel=1e-5)
+        assert abs(abs(res.s_matrix) - 1.0) < 1e-8
+
+    def test_singular_after_nudge_raises(self, gauss_setup, monkeypatch):
         ham, dten = gauss_setup
-        energies = (2.40, 2.50, 2.60)
-        serial = scan(energies, ham, dten, coupling=0.001)
-        threaded = scan(energies, ham, dten, coupling=0.001, threads=2)
-        for a, b in zip(serial, threaded):
-            assert a.s_matrix == b.s_matrix
-            assert a.iterations == b.iterations
+        attempts = []
+
+        def refuse(eigenvalues, eigenvectors, energy):
+            attempts.append(energy)
+            raise SingularMatrixError(f"refused at E={energy!r}")
+
+        monkeypatch.setattr(solver, "greens_spectral", refuse)
+        with pytest.raises(SingularMatrixError):
+            solve_energy(2.5, ham, dten, coupling=0.001)
+        assert len(attempts) == 2
+        assert attempts[0] == 2.5 and attempts[1] != 2.5
 
     def test_period_two_cycle_detected(self, trapezoid_setup):
         ham, dten = trapezoid_setup
