@@ -111,9 +111,9 @@ def _parse_potential(raw) -> ham.Potential:
             )
         if kind == "tabulated":
             _reject_unknown(raw, {"kind", "r", "v"}, "potential")
-            return ham.TabulatedPotential(
-                r=_float_list(raw.get("r"), "potential.r"),
-                v=_float_list(raw.get("v"), "potential.v"),
+            return ham.PiecewiseLinearPotential(
+                breakpoints=_float_list(raw.get("r"), "potential.r"),
+                values=_float_list(raw.get("v"), "potential.v"),
             )
     except ValueError as exc:
         raise ConfigError(f"invalid potential: {exc}") from exc
@@ -345,9 +345,7 @@ def stability_rows(
     for n_basis in n_values:
         features = []
         # F depends on the basis size only, not on its scale.
-        f_edge = ham.f_weight_quadrature(
-            cfg.nonlinearity_n, cfg.ell, int(n_basis), int(n_basis)
-        )[-1, -1]
+        f_edge = ham.f_weight_quadrature(cfg.nonlinearity_n, cfg.ell, int(n_basis))[-1, -1]
         for lam in lambdas:
             sub = replace(cfg, lam=float(lam), basis_size_n=int(n_basis))
             h, dten = _build_problem(sub, rule, override)
@@ -359,14 +357,11 @@ def stability_rows(
             spectrum = np.sort(h.eigenvalues)
             near = spectrum[np.argsort(np.abs(spectrum - energy))[:5]]
             features.append(np.sort(near))
-            pot_edge = abs(
-                ham.potential_matrix(rule, sub.potential, sub.lam, sub.basis_size_n)[-1, -1]
-            )
             rows.append({
                 "lam": float(lam), "N": int(n_basis),
                 "abs_one_minus_S": res.abs_one_minus_s,
                 "nearest_eig": float(near[0]),
-                "pot_edge": pot_edge, "f_edge": f_edge,
+                "pot_edge": abs(h.potential_matrix[-1, -1]), "f_edge": f_edge,
             })
         for i in range(len(lambdas)):
             drifts = [0.0]

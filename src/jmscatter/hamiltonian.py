@@ -2,15 +2,17 @@
 
 The kinetic-plus-centrifugal operator is tridiagonal in the basis
 phi_k(r) = sqrt(2 lam / ell!) (lam r)^{ell+1/2} e^{-lam^2 r^2 / 2}
-L~_k^ell(lam^2 r^2); the short-range potential is projected with the
-Gauss rule of the basis weight, V_ij = (Lambda W Lambda^T)_ij with
-W_ll = V(sqrt(xi_l)/lam). The module also carries the two-sided
-nonlinear weight integrals
+L~_k^ell(lam^2 r^2): lam^2/2 times the Laguerre J-matrix of
+`specfun.jacobi_coefficients`. The short-range potential is projected
+with the Gauss rule of the basis weight, V_ij = (Lambda W Lambda^T)_ij
+with W_ll = V(sqrt(xi_l)/lam), read straight off the rule's stencil.
+The module also carries the two-sided nonlinear weight integrals
 
     F^(n,ell)_ij = (1/ell!) int_0^inf x^{(n+1) ell} e^{-(n+1) x}
                    L~_i^ell(x) L~_j^ell(x) dx,
 
-computed exactly by a Gauss rule in the rescaled variable.
+computed exactly by a Gauss rule in the rescaled variable from one
+upward Laguerre recursion.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Union
 import numpy as np
 
 from .quadrature import QuadratureRule, build_rule
-from .specfun import laguerre_normalized
+from .specfun import jacobi_coefficients, laguerre_upward
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,8 @@ class PowerExponentialPotential:
 class PiecewiseLinearPotential:
     """Continuous piecewise-linear V(r) through (breakpoints, values), zero beyond the last breakpoint.
 
-    Breakpoints must be strictly increasing and start at r = 0.
+    Breakpoints must be strictly increasing and start at r = 0. A
+    tabulated potential, sampled (r, v), is this interpolation too.
     """
 
     breakpoints: tuple
@@ -72,30 +75,7 @@ class PiecewiseLinearPotential:
         return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class TabulatedPotential:
-    """Linear interpolation of sampled (r, v), zero beyond the table end."""
-
-    r: tuple
-    v: tuple
-
-    def __post_init__(self):
-        r = np.asarray(self.r, dtype=float)
-        v = np.asarray(self.v, dtype=float)
-        if r.ndim != 1 or r.size < 2 or r.size != v.size:
-            raise ValueError("need matching 1-d r and v samples, at least two points")
-        if r[0] != 0.0:
-            raise ValueError("tabulated potential must start at r = 0")
-        if np.any(np.diff(r) <= 0):
-            raise ValueError("r samples must be strictly increasing")
-
-    def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        out = np.interp(r, self.r, self.v, right=0.0)
-        return out if out.ndim else float(out)
-
-
-Potential = Union[PowerExponentialPotential, PiecewiseLinearPotential, TabulatedPotential]
+Potential = Union[PowerExponentialPotential, PiecewiseLinearPotential]
 
 
 @dataclass(frozen=True)
@@ -108,8 +88,6 @@ class FreeMatrixCoeffs:
     have their coefficients available.
     """
 
-    ell: int
-    lam: float
     a: np.ndarray
     b: np.ndarray
 
@@ -118,11 +96,13 @@ class FreeMatrixCoeffs:
 class LinearHamiltonian:
     """Truncated interior Hamiltonian H = K + Lambda W Lambda^T plus its context.
 
+    `potential_matrix` is the potential block Lambda W Lambda^T alone.
     `eigenvalues` and `eigenvectors` diagonalize `matrix`; every solve
     takes its order-0 resolvent from them.
     """
 
     matrix: np.ndarray
+    potential_matrix: np.ndarray = field(repr=False)
     coeffs: FreeMatrixCoeffs
     ell: int
     lam: float
@@ -132,24 +112,11 @@ class LinearHamiltonian:
 
 
 def free_matrix_coeffs(kmax: int, ell: int, lam: float) -> FreeMatrixCoeffs:
-    """Free-operator recursion coefficients for k = 0..kmax."""
-    if kmax < 0:
-        raise ValueError("kmax must be nonnegative")
-    if ell < 0:
-        raise ValueError("ell must be nonnegative")
+    """Free-operator recursion coefficients for k = 0..kmax: lam^2/2 times the Laguerre ones."""
     if lam <= 0:
         raise ValueError("basis scale lam must be positive")
-    k = np.arange(kmax + 1)
-    a = 0.5 * lam**2 * (2 * k + ell + 1)
-    b = 0.5 * lam**2 * np.sqrt((k + 1.0) * (k + ell + 1.0))
-    return FreeMatrixCoeffs(ell=ell, lam=lam, a=a, b=b)
-
-
-def basis_scale_matrix(rule: QuadratureRule, size: int) -> np.ndarray:
-    """Lambda[k, l] = sqrt(w_l) L~_k(xi_l) for k < size, the projection stencil."""
-    if size > rule.order:
-        raise ValueError("basis size exceeds the quadrature order")
-    return rule.vectors[:size, :]
+    diag, off = jacobi_coefficients(kmax, ell)
+    return FreeMatrixCoeffs(a=0.5 * lam**2 * diag, b=0.5 * lam**2 * off)
 
 
 def potential_matrix(rule: QuadratureRule, potential: Potential, lam: float, size: int) -> np.ndarray:
@@ -162,9 +129,11 @@ def potential_matrix(rule: QuadratureRule, potential: Potential, lam: float, siz
     """
     if lam <= 0:
         raise ValueError("basis scale lam must be positive")
-    lam_mat = basis_scale_matrix(rule, size)
+    if size > rule.order:
+        raise ValueError("basis size exceeds the quadrature order")
+    stencil = rule.vectors[:size]
     w_diag = potential(np.sqrt(rule.nodes) / lam)
-    return (lam_mat * w_diag[np.newaxis, :]) @ lam_mat.T
+    return (stencil * w_diag[np.newaxis, :]) @ stencil.T
 
 
 def assemble_linear(
@@ -190,10 +159,12 @@ def assemble_linear(
     idx = np.arange(n_basis - 1)
     h[idx, idx + 1] = off
     h[idx + 1, idx] = off
-    h += potential_matrix(rule, potential, lam, n_basis)
+    pot = potential_matrix(rule, potential, lam, n_basis)
+    h += pot
     evals, evecs = np.linalg.eigh(h)
     return LinearHamiltonian(
         matrix=h,
+        potential_matrix=pot,
         coeffs=coeffs,
         ell=ell,
         lam=lam,
@@ -203,12 +174,12 @@ def assemble_linear(
     )
 
 
-def f_weight_quadrature(n: int, ell: int, rows: int, cols: int, order: int | None = None) -> np.ndarray:
-    """F^(n,ell) block by exact Gauss quadrature in the rescaled variable.
+def f_weight_quadrature(n: int, ell: int, size: int) -> np.ndarray:
+    """size x size F^(n,ell) block by exact Gauss quadrature in the rescaled variable.
 
     Substituting y = sigma x turns the integrand into a polynomial times
     the weight y^{sigma ell} e^{-y}, so a rule of that weight with order
-    >= (rows+cols)/2 integrates it exactly:
+    >= size integrates it exactly:
 
         F_ij = sigma^{-(sigma ell + 1)} ((sigma ell)! / ell!)
                * sum_l w_l L~_i(y_l/sigma) L~_j(y_l/sigma).
@@ -218,13 +189,10 @@ def f_weight_quadrature(n: int, ell: int, rows: int, cols: int, order: int | Non
     if ell < 0:
         raise ValueError("ell must be nonnegative")
     sigma = n + 1
-    if order is None:
-        order = (rows + cols) // 2 + 2
-    rule = build_rule(order, sigma * ell)
+    rule = build_rule(size + 2, sigma * ell)
     xs = rule.nodes / sigma
-    li = np.vstack([laguerre_normalized(i, ell, xs) for i in range(rows)])
-    lj = np.vstack([laguerre_normalized(j, ell, xs) for j in range(cols)])
+    values = np.array(list(laguerre_upward(size - 1, ell, xs, np.ones_like(xs))))
     pref = math.exp(
         lgamma(sigma * ell + 1) - lgamma(ell + 1) - (sigma * ell + 1) * math.log(sigma)
     )
-    return pref * (li * rule.weights[np.newaxis, :]) @ lj.T
+    return pref * (values * rule.weights[np.newaxis, :]) @ values.T

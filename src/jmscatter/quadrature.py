@@ -1,12 +1,13 @@
 """Gauss quadrature generated from the basis Jacobi matrix.
 
-The free Hamiltonian in the oscillator basis is tridiagonal; the same
-coefficients, stripped of scale factors, form the Jacobi matrix of the
-normalized Laguerre family. Its eigenvalues are the Gauss nodes of the
-weight x^ell e^{-x} / ell! and the squared first components of its
-eigenvectors are the Gauss weights (the weight function integrates to
-one, so the weights sum to one). Eigenvector rows evaluate the basis
-polynomials at the nodes without any explicit recursion.
+The free Hamiltonian in the oscillator basis is tridiagonal; its
+coefficients, stripped of the scale lam^2/2, form the Jacobi matrix of
+the normalized Laguerre family (`specfun.jacobi_coefficients`). Its
+eigenvalues are the Gauss nodes of the weight x^ell e^{-x} / ell! and
+the squared first components of its eigenvectors are the Gauss weights
+(Golub & Welsch 1969; the weight function integrates to one, so the
+weights sum to one). Eigenvector rows evaluate the basis polynomials at
+the nodes without any explicit recursion.
 """
 
 from __future__ import annotations
@@ -16,14 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-
-@dataclass(frozen=True)
-class JacobiMatrix:
-    """Symmetric tridiagonal recursion matrix of the normalized Laguerre family."""
-
-    ell: int
-    diagonal: np.ndarray
-    off_diagonal: np.ndarray
+from .specfun import jacobi_coefficients
 
 
 @dataclass(frozen=True)
@@ -59,33 +53,22 @@ class QuadratureRule:
     live: np.ndarray
 
 
-def build_jacobi(order: int, ell: int) -> JacobiMatrix:
-    """Assemble the order x order Jacobi matrix for angular momentum ell.
+def build_rule(order: int, ell: int) -> QuadratureRule:
+    """Diagonalize the order x order Jacobi matrix into a Gauss rule.
 
-    Diagonal 2k+ell+1, off-diagonal -sqrt((k+1)(k+ell+1)). The sign of the
-    off-diagonal is a similarity convention; nodes and weights do not depend
-    on it, polynomial values at the nodes do (see `eigendecompose`).
+    The Jacobi matrix takes the Laguerre coefficients with the
+    off-diagonal negated. That sign is a similarity convention: nodes and
+    weights do not depend on it, polynomial values at the nodes do. The
+    eigenvector matrix Lambda (columns = eigenvectors) gives
+    weights[l] = Lambda[0, l]**2 and values[k, l] = Lambda[k, l] / Lambda[0, l].
+    Eigenvector signs are fixed so Lambda[0, l] > 0; with the negative
+    off-diagonal the ratio then reproduces the normalized Laguerre values
+    themselves, not an alternating-sign variant.
     """
     if order < 1:
         raise ValueError("quadrature order must be >= 1")
-    if ell < 0:
-        raise ValueError("ell must be nonnegative")
-    k = np.arange(order)
-    diag = 2.0 * k + ell + 1.0
-    off = -np.sqrt((k[:-1] + 1.0) * (k[:-1] + ell + 1.0))
-    return JacobiMatrix(ell=ell, diagonal=diag, off_diagonal=off)
-
-
-def eigendecompose(jac: JacobiMatrix) -> QuadratureRule:
-    """Diagonalize the Jacobi matrix into a Gauss quadrature rule.
-
-    The eigenvector matrix Lambda (columns = eigenvectors) gives
-    weights[l] = Lambda[0, l]**2 and values[k, l] = Lambda[k, l] / Lambda[0, l].
-    Eigenvector signs are fixed so Lambda[0, l] > 0; with the negative
-    off-diagonal convention of `build_jacobi` the ratio then reproduces the
-    normalized Laguerre values themselves, not an alternating-sign variant.
-    """
-    nodes, vecs = eigh_tridiagonal(jac.diagonal, jac.off_diagonal)
+    diag, off = jacobi_coefficients(order - 1, ell)
+    nodes, vecs = eigh_tridiagonal(diag, -off[:-1])
     first = vecs[0, :].copy()
     vecs[:, first < 0] *= -1.0
     first = vecs[0, :]
@@ -96,16 +79,11 @@ def eigendecompose(jac: JacobiMatrix) -> QuadratureRule:
     values = np.zeros_like(vecs)
     values[:, live] = vecs[:, live] / first[live]
     return QuadratureRule(
-        ell=jac.ell,
-        order=jac.diagonal.size,
+        ell=ell,
+        order=order,
         nodes=nodes,
         weights=weights,
         vectors=vecs,
         values=values,
         live=live,
     )
-
-
-def build_rule(order: int, ell: int) -> QuadratureRule:
-    """Convenience composition of `build_jacobi` and `eigendecompose`."""
-    return eigendecompose(build_jacobi(order, ell))

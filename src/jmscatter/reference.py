@@ -4,15 +4,19 @@ The free radial equation has a regular solution sqrt(kappa r) J_ell(kappa r)
 and an irregular one built on Y_ell. Expanded over the oscillator basis
 their coefficients s_k, c_k solve the free three-term recursion; s_k
 homogeneously, c_k with an inhomogeneous seed relation whose source term
-tau comes from the basis cutoff at the origin. Closed forms fix s_k for
-all k and (c_0, tau); the rest of c_k follows by upward recursion, which
-is stable here because both solutions decay at the same slow rate.
+tau comes from the basis cutoff at the origin. The closed form
+s_k ~ (-1)^k L~_k^ell(mu^2) fixes s_k for all k, and (c_0, tau) are
+closed forms too; the rest of c_k follows by upward recursion, which is
+stable here because both solutions decay at the same slow rate.
 
 The Laguerre-basis analogues trade Laguerre polynomials of mu^2 for
 Gegenbauer polynomials of cos(theta) with mu mapped onto the unit
 circle. Reconstruction sums filtered coefficient-weighted basis
-functions with a scaled recursion that never forms the exponentially
-large bare polynomial values.
+functions streamed from the upward Laguerre recursion started on the
+basis envelope, so the exponentially large bare polynomial values never
+form. Every recursion here reads its three-term coefficients from
+`specfun.jacobi_coefficients` (the free ones through
+`hamiltonian.free_matrix_coeffs`).
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from math import lgamma
 import numpy as np
 
 from .hamiltonian import free_matrix_coeffs
-from .specfun import hyp2f1_series, re_upper_gamma_neg
+from .specfun import hyp2f1_series, jacobi_coefficients, laguerre_upward, re_upper_gamma_neg
 
 
 @dataclass(frozen=True)
@@ -80,25 +84,13 @@ def sine_like(point: EnergyPoint, ell: int, kmax: int) -> np.ndarray:
     absorbs the positive off-diagonal of the free matrix relative to the
     Jacobi convention.
     """
-    if ell < 0 or kmax < 0:
-        raise ValueError("ell and kmax must be nonnegative")
     mu2 = point.mu**2
     alpha = math.exp(
         0.5 * (math.log(2.0) - math.log(point.lam) - lgamma(ell + 1))
         + (ell + 0.5) * math.log(point.mu)
         - 0.5 * mu2
     )
-    out = np.empty(kmax + 1)
-    pm1 = 0.0
-    p = 1.0
-    out[0] = alpha
-    for k in range(kmax):
-        pnew = ((2 * k + ell + 1 - mu2) * p - math.sqrt(k * (k + ell)) * pm1) / math.sqrt(
-            (k + 1) * (k + ell + 1)
-        )
-        pm1, p = p, pnew
-        out[k + 1] = alpha * (-1) ** (k + 1) * p
-    return out
+    return np.array([alpha * (-1) ** k * p for k, p in enumerate(laguerre_upward(kmax, ell, mu2))])
 
 
 def tau_inhomogeneity(point: EnergyPoint, ell: int) -> float:
@@ -140,17 +132,12 @@ def cosine_like_all(point: EnergyPoint, ell: int, kmax: int) -> np.ndarray:
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     c0, c1 = cosine_like_seed(point, ell)
-    out = np.empty(kmax + 1)
-    out[0] = c0
-    if kmax >= 1:
-        out[1] = c1
-    if kmax >= 2:
-        coeffs = free_matrix_coeffs(kmax, ell, point.lam)
-        for k in range(1, kmax):
-            out[k + 1] = (
-                (point.energy - coeffs.a[k]) * out[k] - coeffs.b[k - 1] * out[k - 1]
-            ) / coeffs.b[k]
-    return out
+    coeffs = free_matrix_coeffs(kmax, ell, point.lam)
+    a, b = coeffs.a.tolist(), coeffs.b.tolist()
+    out = [c0, c1]
+    for k in range(1, kmax):
+        out.append(((point.energy - a[k]) * out[k] - b[k - 1] * out[k - 1]) / b[k])
+    return np.array(out[: kmax + 1])
 
 
 def _laguerre_angles(point: EnergyPoint) -> tuple[float, float]:
@@ -187,11 +174,10 @@ def laguerre_basis_reference(point: EnergyPoint, ell: int, kmax: int) -> Referen
         norm1 = math.exp(-0.5 * lgamma(2 * ell + 2))
         s[1] = pref_s * (2.0 * nu * ct) * norm1
         c[1] = pref_c * (ct * hyp * (2.0 * nu * ct) - st ** (-2.0 * ell)) * norm1
+    diag, off = (v.tolist() for v in jacobi_coefficients(kmax, 2 * ell))
     for k in range(1, kmax):
-        den = math.sqrt((k + 1.0) * (k + 2 * ell + 1.0))
-        low = math.sqrt(k * (k + 2.0 * ell))
-        s[k + 1] = (2.0 * (k + nu) * ct * s[k] - low * s[k - 1]) / den
-        c[k + 1] = (2.0 * (k + nu) * ct * c[k] - low * c[k - 1]) / den
+        s[k + 1] = (diag[k] * ct * s[k] - off[k - 1] * s[k - 1]) / off[k]
+        c[k + 1] = (diag[k] * ct * c[k] - off[k - 1] * c[k - 1]) / off[k]
     return ReferenceCoefficients(basis="laguerre", ell=ell, lam=point.lam, energy=point.energy, s=s, c=c)
 
 
@@ -268,15 +254,11 @@ def chi_reconstruct(coefficients, ell: int, lam: float, r, basis: str = "oscilla
     else:
         raise ValueError(f"unknown basis {basis!r}")
 
-    total = coefficients[0] * phi0
-    pm1 = np.zeros_like(phi0)
-    p = phi0
-    for k in range(len(coefficients) - 1):
-        pnew = (
-            (2 * k + order + 1 - x) * p - math.sqrt(k * (k + order)) * pm1
-        ) / math.sqrt((k + 1) * (k + order + 1))
-        pm1, p = p, pnew
-        total += coefficients[k + 1] * p
+    phis = laguerre_upward(coefficients.size - 1, order, x, phi0)
+    terms = (c * phi for c, phi in zip(coefficients, phis))
+    total = next(terms)
+    for term in terms:
+        total += term
     return total
 
 

@@ -44,15 +44,6 @@ class RMatrix:
 
 
 @dataclass(frozen=True)
-class CoefficientState:
-    """Interior + edge coefficients and scattering matrix at one order."""
-
-    iteration: int
-    coefficients: np.ndarray
-    s_matrix: complex
-
-
-@dataclass(frozen=True)
 class ScatteringResult:
     """Outcome of one energy point.
 
@@ -218,15 +209,14 @@ def _iterate(
             energy=energy, status="converged", iterations=0, s_matrix=s,
             history=tuple(history), unimodularity_defect=defect,
         )
-    coeffs = interior_coefficients(s, ref, g, b_edge, n)
 
     streak2 = streak3 = 0
     certified_period = 0
     for m in range(1, max_iterations + 1):
+        coeffs = interior_coefficients(s, ref, g, b_edge, n)
         eff = hamiltonian.matrix + coupling * r_matrix(dten, coeffs, lam).matrix
         g = greens_matrix(eff, energy)
         s = phase_shift(ref, g[n - 1], b_edge, n)
-        coeffs = interior_coefficients(s, ref, g, b_edge, n)
         history.append(s)
         defect = max(defect, abs(abs(s) - 1.0))
 

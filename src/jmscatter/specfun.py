@@ -1,13 +1,15 @@
 """Special functions for the J-matrix scattering machinery.
 
-Normalized Laguerre polynomials, cylindrical Bessel functions, the
-exponential integral, the real part of the upper incomplete gamma
-function at negative argument, and the convergent Gauss hypergeometric
-series.
+The three-term coefficients of the normalized Laguerre family and its
+upward recursion, cylindrical Bessel functions, the exponential
+integral, the real part of the upper incomplete gamma function at
+negative argument, and the convergent Gauss hypergeometric series.
 
-Polynomials are evaluated by upward three-term recursions. Closed
-forms built from raw factorials overflow long before the basis sizes
-used here and are deliberately avoided.
+The Laguerre coefficients are the one J-matrix of the method: the Gauss
+rule, the free Hamiltonian and every basis-polynomial evaluation read
+them from `jacobi_coefficients`. Polynomials are evaluated by the upward
+recursion; closed forms built from raw factorials overflow long before
+the basis sizes used here and are deliberately avoided.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import numpy as np
 from scipy import special as _sp
 
 __all__ = [
+    "jacobi_coefficients",
+    "laguerre_upward",
     "laguerre_normalized",
     "bessel_j",
     "bessel_y",
@@ -31,17 +35,48 @@ _SERIES_CAP = 100_000
 _SERIES_RTOL = 1e-16
 
 
+def jacobi_coefficients(kmax: int, ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """Three-term coefficients of the normalized Laguerre family, k = 0..kmax.
+
+    The diagonal 2k+ell+1 and the off-diagonal sqrt((k+1)(k+ell+1)),
+    which links k and k+1, form the J-matrix of L~_k^ell: its symmetric
+    tridiagonal matrix is the free Hamiltonian in units of lam^2/2 and,
+    with the off-diagonal negated, the Jacobi matrix of the Gauss rule
+    for the weight x^ell e^{-x} / ell!.
+    """
+    if kmax < 0 or ell < 0:
+        raise ValueError("degree and order must be nonnegative")
+    k = np.arange(kmax + 1, dtype=float)
+    return 2.0 * k + ell + 1.0, np.sqrt((k + 1.0) * (k + ell + 1.0))
+
+
+def laguerre_upward(kmax: int, ell: int, x, first=1.0):
+    """Yield first * L~_k^ell(x) for k = 0..kmax by the upward recursion
+
+        L~_{k+1} = ((2k+ell+1 - x) L~_k - sqrt(k(k+ell)) L~_{k-1})
+                   / sqrt((k+1)(k+ell+1)),
+
+    which is stable for increasing degree. `first` may be an envelope
+    array broadcast against `x`; carrying it inside every iterate keeps
+    products of a vanishing envelope and a huge polynomial finite. The
+    coefficients are read as Python floats, so a scalar `x` never
+    touches numpy arithmetic.
+    """
+    diag, off = jacobi_coefficients(kmax, ell)
+    prev, p, link = 0.0, first, 0.0
+    yield p
+    for d, o in zip(diag[:kmax].tolist(), off[:kmax].tolist()):
+        prev, p = p, ((d - x) * p - link * prev) / o
+        link = o
+        yield p
+
+
 def laguerre_normalized(k: int, ell: int, x):
     """Normalized Laguerre polynomial L~_k^ell(x).
 
     L~_k^ell(x) = sqrt(k! ell! / (k+ell)!) L_k^ell(x), so that the family
-    is orthonormal under the weight x^ell e^{-x} / ell!. Evaluated by the
-    upward three-term recursion
-
-        x L~_k = (2k+ell+1) L~_k - sqrt(k(k+ell)) L~_{k-1}
-                                 - sqrt((k+1)(k+ell+1)) L~_{k+1},
-
-    which is stable for increasing degree.
+    is orthonormal under the weight x^ell e^{-x} / ell!; the last iterate
+    of `laguerre_upward`.
 
     Parameters
     ----------
@@ -57,16 +92,9 @@ def laguerre_normalized(k: int, ell: int, x):
     float or ndarray
         Value with the shape of `x`.
     """
-    if k < 0 or ell < 0:
-        raise ValueError("degree and order must be nonnegative")
     x = np.asarray(x, dtype=float)
-    pm1 = np.zeros_like(x)
-    p = np.ones_like(x)
-    for m in range(k):
-        pnew = ((2 * m + ell + 1 - x) * p - math.sqrt(m * (m + ell)) * pm1) / math.sqrt(
-            (m + 1) * (m + ell + 1)
-        )
-        pm1, p = p, pnew
+    for p in laguerre_upward(k, ell, x, np.ones_like(x)):
+        pass
     return p if p.ndim else float(p)
 
 

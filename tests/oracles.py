@@ -36,7 +36,8 @@ from math import factorial, lgamma
 import numpy as np
 
 from jmscatter.linearize import _check_bound
-from jmscatter.quadrature import QuadratureRule, build_jacobi
+from jmscatter.quadrature import QuadratureRule
+from jmscatter.specfun import jacobi_coefficients
 
 SymmetricIndexTuple = tuple[int, ...]
 
@@ -141,11 +142,11 @@ def c_tensor_matrix_poly(n: int, ell: int, n_basis: int) -> CTensor:
     """
     qmax = (n + 1) * (n_basis - 1)
     m = qmax + 1
-    jac = build_jacobi(m, ell)
-    jmat = np.diag(jac.diagonal)
+    diag, off = jacobi_coefficients(m - 1, ell)
+    jmat = np.diag(diag)
     idx = np.arange(m - 1)
-    jmat[idx, idx + 1] = jac.off_diagonal
-    jmat[idx + 1, idx] = jac.off_diagonal
+    jmat[idx, idx + 1] = -off[:-1]
+    jmat[idx + 1, idx] = -off[:-1]
 
     # Matrix images L~_k(J) by the basis recursion, k = 0..N-1.
     mats = [np.eye(m)]

@@ -176,7 +176,7 @@ def test_criterion_6_property_suite(rule100_l0):
     # nonlinear weight integrals: closed form against exact quadrature
     for n, ell in ((1, 0), (1, 1), (2, 0)):
         fa = f_weight_analytic(n, ell, 20, 20)
-        fq = f_weight_quadrature(n, ell, 20, 20)
+        fq = f_weight_quadrature(n, ell, 20)
         assert np.abs(fa - fq).max() < 1e-10 * np.abs(fq).max()
 
     # effective interaction: self-adjoint up to roundoff

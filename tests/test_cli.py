@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
+from jmscatter import hamiltonian
 from jmscatter.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -13,6 +14,7 @@ from jmscatter.cli import (
     load_config,
     main,
     select_parameters,
+    stability_rows,
 )
 from jmscatter.hamiltonian import PiecewiseLinearPotential
 from jmscatter.linearize import quadrature_bound
@@ -66,6 +68,12 @@ class TestLoadConfig:
         cfg["potential"]["range"] = 2.0
         with pytest.raises(ConfigError, match="range"):
             load_config(write_config(tmp_path, cfg))
+
+    def test_tabulated_validation(self, tmp_path):
+        for r, v in (([0.0, 1.0], [1.0]), ([1.0, 2.0], [0.0, 1.0])):
+            cfg = minimal(potential={"kind": "tabulated", "r": r, "v": v})
+            with pytest.raises(ConfigError):
+                load_config(write_config(tmp_path, cfg))
 
     def test_unknown_potential_kind(self, tmp_path):
         cfg = minimal()
@@ -209,6 +217,37 @@ class TestMain:
             assert fields[1] == "converged"
             # linear run: no cycle, so the bifurcation columns stay empty
             assert fields[6] == "" and fields[7] == ""
+
+    def test_tabulated_scan_matches_piecewise_linear(self, tmp_path):
+        # a tabulated potential is the piecewise-linear interpolation of its samples
+        points = {"r": [0.0, 1.2, 3.0, 7.0], "v": [0.0, 2.4, 2.4, 0.0]}
+        outputs = []
+        for potential in (
+            {"kind": "tabulated", **points},
+            {"kind": "piecewise-linear", "breakpoints": points["r"], "values": points["v"]},
+        ):
+            path = write_config(tmp_path, minimal(
+                ell=1, coupling_g=0.02, potential=potential,
+                energy_grid={"list": [1.0, 3.0, 5.0]},
+            ))
+            out = tmp_path / f"{potential['kind']}.csv"
+            assert main(["scan", "--config", path, "--output", str(out)]) == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_stability_scan_projects_the_potential_once_per_point(self, tmp_path, monkeypatch):
+        calls = []
+        original = hamiltonian.potential_matrix
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(hamiltonian, "potential_matrix", counted)
+        cfg = load_config(write_config(tmp_path, minimal()))
+        rows = stability_rows(cfg, lambdas=(0.8, 1.0, 1.2), n_values=(6, 8))
+        assert len(rows) == 6
+        assert len(calls) == 6
 
     def test_table_footnote(self, tmp_path):
         path = write_config(tmp_path, minimal(energy_grid={"list": [1.0]}))

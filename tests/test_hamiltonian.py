@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from jmscatter import hamiltonian as ham
-from jmscatter.quadrature import build_jacobi, build_rule
+from jmscatter.quadrature import build_rule
 from jmscatter.reference import energy_point, reference_coefficients
+from jmscatter.specfun import jacobi_coefficients
 from oracles import f_weight_analytic
 
 
@@ -36,12 +37,6 @@ class TestPotentials:
             ham.PiecewiseLinearPotential((0.0, 1.0, 0.5), (0.0, 1.0, 2.0))
         with pytest.raises(ValueError):
             ham.PiecewiseLinearPotential((0.0,), (1.0,))
-
-    def test_tabulated_validation(self):
-        with pytest.raises(ValueError):
-            ham.TabulatedPotential((0.0, 1.0), (1.0,))
-        with pytest.raises(ValueError):
-            ham.TabulatedPotential((1.0, 2.0), (0.0, 1.0))
 
 
 class TestFreeMatrix:
@@ -77,12 +72,8 @@ class TestPotentialMatrix:
         rule = build_rule(40, 2)
         pot = ham.PowerExponentialPotential(1.0, 2.0, 0.0)
         w = ham.potential_matrix(rule, pot, lam, size)
-        jac = build_jacobi(size, 2)
-        tri = (
-            np.diag(jac.diagonal)
-            + np.diag(jac.off_diagonal, 1)
-            + np.diag(jac.off_diagonal, -1)
-        ) / lam**2
+        diag, off = jacobi_coefficients(size - 1, 2)
+        tri = (np.diag(diag) - np.diag(off[:-1], 1) - np.diag(off[:-1], -1)) / lam**2
         assert np.abs(w - tri).max() < 1e-12
 
     def test_symmetry(self, rule100_l0):
@@ -133,7 +124,7 @@ class TestNonlinearWeight:
         # comfortable agreement, and the exact quadrature route is the
         # production path
         fa = f_weight_analytic(n, ell, 20, 20)
-        fq = ham.f_weight_quadrature(n, ell, 20, 20)
+        fq = ham.f_weight_quadrature(n, ell, 20)
         assert np.abs(fa - fq).max() < 1e-10
 
     def test_analytic_symmetric(self):
@@ -143,11 +134,11 @@ class TestNonlinearWeight:
     def test_edge_diagonal_decays_with_size(self):
         # larger bases push the edge diagonal down; this is the
         # observational diagnostic behind the basis-size choice
-        values = [ham.f_weight_quadrature(1, 0, n, n)[-1, -1] for n in (10, 20, 40)]
+        values = [ham.f_weight_quadrature(1, 0, n)[-1, -1] for n in (10, 20, 40)]
         assert values[0] > values[1] > values[2] > 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
             f_weight_analytic(0, 0, 5, 5)
         with pytest.raises(ValueError):
-            ham.f_weight_quadrature(1, -1, 5, 5)
+            ham.f_weight_quadrature(1, -1, 5)

@@ -180,7 +180,7 @@ class TestRMatrix:
         lam = 1.3
         ct = c_tensor_quadrature(n, ell, n_basis, rule)
         q_dim = ct.coeff.shape[1]
-        fblock = f_weight_quadrature(n, ell, q_dim, q_dim)
+        fblock = f_weight_quadrature(n, ell, q_dim)
         g = np.zeros((n_basis, q_dim), dtype=complex)
         for i in range(n_basis):
             for k in range(n_basis):
@@ -299,6 +299,25 @@ class TestSolveEnergy:
             big = abs(solve_energy(energy, ham, dten, coupling=1e-6).s_matrix - s0)
             small = abs(solve_energy(energy, ham, dten, coupling=1e-7).s_matrix - s0)
             assert big == pytest.approx(10.0 * small, rel=1e-2)
+
+    def test_one_interior_solve_per_order(self, gauss_setup, trapezoid_setup, monkeypatch):
+        calls = []
+        original = solver.interior_coefficients
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(solver, "interior_coefficients", counted)
+        for (ham, dten), energy, coupling, cap, status in (
+            (gauss_setup, 2.5, 0.001, 50, "converged"),
+            (trapezoid_setup, 3.0, 0.02, 50, "bifurcated"),
+            (gauss_setup, 2.5, 0.001, 2, "max-iterations"),
+        ):
+            calls.clear()
+            res = solve_energy(energy, ham, dten, coupling=coupling, max_iterations=cap)
+            assert res.status == status
+            assert len(calls) == res.iterations
 
     def test_iteration_cap_requires_work(self, gauss_setup):
         ham, dten = gauss_setup
