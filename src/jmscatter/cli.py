@@ -63,103 +63,113 @@ class RunConfig:
     r_grid: tuple
 
 
-def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
-    unknown = set(mapping) - allowed
+_REQUIRED = object()
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# Value kinds: (what a value must be, its test, its conversion).
+_INTEGER = ("an integer", lambda v: _is_number(v) and isinstance(v, int), int)
+_NUMBER = ("a number", _is_number, float)
+_NUMBERS = (
+    "a non-empty list of numbers",
+    lambda v: isinstance(v, list) and len(v) > 0 and all(map(_is_number, v)),
+    lambda v: tuple(map(float, v)),
+)
+_ANY = ("anything", lambda v: True, lambda v: v)
+
+
+def _mapping(parse) -> tuple:
+    """Value kind of a nested mapping, converted by its own parser."""
+    return ("a mapping", lambda v: isinstance(v, dict), parse)
+
+
+def _read(mapping: dict, where: str, spec: dict) -> dict:
+    """Values of `mapping` by `spec`, key -> (kind, default), defaults filled in.
+
+    Unknown keys, a missing key whose default is _REQUIRED and a value
+    that fails its kind's test are refused; a default is taken as it is.
+    """
+    unknown = set(mapping) - set(spec)
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
+    out = {}
+    for key, ((what, test, convert), default) in spec.items():
+        if key not in mapping:
+            if default is _REQUIRED:
+                raise ConfigError(f"missing required key '{key}' in {where}")
+            out[key] = default
+        elif not test(mapping[key]):
+            raise ConfigError(f"key '{key}' in {where} must be {what}")
+        else:
+            out[key] = convert(mapping[key])
+    return out
 
 
-def _number(mapping: dict, key: str, where: str, default=None, required=False):
-    if key not in mapping:
-        if required:
-            raise ConfigError(f"missing required key '{key}' in {where}")
-        return default
-    v = mapping[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"key '{key}' in {where} must be a number")
-    return v
+# Potential kinds: class, its keys in argument order, their value kind.
+_POTENTIALS = {
+    "power-exponential": (ham.PowerExponentialPotential, ("strength", "power", "decay"), _NUMBER),
+    "piecewise-linear": (ham.PiecewiseLinearPotential, ("breakpoints", "values"), _NUMBERS),
+    "tabulated": (ham.PiecewiseLinearPotential, ("r", "v"), _NUMBERS),
+}
 
 
-def _float_list(v, where: str) -> tuple:
-    if not isinstance(v, list) or not v:
-        raise ConfigError(f"{where} must be a non-empty list of numbers")
-    out = []
-    for item in v:
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ConfigError(f"{where} must contain numbers only")
-        out.append(float(item))
-    return tuple(out)
-
-
-def _parse_potential(raw) -> ham.Potential:
-    if not isinstance(raw, dict):
-        raise ConfigError("potential must be a mapping with a 'kind' key")
+def _parse_potential(raw: dict) -> ham.Potential:
     kind = raw.get("kind")
+    if not isinstance(kind, str) or kind not in _POTENTIALS:
+        raise ConfigError(f"potential.kind must be one of {', '.join(_POTENTIALS)}")
+    cls, keys, value_kind = _POTENTIALS[kind]
+    spec = {"kind": (_ANY, None), **dict.fromkeys(keys, (value_kind, _REQUIRED))}
+    values = _read(raw, "potential", spec)
     try:
-        if kind == "power-exponential":
-            _reject_unknown(raw, {"kind", "strength", "power", "decay"}, "potential")
-            return ham.PowerExponentialPotential(
-                strength=float(_number(raw, "strength", "potential", required=True)),
-                power=float(_number(raw, "power", "potential", required=True)),
-                decay=float(_number(raw, "decay", "potential", required=True)),
-            )
-        if kind == "piecewise-linear":
-            _reject_unknown(raw, {"kind", "breakpoints", "values"}, "potential")
-            return ham.PiecewiseLinearPotential(
-                breakpoints=_float_list(raw.get("breakpoints"), "potential.breakpoints"),
-                values=_float_list(raw.get("values"), "potential.values"),
-            )
-        if kind == "tabulated":
-            _reject_unknown(raw, {"kind", "r", "v"}, "potential")
-            return ham.PiecewiseLinearPotential(
-                breakpoints=_float_list(raw.get("r"), "potential.r"),
-                values=_float_list(raw.get("v"), "potential.v"),
-            )
+        return cls(*(values[key] for key in keys))
     except ValueError as exc:
         raise ConfigError(f"invalid potential: {exc}") from exc
-    raise ConfigError(
-        "potential.kind must be one of power-exponential, piecewise-linear, tabulated"
-    )
 
 
-def _parse_energy_grid(raw) -> tuple:
-    if not isinstance(raw, dict):
-        raise ConfigError("energy_grid must be a mapping")
+def _parse_energy_grid(raw: dict) -> tuple:
     if "list" in raw:
-        _reject_unknown(raw, {"list"}, "energy_grid")
-        energies = _float_list(raw["list"], "energy_grid.list")
+        energies = _read(raw, "energy_grid", {"list": (_NUMBERS, _REQUIRED)})["list"]
     else:
-        _reject_unknown(raw, {"start", "stop", "step"}, "energy_grid")
-        start = float(_number(raw, "start", "energy_grid", required=True))
-        stop = float(_number(raw, "stop", "energy_grid", required=True))
-        step = float(_number(raw, "step", "energy_grid", required=True))
+        spec = dict.fromkeys(("start", "stop", "step"), (_NUMBER, _REQUIRED))
+        start, stop, step = _read(raw, "energy_grid", spec).values()
         if step <= 0 or stop < start:
             raise ConfigError("energy_grid needs step > 0 and stop >= start")
         count = int(np.floor((stop - start) / step + 1e-9)) + 1
         energies = tuple(start + i * step for i in range(count))
     if any(e <= 0 for e in energies):
-        raise ConfigError("all grid energies must be positive")
+        raise ConfigError("energy_grid energies must all be positive")
     return energies
 
 
-def _parse_r_grid(raw) -> tuple:
-    if not isinstance(raw, dict):
-        raise ConfigError("r_grid must be a mapping")
-    _reject_unknown(raw, {"start", "stop", "count"}, "r_grid")
-    start = float(_number(raw, "start", "r_grid", required=True))
-    stop = float(_number(raw, "stop", "r_grid", required=True))
-    count = _number(raw, "count", "r_grid", required=True)
-    if not isinstance(count, int) or count < 2:
+def _parse_r_grid(raw: dict) -> tuple:
+    spec = {"start": (_NUMBER, _REQUIRED), "stop": (_NUMBER, _REQUIRED), "count": (_INTEGER, _REQUIRED)}
+    start, stop, count = _read(raw, "r_grid", spec).values()
+    if count < 2:
         raise ConfigError("r_grid.count must be an integer >= 2")
     if start < 0 or stop <= start:
         raise ConfigError("r_grid needs 0 <= start < stop")
     return (start, stop, count)
 
 
+_BASES = ("oscillator", "laguerre", "both")
+# Top-level keys: value kind and default; quadrature_order defaults to the exactness bound.
 _TOP_KEYS = {
-    "nonlinearity_n", "coupling_g", "ell", "potential", "lambda", "basis_size_N",
-    "quadrature_order", "energy_grid", "tolerance", "bifurcation_tolerance",
-    "max_iterations", "basis_check", "r_grid",
+    "nonlinearity_n": (_INTEGER, 1),
+    "coupling_g": (_NUMBER, 0.0),
+    "ell": (_INTEGER, 0),
+    "potential": (_mapping(_parse_potential), None),
+    "lambda": (_NUMBER, _REQUIRED),
+    "basis_size_N": (_INTEGER, _REQUIRED),
+    "quadrature_order": (_INTEGER, None),
+    "energy_grid": (_mapping(_parse_energy_grid), _REQUIRED),
+    "tolerance": (_NUMBER, 1e-8),
+    "bifurcation_tolerance": (_NUMBER, 1e-3),
+    "max_iterations": (_INTEGER, 50),
+    "basis_check": (_ANY, "oscillator"),
+    "r_grid": (_mapping(_parse_r_grid), (0.05, 25.0, 500)),
 }
 
 
@@ -174,44 +184,28 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
-    _reject_unknown(raw, _TOP_KEYS, "config")
-
-    n = _number(raw, "nonlinearity_n", "config", default=1)
-    if not isinstance(n, int) or n < 1:
-        raise ConfigError("nonlinearity_n must be an integer >= 1")
-    ell = _number(raw, "ell", "config", default=0)
-    if not isinstance(ell, int) or ell < 0:
-        raise ConfigError("ell must be a nonnegative integer")
-    n_basis = _number(raw, "basis_size_N", "config", required=True)
-    if not isinstance(n_basis, int) or n_basis < 2:
-        raise ConfigError("basis_size_N must be an integer >= 2")
-    lam = float(_number(raw, "lambda", "config", required=True))
-    if lam <= 0:
-        raise ConfigError("lambda must be positive")
-    order = _number(raw, "quadrature_order", "config", default=quadrature_bound(n, n_basis))
-    if not isinstance(order, int) or order < n_basis:
-        raise ConfigError("quadrature_order must be an integer >= basis_size_N")
-    coupling = float(_number(raw, "coupling_g", "config", default=0.0))
-    tol = float(_number(raw, "tolerance", "config", default=1e-8))
-    tol_bif = float(_number(raw, "bifurcation_tolerance", "config", default=1e-3))
-    max_it = _number(raw, "max_iterations", "config", default=50)
-    if not isinstance(max_it, int) or max_it < 1:
-        raise ConfigError("max_iterations must be an integer >= 1")
-    if tol <= 0 or tol_bif <= 0:
-        raise ConfigError("tolerances must be positive")
-    basis_check = raw.get("basis_check", "oscillator")
-    if basis_check not in ("oscillator", "laguerre", "both"):
-        raise ConfigError("basis_check must be oscillator, laguerre, or both")
-    if "energy_grid" not in raw:
-        raise ConfigError("missing required key 'energy_grid' in config")
-    energies = _parse_energy_grid(raw["energy_grid"])
-    potential = _parse_potential(raw["potential"]) if "potential" in raw else None
-    r_grid = _parse_r_grid(raw["r_grid"]) if "r_grid" in raw else (0.05, 25.0, 500)
+    v = _read(raw, "config", _TOP_KEYS)
+    n, n_basis, order = v["nonlinearity_n"], v["basis_size_N"], v["quadrature_order"]
+    for failed, message in (
+        (n < 1, "nonlinearity_n must be an integer >= 1"),
+        (v["ell"] < 0, "ell must be a nonnegative integer"),
+        (n_basis < 2, "basis_size_N must be an integer >= 2"),
+        (v["lambda"] <= 0, "lambda must be positive"),
+        (order is not None and order < n_basis, "quadrature_order must be an integer >= basis_size_N"),
+        (v["max_iterations"] < 1, "max_iterations must be an integer >= 1"),
+        (v["tolerance"] <= 0, "tolerance must be positive"),
+        (v["bifurcation_tolerance"] <= 0, "bifurcation_tolerance must be positive"),
+        (v["basis_check"] not in _BASES, "basis_check must be oscillator, laguerre, or both"),
+    ):
+        if failed:
+            raise ConfigError(message)
     return RunConfig(
-        nonlinearity_n=n, coupling_g=coupling, ell=ell, potential=potential,
-        lam=lam, basis_size_n=n_basis, quadrature_order=order, energies=energies,
-        tolerance=tol, bifurcation_tolerance=tol_bif, max_iterations=max_it,
-        basis_check=basis_check, r_grid=r_grid,
+        nonlinearity_n=n, coupling_g=v["coupling_g"], ell=v["ell"], potential=v["potential"],
+        lam=v["lambda"], basis_size_n=n_basis,
+        quadrature_order=quadrature_bound(n, n_basis) if order is None else order,
+        energies=v["energy_grid"], tolerance=v["tolerance"],
+        bifurcation_tolerance=v["bifurcation_tolerance"], max_iterations=v["max_iterations"],
+        basis_check=v["basis_check"], r_grid=v["r_grid"],
     )
 
 
@@ -291,8 +285,7 @@ def _basis_block(cfg: RunConfig, basis: str, out) -> None:
     start, stop, count = cfg.r_grid
     r = np.linspace(start, stop, count)
     ref = reference_coefficients(point, cfg.ell, cfg.basis_size_n, basis=basis)
-    chi_sin = chi_reconstruct(ref.s, cfg.ell, cfg.lam, r, basis=basis)
-    chi_cos = chi_reconstruct(ref.c, cfg.ell, cfg.lam, r, basis=basis)
+    chi_sin, chi_cos = chi_reconstruct([ref.s, ref.c], cfg.ell, cfg.lam, r, basis=basis)
     reg = regular_target(point, cfg.ell, r)
     irr = irregular_target(point, cfg.ell, r)
     out.write(f"# basis = {basis}, ell = {cfg.ell}, E = {point.energy:g}, "
@@ -378,24 +371,6 @@ def stability_rows(
     return rows
 
 
-def select_parameters(rows: list[dict], prefer: tuple = (1.0, 20)) -> tuple:
-    """Pick (lambda, N) from a stability sweep.
-
-    The preferred point (the method's default scale and size) wins when
-    it sits on the plateau; otherwise the flagged point with the largest
-    N and then the scale closest to 1 is taken. No plateau at all is an
-    error: the sweep grids must be widened.
-    """
-    flagged = [row for row in rows if row["plateau"]]
-    if not flagged:
-        raise ValueError("no stability plateau found; widen the (lambda, N) grids")
-    for row in flagged:
-        if (row["lam"], row["N"]) == (float(prefer[0]), int(prefer[1])):
-            return (row["lam"], row["N"])
-    best = max(flagged, key=lambda row: (row["N"], -abs(row["lam"] - 1.0)))
-    return (best["lam"], best["N"])
-
-
 def cmd_stability_scan(
     cfg: RunConfig, out, lambdas, n_values, drift_threshold: float, override: bool = False
 ) -> None:
@@ -410,18 +385,11 @@ def cmd_stability_scan(
         )
 
 
-def _float_csv(text: str) -> tuple:
+def _csv(text: str, kind, what: str) -> tuple:
     try:
-        return tuple(float(x) for x in text.split(","))
+        return tuple(kind(x) for x in text.split(","))
     except ValueError as exc:
-        raise ConfigError(f"bad numeric list {text!r}") from exc
-
-
-def _int_csv(text: str) -> tuple:
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"bad integer list {text!r}") from exc
+        raise ConfigError(f"bad {what} list {text!r}") from exc
 
 
 def main(argv=None) -> int:
@@ -460,8 +428,8 @@ def main(argv=None) -> int:
             elif args.command == "basis-check":
                 cmd_basis_check(cfg, sink)
             else:
-                lambdas = _float_csv(args.lambda_grid) if args.lambda_grid else _DEFAULT_LAMBDA_GRID
-                ns = _int_csv(args.n_grid) if args.n_grid else _DEFAULT_N_GRID
+                lambdas = _csv(args.lambda_grid, float, "numeric") if args.lambda_grid else _DEFAULT_LAMBDA_GRID
+                ns = _csv(args.n_grid, int, "integer") if args.n_grid else _DEFAULT_N_GRID
                 cmd_stability_scan(cfg, sink, lambdas, ns, args.drift_threshold,
                                    override=args.override_quadrature_bound)
         finally:

@@ -79,31 +79,18 @@ Potential = Union[PowerExponentialPotential, PiecewiseLinearPotential]
 
 
 @dataclass(frozen=True)
-class FreeMatrixCoeffs:
-    """Tridiagonal coefficients of the free operator in the oscillator basis.
-
-    a[k] = (lam^2/2)(2k+ell+1) on the diagonal and b[k] =
-    (lam^2/2) sqrt((k+1)(k+ell+1)) on the k <-> k+1 off-diagonal. Both
-    arrays run over k = 0..kmax so the tail relations at the basis edge
-    have their coefficients available.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-
-
-@dataclass(frozen=True)
 class LinearHamiltonian:
     """Truncated interior Hamiltonian H = K + Lambda W Lambda^T plus its context.
 
-    `potential_matrix` is the potential block Lambda W Lambda^T alone.
+    `potential_matrix` is the potential block Lambda W Lambda^T alone;
+    `coeffs` is the free operator's `(a, b)` from `free_matrix_coeffs`.
     `eigenvalues` and `eigenvectors` diagonalize `matrix`; every solve
     takes its order-0 resolvent from them.
     """
 
     matrix: np.ndarray
     potential_matrix: np.ndarray = field(repr=False)
-    coeffs: FreeMatrixCoeffs
+    coeffs: tuple[np.ndarray, np.ndarray]
     ell: int
     lam: float
     n_basis: int
@@ -111,12 +98,16 @@ class LinearHamiltonian:
     eigenvectors: np.ndarray = field(repr=False)
 
 
-def free_matrix_coeffs(kmax: int, ell: int, lam: float) -> FreeMatrixCoeffs:
-    """Free-operator recursion coefficients for k = 0..kmax: lam^2/2 times the Laguerre ones."""
+def free_matrix_coeffs(kmax: int, ell: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Free-operator coefficients (a, b) for k = 0..kmax: lam^2/2 times the Laguerre ones.
+
+    a is the diagonal and b the k <-> k+1 off-diagonal; both reach kmax so
+    the tail relations at the basis edge have their coefficients.
+    """
     if lam <= 0:
         raise ValueError("basis scale lam must be positive")
     diag, off = jacobi_coefficients(kmax, ell)
-    return FreeMatrixCoeffs(a=0.5 * lam**2 * diag, b=0.5 * lam**2 * off)
+    return 0.5 * lam**2 * diag, 0.5 * lam**2 * off
 
 
 def potential_matrix(rule: QuadratureRule, potential: Potential, lam: float, size: int) -> np.ndarray:
@@ -154,8 +145,8 @@ def assemble_linear(
     if rule.ell != ell:
         raise ValueError("quadrature rule was built for a different ell")
     coeffs = free_matrix_coeffs(n_basis, ell, lam)
-    h = np.diag(coeffs.a[:n_basis].copy())
-    off = coeffs.b[: n_basis - 1]
+    h = np.diag(coeffs[0][:n_basis].copy())
+    off = coeffs[1][: n_basis - 1]
     idx = np.arange(n_basis - 1)
     h[idx, idx + 1] = off
     h[idx + 1, idx] = off

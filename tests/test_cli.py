@@ -13,7 +13,6 @@ from jmscatter.cli import (
     ConfigError,
     load_config,
     main,
-    select_parameters,
     stability_rows,
 )
 from jmscatter.hamiltonian import PiecewiseLinearPotential
@@ -81,10 +80,13 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path, cfg))
 
-    @pytest.mark.parametrize("missing", ["basis_size_N", "lambda", "energy_grid"])
+    @pytest.mark.parametrize("missing", ["basis_size_N", "lambda", "energy_grid", "values"])
     def test_missing_required_key(self, tmp_path, missing):
         cfg = minimal()
-        del cfg[missing]
+        if missing == "values":  # a piecewise-linear potential needs both of its lists
+            cfg["potential"] = {"kind": "piecewise-linear", "breakpoints": [0.0, 7.0]}
+        else:
+            del cfg[missing]
         with pytest.raises(ConfigError, match=missing):
             load_config(write_config(tmp_path, cfg))
 
@@ -106,10 +108,11 @@ class TestLoadConfig:
             {"start": 0.0, "stop": 1.0, "step": 0.5},
             {"start": 2.0, "stop": 1.0, "step": 0.5},
             {"start": 1.0, "stop": 2.0, "step": -0.5},
+            {"list": ["a"]},
         ],
     )
     def test_bad_energy_grids(self, tmp_path, grid):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="energy_grid"):
             load_config(write_config(tmp_path, minimal(energy_grid=grid)))
 
     @pytest.mark.parametrize(
@@ -119,10 +122,11 @@ class TestLoadConfig:
             {"start": 5.0, "stop": 5.0, "count": 10},
             {"start": -1.0, "stop": 5.0, "count": 10},
             {"start": 0.0, "stop": 25.0, "count": 10, "spacing": "log"},
+            {"start": 0.0, "stop": 25.0, "count": 10.0},
         ],
     )
     def test_bad_r_grids(self, tmp_path, grid):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="r_grid"):
             load_config(write_config(tmp_path, minimal(r_grid=grid)))
 
     def test_quadrature_order_default_meets_bound(self, tmp_path):
@@ -142,30 +146,15 @@ class TestLoadConfig:
             {"max_iterations": 0},
             {"tolerance": 0.0},
             {"basis_check": "chebyshev"},
+            {"nonlinearity_n": 1.5},
+            {"nonlinearity_n": True},
+            {"quadrature_order": 20.0},
+            {"basis_size_N": "8"},
         ],
     )
     def test_bad_scalars(self, tmp_path, bad):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
             load_config(write_config(tmp_path, minimal(**bad)))
-
-
-class TestSelectParameters:
-    @staticmethod
-    def row(lam, n, plateau):
-        return {"lam": lam, "N": n, "plateau": plateau}
-
-    def test_preferred_point_wins_when_flagged(self):
-        rows = [self.row(0.8, 20, 1), self.row(1.0, 20, 1), self.row(1.0, 30, 1)]
-        assert select_parameters(rows) == (1.0, 20)
-
-    def test_fallback_prefers_large_n_then_unit_scale(self):
-        rows = [self.row(0.7, 30, 1), self.row(1.2, 30, 1), self.row(1.1, 20, 1)]
-        assert select_parameters(rows) == (1.2, 30)
-
-    def test_no_plateau_is_an_error(self):
-        rows = [self.row(1.0, 20, 0)]
-        with pytest.raises(ValueError):
-            select_parameters(rows)
 
 
 class TestMain:

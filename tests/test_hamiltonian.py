@@ -41,10 +41,10 @@ class TestPotentials:
 
 class TestFreeMatrix:
     def test_coefficients_positive_and_growing(self):
-        co = ham.free_matrix_coeffs(30, 1, 1.3)
-        assert np.all(co.a > 0)
-        assert np.all(np.diff(co.a) > 0)
-        assert np.all(co.b > 0)
+        a, b = ham.free_matrix_coeffs(30, 1, 1.3)
+        assert np.all(a > 0)
+        assert np.all(np.diff(a) > 0)
+        assert np.all(b > 0)
 
     @pytest.mark.parametrize("ell", [0, 1, 2])
     @pytest.mark.parametrize("energy", [0.5, 1.0, 3.7])
@@ -53,13 +53,13 @@ class TestFreeMatrix:
         # vanish row by row; this ties a, b to the analytic solution
         point = energy_point(energy, 1.0)
         ref = reference_coefficients(point, ell, 60)
-        co = ham.free_matrix_coeffs(60, ell, 1.0)
+        a, b = ham.free_matrix_coeffs(60, ell, 1.0)
         s = ref.s
         for k in range(1, 59):
             residual = (
-                co.a[k] * s[k]
-                + co.b[k - 1] * s[k - 1]
-                + co.b[k] * s[k + 1]
+                a[k] * s[k]
+                + b[k - 1] * s[k - 1]
+                + b[k] * s[k + 1]
                 - energy * s[k]
             )
             assert abs(residual) < 1e-12
@@ -102,7 +102,7 @@ class TestPotentialMatrix:
         assert h.matrix.shape == (20, 20)
         assert np.abs(h.matrix - h.matrix.T).max() < 1e-13
         assert h.eigenvalues.shape == (20,)
-        assert h.coeffs.a.size >= 21  # edge coefficients reach the tail row
+        assert h.coeffs[0].size >= 21  # edge coefficients reach the tail row
 
 
 class TestNonlinearWeight:

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jmscatter.quadrature import build_rule
-from jmscatter.specfun import jacobi_coefficients, laguerre_normalized
-from oracles import integrate_weighted, quadrature_values
+from jmscatter.specfun import jacobi_coefficients
+from oracles import integrate_weighted, laguerre_normalized, quadrature_values
 
 
 def moment(m, ell):

@@ -33,8 +33,8 @@ class TestOscillatorCoefficients:
     def test_frozen_inhomogeneity(self):
         pt = energy_point(0.5, 1.0)
         ref = reference_coefficients(pt, 0, 4)
-        co = free_matrix_coeffs(4, 0, 1.0)
-        tau = (co.a[0] - 0.5) * ref.c[0] + co.b[0] * ref.c[1]
+        a, b = free_matrix_coeffs(4, 0, 1.0)
+        tau = (a[0] - 0.5) * ref.c[0] + b[0] * ref.c[1]
         assert tau == pytest.approx(-0.3710926652016506, rel=1e-12)
 
     def test_frozen_seed(self):
@@ -47,8 +47,8 @@ class TestOscillatorCoefficients:
     def test_sine_seed_is_homogeneous(self, ell, energy):
         pt = energy_point(energy, 1.0)
         ref = reference_coefficients(pt, ell, 2)
-        co = free_matrix_coeffs(2, ell, 1.0)
-        residual = (co.a[0] - energy) * ref.s[0] + co.b[0] * ref.s[1]
+        a, b = free_matrix_coeffs(2, ell, 1.0)
+        residual = (a[0] - energy) * ref.s[0] + b[0] * ref.s[1]
         assert abs(residual) < 1e-13
 
     @pytest.mark.parametrize("ell", [0, 1, 2])
@@ -56,11 +56,11 @@ class TestOscillatorCoefficients:
     def test_cosine_rows_annihilated_above_seed(self, ell, energy):
         pt = energy_point(energy, 1.0)
         ref = reference_coefficients(pt, ell, 50)
-        co = free_matrix_coeffs(50, ell, 1.0)
+        a, b = free_matrix_coeffs(50, ell, 1.0)
         c = ref.c
         for k in range(1, 49):
             residual = (
-                co.a[k] * c[k] + co.b[k - 1] * c[k - 1] + co.b[k] * c[k + 1] - energy * c[k]
+                a[k] * c[k] + b[k - 1] * c[k - 1] + b[k] * c[k + 1] - energy * c[k]
             )
             assert abs(residual) < 1e-11
 
@@ -71,11 +71,11 @@ class TestOscillatorCoefficients:
         # upward recursion vs particular-plus-homogeneous closed form
         pt = energy_point(energy, 1.0)
         ref = reference_coefficients(pt, ell, 40)
-        co = free_matrix_coeffs(40, ell, 1.0)
-        tau = (co.a[0] - energy) * ref.c[0] + co.b[0] * ref.c[1]
+        a, b = free_matrix_coeffs(40, ell, 1.0)
+        tau = (a[0] - energy) * ref.c[0] + b[0] * ref.c[1]
         z = pt.mu**2
         for k in range(40):
-            closed = ref.c[0] * ref.s[k] / ref.s[0] + (tau / co.b[0]) * (
+            closed = ref.c[0] * ref.s[k] / ref.s[0] + (tau / b[0]) * (
                 laguerre_associated_normalized(k - 1, ell, z)
             )
             assert closed == pytest.approx(ref.c[k], rel=1e-11, abs=1e-13)
@@ -121,6 +121,17 @@ class TestOscillatorReconstruction:
         r = np.linspace(10.0, 25.0, 2000)
         chi = chi_reconstruct(ref.s, 0, 1.0, r)
         assert np.abs(chi).max() == pytest.approx(np.sqrt(2.0 / np.pi), abs=0.02)
+
+    @pytest.mark.parametrize("basis", ["oscillator", "laguerre"])
+    def test_stacked_rows_equal_one_row_calls(self, basis):
+        # one pass over the basis functions serves both rows, bit for bit
+        pt = energy_point(1.5, 1.0)
+        ref = reference_coefficients(pt, 1, 300, basis=basis)
+        r = np.linspace(0.0, 20.0, 150)
+        both = chi_reconstruct(np.array([ref.s, ref.c]), 1, 1.0, r, basis=basis)
+        assert both.shape == (2, r.size)
+        assert np.array_equal(both[0], chi_reconstruct(ref.s, 1, 1.0, r, basis=basis))
+        assert np.array_equal(both[1], chi_reconstruct(ref.c, 1, 1.0, r, basis=basis))
 
     def test_origin_values(self):
         pt = energy_point(1.0, 1.0)

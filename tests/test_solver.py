@@ -279,6 +279,36 @@ class TestSolveEnergy:
         assert res.bifurcation[0] == pytest.approx(1.730, abs=1e-2)
         assert res.bifurcation[1] == pytest.approx(0.075, abs=1e-2)
 
+    @pytest.mark.parametrize("energy", [2.70, 3.26])
+    def test_merging_values_revoke_the_cycle(self, trapezoid_setup, energy):
+        # a fixed point approached with alternating sign passes the period-2
+        # streak, but its two values merge: no cycle, and given enough
+        # orders it converges to the value the false cycle reported
+        ham, dten = trapezoid_setup
+        res = solve_energy(energy, ham, dten, coupling=0.02, max_iterations=50)
+        assert res.status == "max-iterations"
+        longer = solve_energy(energy, ham, dten, coupling=0.02, max_iterations=200)
+        assert longer.status == "converged"
+        assert longer.iterations < 200
+
+    @pytest.mark.parametrize(
+        "energy,values", [(2.77, ("1.902051", "1.615889")), (3.0, ("1.729838", "0.074315"))]
+    )
+    def test_genuine_cycles_keep_their_values(self, trapezoid_setup, energy, values):
+        ham, dten = trapezoid_setup
+        res = solve_energy(energy, ham, dten, coupling=0.02, max_iterations=50)
+        assert res.status == "bifurcated" and res.period == 2
+        assert tuple(f"{v:.6f}" for v in res.bifurcation) == values
+
+    def test_certified_cycle_values_stay_apart(self, trapezoid_setup):
+        # the quintic grid across its period-doubling window, E = 2.60..3.34
+        ham, dten = trapezoid_setup
+        results = scan([2.6 + 0.02 * i for i in range(38)], ham, dten, coupling=0.02)
+        cycles = [res for res in results if res.status == "bifurcated"]
+        assert len(cycles) > 20
+        for res in cycles:
+            assert res.bifurcation[0] - res.bifurcation[-1] >= 1e-3
+
     @pytest.mark.parametrize("energy", [1.0, 2.0, 3.0])
     def test_septic_unimodular_every_order(self, septic_setup, energy):
         ham, dten = septic_setup
