@@ -14,6 +14,7 @@ time. Output is byte-identical across repeated runs of one command.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, replace
 
@@ -38,6 +39,8 @@ EXIT_NUMERICAL = 3
 
 _DEFAULT_LAMBDA_GRID = (0.6, 0.8, 1.0, 1.2, 1.4)
 _DEFAULT_N_GRID = (10, 20, 30)
+# Largest energy or r grid a config may ask for, refused before it is built.
+_MAX_GRID_POINTS = 1_000_000
 
 
 class ConfigError(Exception):
@@ -67,14 +70,17 @@ _REQUIRED = object()
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """An int (not a bool) or a finite float: YAML's .nan and .inf are refused."""
+    if isinstance(v, float):
+        return math.isfinite(v)
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 # Value kinds: (what a value must be, its test, its conversion).
 _INTEGER = ("an integer", lambda v: _is_number(v) and isinstance(v, int), int)
-_NUMBER = ("a number", _is_number, float)
+_NUMBER = ("a finite number", _is_number, float)
 _NUMBERS = (
-    "a non-empty list of numbers",
+    "a non-empty list of finite numbers",
     lambda v: isinstance(v, list) and len(v) > 0 and all(map(_is_number, v)),
     lambda v: tuple(map(float, v)),
 )
@@ -137,8 +143,10 @@ def _parse_energy_grid(raw: dict) -> tuple:
         start, stop, step = _read(raw, "energy_grid", spec).values()
         if step <= 0 or stop < start:
             raise ConfigError("energy_grid needs step > 0 and stop >= start")
-        count = int(np.floor((stop - start) / step + 1e-9)) + 1
-        energies = tuple(start + i * step for i in range(count))
+        count = np.floor((stop - start) / step + 1e-9) + 1
+        if count > _MAX_GRID_POINTS:
+            raise ConfigError(f"energy_grid must have at most {_MAX_GRID_POINTS} points")
+        energies = tuple(start + i * step for i in range(int(count)))
     if any(e <= 0 for e in energies):
         raise ConfigError("energy_grid energies must all be positive")
     return energies
@@ -147,8 +155,8 @@ def _parse_energy_grid(raw: dict) -> tuple:
 def _parse_r_grid(raw: dict) -> tuple:
     spec = {"start": (_NUMBER, _REQUIRED), "stop": (_NUMBER, _REQUIRED), "count": (_INTEGER, _REQUIRED)}
     start, stop, count = _read(raw, "r_grid", spec).values()
-    if count < 2:
-        raise ConfigError("r_grid.count must be an integer >= 2")
+    if not 2 <= count <= _MAX_GRID_POINTS:
+        raise ConfigError(f"r_grid.count must be an integer from 2 to {_MAX_GRID_POINTS}")
     if start < 0 or stop <= start:
         raise ConfigError("r_grid needs 0 <= start < stop")
     return (start, stop, count)
@@ -385,11 +393,14 @@ def cmd_stability_scan(
         )
 
 
-def _csv(text: str, kind, what: str) -> tuple:
+def _csv(text: str, kind, flag: str) -> tuple:
     try:
-        return tuple(kind(x) for x in text.split(","))
+        values = tuple(kind(x) for x in text.split(","))
     except ValueError as exc:
-        raise ConfigError(f"bad {what} list {text!r}") from exc
+        raise ConfigError(f"bad {flag} list {text!r}") from exc
+    if not all(map(_is_number, values)):
+        raise ConfigError(f"bad {flag} list {text!r}: values must be finite")
+    return values
 
 
 def main(argv=None) -> int:
@@ -428,19 +439,22 @@ def main(argv=None) -> int:
             elif args.command == "basis-check":
                 cmd_basis_check(cfg, sink)
             else:
-                lambdas = _csv(args.lambda_grid, float, "numeric") if args.lambda_grid else _DEFAULT_LAMBDA_GRID
-                ns = _csv(args.n_grid, int, "integer") if args.n_grid else _DEFAULT_N_GRID
+                lambdas = _csv(args.lambda_grid, float, "--lambda-grid") if args.lambda_grid else _DEFAULT_LAMBDA_GRID
+                ns = _csv(args.n_grid, int, "--n-grid") if args.n_grid else _DEFAULT_N_GRID
+                if not math.isfinite(args.drift_threshold):
+                    raise ConfigError("--drift-threshold must be a finite number")
                 cmd_stability_scan(cfg, sink, lambdas, ns, args.drift_threshold,
                                    override=args.override_quadrature_bound)
         finally:
             if sink is not sys.stdout:
                 sink.close()
-    except (ConfigError, ValueError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    # LinAlgError subclasses ValueError, so the numerical clause comes first.
     except (SingularMatrixError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except (ConfigError, ValueError) as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 

@@ -61,16 +61,6 @@ class ReferenceCoefficients:
     s: np.ndarray
     c: np.ndarray
 
-    @property
-    def h_plus(self) -> np.ndarray:
-        """Outgoing combination c + i s."""
-        return self.c + 1j * self.s
-
-    @property
-    def h_minus(self) -> np.ndarray:
-        """Incoming combination c - i s."""
-        return self.c - 1j * self.s
-
 
 def sine_like(point: EnergyPoint, ell: int, kmax: int) -> np.ndarray:
     """Oscillator-basis coefficients of the regular free solution.

@@ -1,12 +1,12 @@
 """Scattering solve: effective interior problem, tail matching, iteration.
 
 One energy point runs as a fixed-point iteration in the perturbation
-order m. Order zero is the linear problem. Each later order contracts
-the previous order's interior coefficients into the effective
-interaction R, resolves the interior Green's function, reads the
-scattering matrix off the basis-edge matching relation, and refreshes
-the coefficients. Every order reads only the edge column G[:, N-1] of
-the resolvent and takes it from an eigendecomposition. Termination is
+order m; its result is the sequence S_0, S_1, ... and how it ended.
+Order zero is the linear problem. Each later order contracts the
+previous order's interior coefficients into the effective interaction
+R, reads the edge column G[:, N-1] of the interior resolvent off an
+eigendecomposition, matches it to the reference solutions at the basis
+edge k = N-1, N for S, and refreshes the coefficients. Termination is
 convergence of S, a certified cycle of period 2 or 3 (checked in that
 order, after convergence), or the iteration cap. A certification is
 revoked when its cycle values merge to within the bifurcation
@@ -23,14 +23,16 @@ import numpy as np
 
 from .hamiltonian import LinearHamiltonian
 from .linearize import DTensor
-from .reference import ReferenceCoefficients, energy_point, reference_coefficients
+from .reference import energy_point, reference_coefficients
 
 # A matrix this ill-conditioned is treated as an on-grid singularity,
 # not as data; the energy is nudged once and re-solved.
 _COND_LIMIT = 1e12
 _ENERGY_NUDGE = 1e-6
-# Cycle certification: this many consecutive orders must look periodic.
+# Cycle certification: this many consecutive orders must look periodic,
+# tried for each period in turn (period 2 wins over period 3).
 _CYCLE_STREAK = 4
+_PERIODS = (2, 3)
 
 
 class SingularMatrixError(ArithmeticError):
@@ -47,22 +49,37 @@ class RMatrix:
 
 @dataclass(frozen=True)
 class ScatteringResult:
-    """Outcome of one energy point.
+    """Outcome of one energy point: its S history and how the iteration ended.
 
     status is one of "converged", "bifurcated", "max-iterations".
-    history holds S at every computed order, m = 0 first. For cycles,
-    `bifurcation` carries the distinct |1 - S| cycle values in
-    descending order and `period` their count.
+    history holds S at every computed order, m = 0 first, and every
+    other number is read off it. `period` is set for "bifurcated" only;
+    `bifurcation` then carries the |1 - S| values of the last `period`
+    orders in descending order.
     """
 
     energy: float
     status: str
-    iterations: int
-    s_matrix: complex
     history: tuple
-    unimodularity_defect: float
-    bifurcation: tuple | None = None
     period: int | None = None
+
+    @property
+    def s_matrix(self) -> complex:
+        return self.history[-1]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.history) - 1
+
+    @property
+    def unimodularity_defect(self) -> float:
+        return max(abs(abs(s) - 1.0) for s in self.history)
+
+    @property
+    def bifurcation(self) -> tuple | None:
+        if self.period is None:
+            return None
+        return tuple(sorted((abs(1.0 - s) for s in self.history[-self.period:]), reverse=True))
 
     @property
     def abs_one_minus_s(self) -> float:
@@ -114,45 +131,45 @@ def greens_matrix(h_eff: np.ndarray, energy: float) -> np.ndarray:
     return greens_spectral(*np.linalg.eigh(h_eff), energy)
 
 
-def phase_shift(ref: ReferenceCoefficients, g_corner: float, b_edge: float, n_basis: int) -> complex:
+def phase_shift(h_plus: np.ndarray, h_minus: np.ndarray, g_corner: float, b_edge: float) -> complex:
     """Scattering matrix from the basis-edge matching relation.
 
-    S = T_{N-1} (1 + b G_corner Rm) / (1 + b G_corner Rp), with
-    T = h^-/h^+ at the edge and Rpm the h^{+-} ratios across it. With a
-    real symmetric interior operator the numerator is the conjugate of
-    the denominator, so |S| = 1 up to roundoff.
+    h_plus and h_minus are the outgoing c + i s and incoming c - i s
+    reference combinations at k = N-1, N. S = T (1 + b G_corner Rm) /
+    (1 + b G_corner Rp), with T = h^-/h^+ at k = N-1 and Rpm the h^{+-}
+    ratios across the edge. With a real symmetric interior operator the
+    numerator is the conjugate of the denominator, so |S| = 1 up to
+    roundoff.
     """
-    hp = ref.h_plus
-    hm = ref.h_minus
-    t_edge = hm[n_basis - 1] / hp[n_basis - 1]
-    r_plus = hp[n_basis] / hp[n_basis - 1]
-    r_minus = hm[n_basis] / hm[n_basis - 1]
+    t_edge = h_minus[0] / h_plus[0]
+    r_plus = h_plus[1] / h_plus[0]
+    r_minus = h_minus[1] / h_minus[0]
     return t_edge * (1.0 + b_edge * g_corner * r_minus) / (1.0 + b_edge * g_corner * r_plus)
 
 
 def interior_coefficients(
-    s_matrix: complex,
-    ref: ReferenceCoefficients,
-    greens_edge_column: np.ndarray,
-    b_edge: float,
-    n_basis: int,
+    s: complex, h_plus: np.ndarray, h_minus: np.ndarray, greens_column: np.ndarray, b_edge: float
 ) -> np.ndarray:
     """Expansion coefficients A_0..A_N at one order.
 
     The two edge entries come from the tail solution
     A_k = h^-_k - S h^+_k (k = N-1, N); the interior follows from the
-    Green's function acting on the edge coupling.
+    Green's function edge column acting on the edge coupling.
     """
-    a = np.empty(n_basis + 1, dtype=complex)
-    a[n_basis - 1] = ref.h_minus[n_basis - 1] - s_matrix * ref.h_plus[n_basis - 1]
-    a[n_basis] = ref.h_minus[n_basis] - s_matrix * ref.h_plus[n_basis]
-    a[: n_basis - 1] = -b_edge * greens_edge_column[: n_basis - 1] * a[n_basis]
+    a = np.empty(greens_column.size + 1, dtype=complex)
+    a[-2] = h_minus[0] - s * h_plus[0]
+    a[-1] = h_minus[1] - s * h_plus[1]
+    a[:-2] = -b_edge * greens_column[:-1] * a[-1]
     return a
 
 
-def _distinct_cycle(history: list[complex], period: int) -> tuple:
-    tail = history[-period:]
-    return tuple(sorted((abs(1.0 - s) for s in tail), reverse=True))
+def _periodic(history: list[complex], p: int, bifurcation_tolerance: float) -> bool:
+    """S_m returns to S_{m-p} within the tolerance, and to no nearer order."""
+    return (
+        len(history) > p
+        and abs(history[-1] - history[-1 - p]) < bifurcation_tolerance
+        and all(abs(history[-1] - history[-1 - q]) >= bifurcation_tolerance for q in range(1, p))
+    )
 
 
 def solve_energy(
@@ -201,74 +218,43 @@ def _iterate(
     lam = hamiltonian.lam
     b_edge = hamiltonian.coeffs[1][n - 1]
     ref = reference_coefficients(energy_point(energy, lam), hamiltonian.ell, n)
+    h_plus = ref.c[n - 1 :] + 1j * ref.s[n - 1 :]
+    h_minus = ref.c[n - 1 :] - 1j * ref.s[n - 1 :]
 
     g = greens_spectral(hamiltonian.eigenvalues, hamiltonian.eigenvectors, energy)
-    s = phase_shift(ref, g[n - 1], b_edge, n)
-    history = [s]
-    defect = abs(abs(s) - 1.0)
+    history = [phase_shift(h_plus, h_minus, g[n - 1], b_edge)]
     if coupling == 0.0 or dten is None:
-        return ScatteringResult(
-            energy=energy, status="converged", iterations=0, s_matrix=s,
-            history=tuple(history), unimodularity_defect=defect,
-        )
+        return ScatteringResult(energy=energy, status="converged", history=tuple(history))
 
-    streak2 = streak3 = 0
-    certified_period = 0
+    status, period = "max-iterations", None
+    streaks = dict.fromkeys(_PERIODS, 0)
+    certified = None
     for m in range(1, max_iterations + 1):
-        coeffs = interior_coefficients(s, ref, g, b_edge, n)
+        coeffs = interior_coefficients(history[-1], h_plus, h_minus, g, b_edge)
         eff = hamiltonian.matrix + coupling * r_matrix(dten, coeffs, lam).matrix
         g = greens_matrix(eff, energy)
-        s = phase_shift(ref, g[n - 1], b_edge, n)
-        history.append(s)
-        defect = max(defect, abs(abs(s) - 1.0))
+        history.append(phase_shift(h_plus, h_minus, g[n - 1], b_edge))
 
-        step1 = abs(history[-1] - history[-2])
-        if step1 < tolerance:
-            return ScatteringResult(
-                energy=energy, status="converged", iterations=m, s_matrix=s,
-                history=tuple(history), unimodularity_defect=defect,
-            )
-
-        if certified_period:
+        if abs(history[-1] - history[-2]) < tolerance:
+            status = "converged"
+            break
+        if certified:
             # Merged cycle values are a fixed point approached with
             # alternating sign: revoke the certification and go on.
-            merged = min(abs(history[-1] - history[-1 - q]) for q in range(1, certified_period))
+            merged = min(abs(history[-1] - history[-1 - q]) for q in range(1, certified))
             if merged < bifurcation_tolerance:
-                certified_period = streak2 = streak3 = 0
-                continue
+                certified = None
+                streaks = dict.fromkeys(_PERIODS, 0)
             # Ride the certified cycle until its values settle.
-            back = abs(history[-1] - history[-1 - certified_period])
-            if back < tolerance or m == max_iterations:
-                return ScatteringResult(
-                    energy=energy, status="bifurcated", iterations=m, s_matrix=s,
-                    history=tuple(history), unimodularity_defect=defect,
-                    bifurcation=_distinct_cycle(history, certified_period),
-                    period=certified_period,
-                )
+            elif abs(history[-1] - history[-1 - certified]) < tolerance or m == max_iterations:
+                status, period = "bifurcated", certified
+                break
             continue
+        for p in _PERIODS:
+            streaks[p] = streaks[p] + 1 if _periodic(history, p, bifurcation_tolerance) else 0
+        certified = next((p for p in _PERIODS if streaks[p] >= _CYCLE_STREAK), None)
 
-        if m >= 2 and abs(history[-1] - history[-3]) < bifurcation_tolerance and step1 >= bifurcation_tolerance:
-            streak2 += 1
-        else:
-            streak2 = 0
-        if (
-            m >= 3
-            and abs(history[-1] - history[-4]) < bifurcation_tolerance
-            and step1 >= bifurcation_tolerance
-            and abs(history[-1] - history[-3]) >= bifurcation_tolerance
-        ):
-            streak3 += 1
-        else:
-            streak3 = 0
-        if streak2 >= _CYCLE_STREAK:
-            certified_period = 2
-        elif streak3 >= _CYCLE_STREAK:
-            certified_period = 3
-
-    return ScatteringResult(
-        energy=energy, status="max-iterations", iterations=max_iterations, s_matrix=s,
-        history=tuple(history), unimodularity_defect=defect,
-    )
+    return ScatteringResult(energy=energy, status=status, history=tuple(history), period=period)
 
 
 def scan(

@@ -9,6 +9,7 @@ import yaml
 from jmscatter import hamiltonian
 from jmscatter.cli import (
     EXIT_CONFIG,
+    EXIT_NUMERICAL,
     EXIT_OK,
     ConfigError,
     load_config,
@@ -109,6 +110,10 @@ class TestLoadConfig:
             {"start": 2.0, "stop": 1.0, "step": 0.5},
             {"start": 1.0, "stop": 2.0, "step": -0.5},
             {"list": ["a"]},
+            {"list": [1.0, float("nan")]},
+            {"start": 1.0, "stop": float("inf"), "step": 0.5},
+            # one point over the bound: refused before the tuple is built
+            {"start": 1.0, "stop": 2.0, "step": 1e-6},
         ],
     )
     def test_bad_energy_grids(self, tmp_path, grid):
@@ -123,6 +128,8 @@ class TestLoadConfig:
             {"start": -1.0, "stop": 5.0, "count": 10},
             {"start": 0.0, "stop": 25.0, "count": 10, "spacing": "log"},
             {"start": 0.0, "stop": 25.0, "count": 10.0},
+            {"start": 0.0, "stop": float("nan"), "count": 10},
+            {"start": 0.0, "stop": 25.0, "count": 1_000_001},
         ],
     )
     def test_bad_r_grids(self, tmp_path, grid):
@@ -150,11 +157,31 @@ class TestLoadConfig:
             {"nonlinearity_n": True},
             {"quadrature_order": 20.0},
             {"basis_size_N": "8"},
+            {"lambda": float("nan")},
+            {"coupling_g": float("inf")},
+            {"tolerance": float("nan")},
+            {"bifurcation_tolerance": float("-inf")},
         ],
     )
     def test_bad_scalars(self, tmp_path, bad):
         with pytest.raises(ConfigError, match=next(iter(bad))):
             load_config(write_config(tmp_path, minimal(**bad)))
+
+    @pytest.mark.parametrize(
+        "key,potential",
+        [
+            ("strength", {
+                "kind": "power-exponential", "strength": float("nan"), "power": 2.0, "decay": 1.0,
+            }),
+            ("breakpoints", {
+                "kind": "piecewise-linear", "breakpoints": [0.0, float("inf")], "values": [1.0, 0.0],
+            }),
+            ("v", {"kind": "tabulated", "r": [0.0, 1.0], "v": [float("nan"), 0.0]}),
+        ],
+    )
+    def test_non_finite_potential_values(self, tmp_path, key, potential):
+        with pytest.raises(ConfigError, match=f"'{key}' in potential must be"):
+            load_config(write_config(tmp_path, minimal(potential=potential)))
 
 
 class TestMain:
@@ -187,6 +214,28 @@ class TestMain:
         with pytest.raises(SystemExit) as exc:
             main([verb, "--config", path, flag])
         assert exc.value.code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--lambda-grid", "1.0,nan"),
+        ("--lambda-grid", "inf"),
+        ("--drift-threshold", "nan"),
+        ("--drift-threshold", "-inf"),
+    ])
+    def test_non_finite_stability_flags(self, tmp_path, capsys, flag, value):
+        path = write_config(tmp_path, minimal())
+        assert main(["stability-scan", "--config", path, f"{flag}={value}"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error" in err and flag in err
+
+    def test_linear_algebra_failure_is_numerical(self, tmp_path, capsys, monkeypatch):
+        # np.linalg.LinAlgError subclasses ValueError; it must not pass for a config error
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        path = write_config(tmp_path, minimal())
+        assert main(["table", "--config", path]) == EXIT_NUMERICAL
+        assert "numerical failure" in capsys.readouterr().err
 
     def test_scan_output_and_determinism(self, tmp_path):
         path = write_config(tmp_path, minimal(

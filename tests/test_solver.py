@@ -1,5 +1,6 @@
 """Resolvent routes, effective interaction, and the scattering iteration."""
 
+import itertools
 import math
 
 import numpy as np
@@ -309,6 +310,32 @@ class TestSolveEnergy:
         for res in cycles:
             assert res.bifurcation[0] - res.bifurcation[-1] >= 1e-3
 
+    @staticmethod
+    def script_s(monkeypatch, s_of_order):
+        # phase_shift returns S_m = s_of_order(m); R, the resolvent and the
+        # coefficients of every order are still computed for real
+        orders = itertools.count()
+        monkeypatch.setattr(solver, "phase_shift", lambda *args: s_of_order(next(orders)))
+
+    def test_period_three_cycle_detected(self, gauss_setup, monkeypatch):
+        cycle = [complex(np.exp(2j * phi)) for phi in (0.3, 1.1, 2.0)]
+        self.script_s(monkeypatch, lambda m: cycle[m % 3])
+        ham, dten = gauss_setup
+        res = solve_energy(2.5, ham, dten, coupling=0.001)
+        assert res.status == "bifurcated" and res.period == 3
+        # certified after 4 periodic orders (m = 3..6), settled at m = 7
+        assert res.iterations == 7
+        assert res.bifurcation == tuple(sorted((abs(1.0 - s) for s in cycle), reverse=True))
+
+    @pytest.mark.parametrize("cap,status", [(50, "max-iterations"), (100, "converged")])
+    def test_alternating_approach_is_revoked(self, gauss_setup, monkeypatch, cap, status):
+        # steps shrink by -0.8 per order: period 2 is certified at m = 22 and
+        # revoked at m = 25, once |S_m - S_{m-1}| falls below 1e-3
+        self.script_s(monkeypatch, lambda m: complex(np.exp(2j * (1.0 + 0.05 * (-0.8) ** m))))
+        ham, dten = gauss_setup
+        res = solve_energy(2.5, ham, dten, coupling=0.001, max_iterations=cap)
+        assert res.status == status and res.period is None and res.bifurcation is None
+
     @pytest.mark.parametrize("energy", [1.0, 2.0, 3.0])
     def test_septic_unimodular_every_order(self, septic_setup, energy):
         ham, dten = septic_setup
@@ -362,12 +389,7 @@ class TestResonanceEnergy:
         for e in energies:
             delta = background * e + np.arctan2(0.5 * width, center - e)
             s = complex(np.exp(2j * delta))
-            out.append(
-                ScatteringResult(
-                    energy=e, status="converged", iterations=0, s_matrix=s,
-                    history=(s,), unimodularity_defect=0.0,
-                )
-            )
+            out.append(ScatteringResult(energy=e, status="converged", history=(s,)))
         return out
 
     def test_recovers_narrow_peak(self):
