@@ -7,13 +7,15 @@ Verbs:
   stability-scan  basis-parameter sweep with plateau flags
 
 Exit codes: 0 success, 2 configuration problems (including strict-key
-violations and quadrature-bound refusals), 3 numerical failure at run
-time. Output is byte-identical across repeated runs of one command.
+violations, quadrature-bound refusals and an unwritable output path), 3
+numerical failure at run time. Output is written only when the command
+succeeds, and is byte-identical across repeated runs of one command.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -338,8 +340,11 @@ def stability_rows(
     some interior eigenvalue near the probe energy (the five nearest are
     compared) is reproduced within the relative threshold. Localized
     spectral features sit still on an adequate basis; discretized
-    continuum levels scale with lambda and never match.
+    continuum levels scale with lambda and never match. The lambdas must
+    be strictly increasing, so that list neighbors are value neighbors.
     """
+    if any(b <= a for a, b in zip(lambdas, lambdas[1:])):
+        raise ConfigError(f"lambda grid must be strictly increasing, got {', '.join(map(str, lambdas))}")
     energy = cfg.energies[0]
     rule = _problem_rule(cfg)
     rows = []
@@ -403,6 +408,18 @@ def _csv(text: str, kind, flag: str) -> tuple:
     return values
 
 
+def _write_output(path: str, text: str) -> None:
+    """Write a finished run's output to `path`, '-' meaning stdout."""
+    if path == "-":
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path}: {exc}") from exc
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="jmscatter",
@@ -428,26 +445,23 @@ def main(argv=None) -> int:
             p.add_argument("--drift-threshold", type=float, default=1e-3)
 
     args = parser.parse_args(argv)
+    sink = io.StringIO()
     try:
         cfg = load_config(args.config)
-        sink = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8")
-        try:
-            if args.command == "scan":
-                cmd_scan(cfg, sink, override=args.override_quadrature_bound)
-            elif args.command == "table":
-                cmd_table(cfg, sink, override=args.override_quadrature_bound)
-            elif args.command == "basis-check":
-                cmd_basis_check(cfg, sink)
-            else:
-                lambdas = _csv(args.lambda_grid, float, "--lambda-grid") if args.lambda_grid else _DEFAULT_LAMBDA_GRID
-                ns = _csv(args.n_grid, int, "--n-grid") if args.n_grid else _DEFAULT_N_GRID
-                if not math.isfinite(args.drift_threshold):
-                    raise ConfigError("--drift-threshold must be a finite number")
-                cmd_stability_scan(cfg, sink, lambdas, ns, args.drift_threshold,
-                                   override=args.override_quadrature_bound)
-        finally:
-            if sink is not sys.stdout:
-                sink.close()
+        if args.command == "scan":
+            cmd_scan(cfg, sink, override=args.override_quadrature_bound)
+        elif args.command == "table":
+            cmd_table(cfg, sink, override=args.override_quadrature_bound)
+        elif args.command == "basis-check":
+            cmd_basis_check(cfg, sink)
+        else:
+            lambdas = _csv(args.lambda_grid, float, "--lambda-grid") if args.lambda_grid else _DEFAULT_LAMBDA_GRID
+            ns = _csv(args.n_grid, int, "--n-grid") if args.n_grid else _DEFAULT_N_GRID
+            if not math.isfinite(args.drift_threshold):
+                raise ConfigError("--drift-threshold must be a finite number")
+            cmd_stability_scan(cfg, sink, lambdas, ns, args.drift_threshold,
+                               override=args.override_quadrature_bound)
+        _write_output(args.output, sink.getvalue())
     # LinAlgError subclasses ValueError, so the numerical clause comes first.
     except (SingularMatrixError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

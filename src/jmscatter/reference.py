@@ -1,20 +1,21 @@
 """Reference (free-particle) expansion coefficients and reconstructions.
 
 The free radial equation has a regular solution sqrt(kappa r) J_ell(kappa r)
-and an irregular one built on Y_ell. Expanded over the oscillator basis
-their coefficients s_k, c_k solve the free three-term recursion; s_k
-homogeneously, c_k with an inhomogeneous seed relation whose source term
-tau comes from the basis cutoff at the origin. The closed form
-s_k ~ (-1)^k L~_k^ell(mu^2) fixes s_k for all k, and (c_0, tau) are
-closed forms too; the rest of c_k follows by upward recursion, which is
-stable here because both solutions decay at the same slow rate.
+and an irregular one built on Y_ell. In either basis their coefficients
+s_k (sine-like) and c_k (cosine-like) obey one three-term recursion and
+differ only in their seeds, so each basis computes its seeds and runs
+the shared `_upward` loop. Oscillator basis: s_k ~ (-1)^k L~_k^ell(mu^2)
+in closed form, and c_0 and the source term tau of the inhomogeneous
+k = 0 relation in closed form too; the rest of c_k follows upward, which
+is stable because both solutions decay at the same slow rate. Laguerre
+basis: Gegenbauer polynomials of cos(theta), with mu mapped onto the
+unit circle, in place of Laguerre polynomials of mu^2; the cosine-like
+seeds read scipy's 2F1.
 
-The Laguerre-basis analogues trade Laguerre polynomials of mu^2 for
-Gegenbauer polynomials of cos(theta) with mu mapped onto the unit
-circle. Reconstruction sums filtered coefficient-weighted basis
-functions streamed from the upward Laguerre recursion started on the
-basis envelope, so the exponentially large bare polynomial values never
-form. Every recursion here reads its three-term coefficients from
+Reconstruction sums filtered coefficient-weighted basis functions
+streamed from the upward Laguerre recursion started on the basis
+envelope, so the exponentially large bare polynomial values never form.
+Every recursion here reads its three-term coefficients from
 `specfun.jacobi_coefficients` (the free ones through
 `hamiltonian.free_matrix_coeffs`).
 """
@@ -26,9 +27,10 @@ from dataclasses import dataclass
 from math import lgamma
 
 import numpy as np
+from scipy.special import hyp2f1
 
 from .hamiltonian import free_matrix_coeffs
-from .specfun import hyp2f1_series, jacobi_coefficients, laguerre_upward, re_upper_gamma_neg
+from .specfun import bessel_j, bessel_y, jacobi_coefficients, laguerre_upward, re_upper_gamma_neg
 
 
 @dataclass(frozen=True)
@@ -62,44 +64,34 @@ class ReferenceCoefficients:
     c: np.ndarray
 
 
-def sine_like(point: EnergyPoint, ell: int, kmax: int) -> np.ndarray:
-    """Oscillator-basis coefficients of the regular free solution.
+def _upward(first: float, second: float, mult, off, kmax: int) -> np.ndarray:
+    """x_0..x_kmax of x_{k+1} = (mult_k x_k - off_{k-1} x_{k-1}) / off_k from the seeds x_0, x_1."""
+    x = [first, second]
+    for k in range(1, kmax):
+        x.append((mult[k] * x[k] - off[k - 1] * x[k - 1]) / off[k])
+    return np.array(x[: kmax + 1])
+
+
+def oscillator_reference(point: EnergyPoint, ell: int, kmax: int) -> ReferenceCoefficients:
+    """Sine-like and cosine-like coefficients in the oscillator basis.
 
     s_k = alpha (-1)^k L~_k^ell(mu^2) with
-    alpha = sqrt(2/(lam ell!)) mu^{ell+1/2} e^{-mu^2/2}. The sign flip
+    alpha = sqrt(2/(lam ell!)) mu^{ell+1/2} e^{-mu^2/2}; the sign flip
     absorbs the positive off-diagonal of the free matrix relative to the
-    Jacobi convention.
+    Jacobi convention. c_0 carries the real part of the incomplete gamma
+    at negative argument, c_1 follows from the inhomogeneous k = 0
+    relation (E - a_0) c_0 + tau = b_0 c_1, and the rest from the free
+    recursion with multiplier E - a_k.
     """
+    if ell < 0 or kmax < 0:
+        raise ValueError("ell and kmax must be nonnegative")
     mu2 = point.mu**2
     alpha = math.exp(
         0.5 * (math.log(2.0) - math.log(point.lam) - lgamma(ell + 1))
         + (ell + 0.5) * math.log(point.mu)
         - 0.5 * mu2
     )
-    return np.array([alpha * (-1) ** k * p for k, p in enumerate(laguerre_upward(kmax, ell, mu2))])
-
-
-def tau_inhomogeneity(point: EnergyPoint, ell: int) -> float:
-    """Source term of the cosine-like seed relation, (E - a_0) c_0 + tau = b_0 c_1."""
-    return -(point.lam / math.pi) * math.exp(
-        0.5 * (math.log(point.lam) + lgamma(ell + 1) - math.log(2.0))
-        + (0.5 - ell) * math.log(point.mu)
-        + 0.5 * point.mu**2
-    )
-
-
-def cosine_like_all(point: EnergyPoint, ell: int, kmax: int) -> np.ndarray:
-    """Oscillator-basis cosine-like coefficients c_0..c_kmax of the irregular solution.
-
-    c_0 carries the real part of the incomplete gamma at negative
-    argument; c_1 follows from the inhomogeneous k = 0 relation and the
-    rest by upward recursion.
-    """
-    if ell < 0:
-        raise ValueError("ell must be nonnegative")
-    if kmax < 0:
-        raise ValueError("kmax must be nonnegative")
-    mu2 = point.mu**2
+    s = np.array([alpha * (-1) ** k * p for k, p in enumerate(laguerre_upward(kmax, ell, mu2))])
     sign = 1.0 if ell % 2 else -1.0
     c0 = (
         sign
@@ -111,52 +103,49 @@ def cosine_like_all(point: EnergyPoint, ell: int, kmax: int) -> np.ndarray:
         )
         * re_upper_gamma_neg(ell, mu2)
     )
+    tau = -(point.lam / math.pi) * math.exp(
+        0.5 * (math.log(point.lam) + lgamma(ell + 1) - math.log(2.0))
+        + (0.5 - ell) * math.log(point.mu)
+        + 0.5 * point.mu**2
+    )
     a, b = (v.tolist() for v in free_matrix_coeffs(kmax, ell, point.lam))
-    out = [c0, ((point.energy - a[0]) * c0 + tau_inhomogeneity(point, ell)) / b[0]]
-    for k in range(1, kmax):
-        out.append(((point.energy - a[k]) * out[k] - b[k - 1] * out[k - 1]) / b[k])
-    return np.array(out[: kmax + 1])
-
-
-def _laguerre_angles(point: EnergyPoint) -> tuple[float, float]:
-    mu2 = point.mu**2
-    den = mu2 + 0.25
-    return (mu2 - 0.25) / den, point.mu / den
+    mult = [point.energy - ak for ak in a]
+    return ReferenceCoefficients(s=s, c=_upward(c0, (mult[0] * c0 + tau) / b[0], mult, b, kmax))
 
 
 def laguerre_basis_reference(point: EnergyPoint, ell: int, kmax: int) -> ReferenceCoefficients:
     """Sine-like and cosine-like coefficients in the Laguerre basis.
 
-    Both families satisfy the same Gegenbauer-type recursion in k; the
-    seeds differ. The k-dependent normalization sqrt(k!/(k+2 ell)!) is
-    part of the coefficients at every k, including k = 0 where it
-    contributes 1/sqrt((2 ell)!); dropping it there desynchronizes the
-    seeds from the recursion.
+    Both families satisfy the same Gegenbauer-type recursion in k, with
+    multiplier diag_k cos(theta); the seeds differ. The k-dependent
+    normalization sqrt(k!/(k+2 ell)!) is part of the coefficients at
+    every k, including k = 0 where it contributes 1/sqrt((2 ell)!);
+    dropping it there desynchronizes the seeds from the recursion.
+
+    The cosine-like seeds read 2F1(1/2, ell+1; 3/2; cos^2(theta)), which
+    diverges as cos^2(theta) -> 1, that is as E -> 0 or E -> infinity at
+    fixed lam; energies with cos^2(theta) >= 1 - 1e-8 are refused.
     """
     if ell < 0 or kmax < 0:
         raise ValueError("ell and kmax must be nonnegative")
-    ct, st = _laguerre_angles(point)
+    mu2 = point.mu**2
+    den = mu2 + 0.25
+    ct, st = (mu2 - 0.25) / den, point.mu / den
+    if ct * ct >= 1 - 1e-8:
+        raise ValueError(f"Laguerre reference refused at E = {point.energy:g}: cos(theta)^2 >= 1 - 1e-8")
     nu = ell + 0.5
     pref_s = (
         2.0**ell / math.sqrt(math.pi * point.lam) * math.exp(lgamma(nu)) * st**nu
     )
     pref_c = 2.0 ** (ell + 1) * math.exp(lgamma(ell + 1)) / (math.pi * math.sqrt(point.lam)) * st**nu
-    hyp = hyp2f1_series(0.5, ell + 1.0, 1.5, ct * ct)
-
-    s = np.empty(kmax + 1)
-    c = np.empty(kmax + 1)
+    hyp = float(hyp2f1(0.5, ell + 1.0, 1.5, ct * ct))
     norm0 = math.exp(-0.5 * lgamma(2 * ell + 1))
-    s[0] = pref_s * norm0
-    c[0] = pref_c * ct * hyp * norm0
-    if kmax >= 1:
-        norm1 = math.exp(-0.5 * lgamma(2 * ell + 2))
-        s[1] = pref_s * (2.0 * nu * ct) * norm1
-        c[1] = pref_c * (ct * hyp * (2.0 * nu * ct) - st ** (-2.0 * ell)) * norm1
+    norm1 = math.exp(-0.5 * lgamma(2 * ell + 2))
     diag, off = (v.tolist() for v in jacobi_coefficients(kmax, 2 * ell))
-    for k in range(1, kmax):
-        s[k + 1] = (diag[k] * ct * s[k] - off[k - 1] * s[k - 1]) / off[k]
-        c[k + 1] = (diag[k] * ct * c[k] - off[k - 1] * c[k - 1]) / off[k]
-    return ReferenceCoefficients(s=s, c=c)
+    mult = [d * ct for d in diag]
+    s = _upward(pref_s * norm0, pref_s * (2.0 * nu * ct) * norm1, mult, off, kmax)
+    c1 = pref_c * (ct * hyp * (2.0 * nu * ct) - st ** (-2.0 * ell)) * norm1
+    return ReferenceCoefficients(s=s, c=_upward(pref_c * ct * hyp * norm0, c1, mult, off, kmax))
 
 
 def reference_coefficients(
@@ -164,7 +153,7 @@ def reference_coefficients(
 ) -> ReferenceCoefficients:
     """Reference coefficient pair for the requested basis."""
     if basis == "oscillator":
-        return ReferenceCoefficients(s=sine_like(point, ell, kmax), c=cosine_like_all(point, ell, kmax))
+        return oscillator_reference(point, ell, kmax)
     if basis == "laguerre":
         return laguerre_basis_reference(point, ell, kmax)
     raise ValueError(f"unknown basis {basis!r}")
@@ -202,31 +191,16 @@ def chi_reconstruct(coefficients, ell: int, lam: float, r, basis: str = "oscilla
     if np.any(r < 0):
         raise ValueError("radii must be nonnegative")
     if basis == "oscillator":
-        x = (lam * r) ** 2
-        order = ell
-        phi0 = np.where(
-            r > 0,
-            np.exp(
-                0.5 * (math.log(2.0 * lam) - lgamma(ell + 1))
-                + (ell + 0.5) * np.log(np.maximum(lam * r, 1e-300))
-                - 0.5 * x
-            ),
-            0.0,
-        )
+        x, order, norm = (lam * r) ** 2, ell, 0.5 * (math.log(2.0 * lam) - lgamma(ell + 1))
     elif basis == "laguerre":
-        x = lam * r
-        order = 2 * ell
-        phi0 = np.where(
-            r > 0,
-            np.exp(
-                0.5 * (math.log(lam) - lgamma(2 * ell + 1))
-                + (ell + 0.5) * np.log(np.maximum(lam * r, 1e-300))
-                - 0.5 * x
-            ),
-            0.0,
-        )
+        x, order, norm = lam * r, 2 * ell, 0.5 * (math.log(lam) - lgamma(2 * ell + 1))
     else:
         raise ValueError(f"unknown basis {basis!r}")
+    phi0 = np.where(
+        r > 0,
+        np.exp(norm + (ell + 0.5) * np.log(np.maximum(lam * r, 1e-300)) - 0.5 * x),
+        0.0,
+    )
 
     phis = laguerre_upward(size - 1, order, x, phi0)
     terms = (np.multiply.outer(c, phi) for c, phi in zip(coefficients.T, phis))
@@ -252,8 +226,6 @@ def irregular_target(point: EnergyPoint, ell: int, r):
     and does not shrink with N. At lam = 1 it is about 2.5e-4 (ell = 0) to
     0.4 (ell = 3) at r = 12.5, and 1.5e-10 to 7.6e-6 at r = 40.
     """
-    from .specfun import bessel_y
-
     r = np.asarray(r, dtype=float)
     out = np.full_like(r, np.nan)
     pos = r > 0
@@ -263,7 +235,5 @@ def irregular_target(point: EnergyPoint, ell: int, r):
 
 def regular_target(point: EnergyPoint, ell: int, r):
     """Target of the sine-like reconstruction, sqrt(kappa r) J_ell(kappa r)."""
-    from .specfun import bessel_j
-
     r = np.asarray(r, dtype=float)
     return np.sqrt(point.kappa * r) * bessel_j(ell, point.kappa * r)

@@ -2,8 +2,8 @@
 
 The three-term coefficients of the normalized Laguerre family and its
 upward recursion, cylindrical Bessel functions, the exponential
-integral, the real part of the upper incomplete gamma function at
-negative argument, and the convergent Gauss hypergeometric series.
+integral and the real part of the upper incomplete gamma function at
+negative argument.
 
 The Laguerre coefficients are the one J-matrix of the method: the Gauss
 rule, the free Hamiltonian and every basis-polynomial evaluation read
@@ -26,7 +26,6 @@ __all__ = [
     "bessel_y",
     "re_upper_gamma_neg",
     "exp_integral_ei",
-    "hyp2f1_series",
 ]
 
 # Hard cap on series length; exceeding it raises instead of silently truncating.
@@ -131,23 +130,3 @@ def re_upper_gamma_neg(ell: int, u: float) -> float:
     finite = math.exp(u) * u ** (-ell) * acc if ell > 0 else 0.0
     sign = -1.0 if ell % 2 else 1.0
     return sign / math.factorial(ell) * (finite - exp_integral_ei(u))
-
-
-def hyp2f1_series(a: float, b: float, c: float, x: float) -> float:
-    """Gauss series for 2F1(a, b; c; x), 0 <= x < 1.
-
-    Convergence slows as x -> 1; arguments within 1e-8 of the boundary are
-    rejected so the caller can treat near-threshold kinematics explicitly.
-    """
-    if not 0 <= x:
-        raise ValueError("hyp2f1_series requires x >= 0")
-    if x >= 1 - 1e-8:
-        raise ValueError("hyp2f1_series argument too close to 1; series converges too slowly")
-    total = 1.0
-    term = 1.0
-    for m in range(_SERIES_CAP):
-        term *= (a + m) * (b + m) / ((c + m) * (m + 1)) * x
-        total += term
-        if abs(term) < _SERIES_RTOL * abs(total):
-            return total
-    raise ArithmeticError("2F1 series exceeded the term cap")

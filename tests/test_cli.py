@@ -227,6 +227,32 @@ class TestMain:
         err = capsys.readouterr().err
         assert "configuration error" in err and flag in err
 
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--config", str(CONFIG_DIR / "table4.yaml")],
+        ["stability-scan", "--config", str(CONFIG_DIR / "table1.yaml"), "--drift-threshold=nan"],
+    ])
+    def test_refused_run_keeps_existing_output(self, tmp_path, argv):
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"earlier result\n")
+        assert main([*argv, "--output", str(out)]) == EXIT_CONFIG
+        assert out.read_bytes() == b"earlier result\n"
+
+    def test_unwritable_output_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "out.csv"
+        assert main(["scan", "--config", write_config(tmp_path, minimal()), "--output", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"configuration error: cannot write output {out}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("grid", ["1.4,1.0,0.6,1.2,0.8", "1.0,1.0"])
+    def test_lambda_grid_must_increase(self, tmp_path, capsys, grid):
+        path = write_config(tmp_path, minimal())
+        lambdas = tuple(map(float, grid.split(",")))
+        with pytest.raises(ConfigError, match="strictly increasing"):
+            stability_rows(load_config(path), lambdas=lambdas, n_values=(6,))
+        assert main(["stability-scan", "--config", path, "--lambda-grid", grid, "--n-grid", "6"]) == EXIT_CONFIG
+        assert "strictly increasing" in capsys.readouterr().err
+
     def test_linear_algebra_failure_is_numerical(self, tmp_path, capsys, monkeypatch):
         # np.linalg.LinAlgError subclasses ValueError; it must not pass for a config error
         def fail(*args, **kwargs):

@@ -3,7 +3,8 @@
 Every top-level function and class in `src/jmscatter` must be named
 somewhere else in the package (as a name, an attribute or an import) or
 be exported in `jmscatter.__all__`. Routes that only tests reach belong
-in `tests/oracles.py`.
+in `tests/oracles.py`. Imports sit at the top of each module, never
+inside a function, so a module's dependencies can be read off its head.
 """
 
 import ast
@@ -52,3 +53,19 @@ def unreferenced() -> list[str]:
 
 def test_every_top_level_definition_is_used_or_exported():
     assert unreferenced() == []
+
+
+def imports_inside_functions() -> list[str]:
+    """Package functions (nested ones included) whose bodies hold an import."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(inner, (ast.Import, ast.ImportFrom)) for inner in ast.walk(node)
+            ):
+                found.append(f"{path.stem}.{node.name}")
+    return found
+
+
+def test_no_imports_inside_functions():
+    assert imports_inside_functions() == []

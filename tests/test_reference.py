@@ -85,6 +85,19 @@ class TestOscillatorCoefficients:
             reference_coefficients(energy_point(1.0, 1.0), 0, 5, basis="fourier")
 
 
+@pytest.mark.parametrize("basis", ["oscillator", "laguerre"])
+@pytest.mark.parametrize("ell", [0, 2])
+@pytest.mark.parametrize("kmax", [0, 1, 2])
+def test_short_ranges_are_prefixes(basis, ell, kmax):
+    # the seeds alone (kmax 0, 1) and one recursion step (kmax 2) are the head of a long run, bit for bit
+    pt = energy_point(1.3, 1.0)
+    short = reference_coefficients(pt, ell, kmax, basis=basis)
+    full = reference_coefficients(pt, ell, 10, basis=basis)
+    assert short.s.shape == short.c.shape == (kmax + 1,)
+    assert np.array_equal(short.s, full.s[: kmax + 1])
+    assert np.array_equal(short.c, full.c[: kmax + 1])
+
+
 class TestOscillatorReconstruction:
     @pytest.mark.parametrize("ell,energy", FIG_PAIRS)
     def test_sine_tracks_regular_bessel(self, ell, energy):

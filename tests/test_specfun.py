@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import eval_genlaguerre, expi, jv, yv
+from scipy.special import eval_genlaguerre, expi, hyp2f1, jv, yv
 
 from jmscatter import specfun as sf
+from jmscatter.reference import energy_point, reference_coefficients
 from oracles import (
     gegenbauer,
     gegenbauer_associated,
@@ -151,7 +152,7 @@ class TestHypergeometric:
         for a in (-2, -5):
             for b, c, x in ((1.5, 2.5, 0.3), (3.0, 4.0, 0.45)):
                 assert hyp2f1_terminating(a, b, c, x) == pytest.approx(
-                    sf.hyp2f1_series(float(a), b, c, x), rel=1e-12
+                    hyp2f1(float(a), b, c, x), rel=1e-12
                 )
 
     def test_terminating_rejects_parameter_pole(self):
@@ -161,13 +162,19 @@ class TestHypergeometric:
     def test_series_arctanh_identity(self):
         # 2F1(1/2, 1; 3/2; z^2) = atanh(z)/z
         z = 0.5
-        assert sf.hyp2f1_series(0.5, 1.0, 1.5, z * z) == pytest.approx(
+        assert hyp2f1(0.5, 1.0, 1.5, z * z) == pytest.approx(
             float(np.arctanh(z) / z), rel=1e-13
         )
 
     def test_series_rejects_divergent_argument(self):
+        # cos(theta)^2 of the Laguerre seeds within 1e-8 of 1, where 2F1 diverges
         with pytest.raises(ValueError):
-            sf.hyp2f1_series(0.5, 1.0, 1.5, 1.0)
+            reference_coefficients(energy_point(1e-10, 1.0), 0, 5, basis="laguerre")
+
+    def test_laguerre_reference_finite_near_threshold(self):
+        # 1 - cos(theta)^2 = 3.2e-5: inside the band where a plain 2F1 series runs out of terms
+        ref = reference_coefficients(energy_point(1e-6, 1.0), 0, 5, basis="laguerre")
+        assert np.isfinite(ref.s).all() and np.isfinite(ref.c).all()
 
 
 class TestGegenbauer:
