@@ -398,13 +398,14 @@ def cmd_stability_scan(
         )
 
 
-def _csv(text: str, kind, flag: str) -> tuple:
+def _csv(text: str, kind, flag: str, low, high) -> tuple:
+    """The comma-separated `kind` values of `flag`, each finite with low < value <= high."""
     try:
         values = tuple(kind(x) for x in text.split(","))
     except ValueError as exc:
         raise ConfigError(f"bad {flag} list {text!r}") from exc
-    if not all(map(_is_number, values)):
-        raise ConfigError(f"bad {flag} list {text!r}: values must be finite")
+    if not all(_is_number(v) and low < v <= high for v in values):
+        raise ConfigError(f"bad {flag} list {text!r}: values must be finite, above {low:g} and at most {high:g}")
     return values
 
 
@@ -455,10 +456,10 @@ def main(argv=None) -> int:
         elif args.command == "basis-check":
             cmd_basis_check(cfg, sink)
         else:
-            lambdas = _csv(args.lambda_grid, float, "--lambda-grid") if args.lambda_grid else _DEFAULT_LAMBDA_GRID
-            ns = _csv(args.n_grid, int, "--n-grid") if args.n_grid else _DEFAULT_N_GRID
-            if not math.isfinite(args.drift_threshold):
-                raise ConfigError("--drift-threshold must be a finite number")
+            lambdas = _csv(args.lambda_grid, float, "--lambda-grid", 0, math.inf) if args.lambda_grid else _DEFAULT_LAMBDA_GRID
+            ns = _csv(args.n_grid, int, "--n-grid", 1, cfg.quadrature_order) if args.n_grid else _DEFAULT_N_GRID
+            if not (math.isfinite(args.drift_threshold) and args.drift_threshold > 0):
+                raise ConfigError("--drift-threshold must be a positive finite number")
             cmd_stability_scan(cfg, sink, lambdas, ns, args.drift_threshold,
                                override=args.override_quadrature_bound)
         _write_output(args.output, sink.getvalue())

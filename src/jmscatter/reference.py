@@ -4,13 +4,13 @@ The free radial equation has a regular solution sqrt(kappa r) J_ell(kappa r)
 and an irregular one built on Y_ell. In either basis their coefficients
 s_k (sine-like) and c_k (cosine-like) obey one three-term recursion and
 differ only in their seeds, so each basis computes its seeds and runs
-the shared `_upward` loop. Oscillator basis: s_k ~ (-1)^k L~_k^ell(mu^2)
-in closed form, and c_0 and the source term tau of the inhomogeneous
-k = 0 relation in closed form too; the rest of c_k follows upward, which
-is stable because both solutions decay at the same slow rate. Laguerre
-basis: Gegenbauer polynomials of cos(theta), with mu mapped onto the
-unit circle, in place of Laguerre polynomials of mu^2; the cosine-like
-seeds read scipy's 2F1.
+the shared `_upward` loop. Oscillator basis: the recursion is the free
+J-matrix the caller passes in, s is its homogeneous solution from the
+seed s_0, and c adds the source term tau of the inhomogeneous k = 0
+relation to a closed-form c_0; upward is stable because both solutions
+decay at the same slow rate. Laguerre basis: Gegenbauer polynomials of
+cos(theta), with mu mapped onto the unit circle, in place of Laguerre
+polynomials of mu^2; the cosine-like seeds read scipy's 2F1.
 
 Reconstruction sums filtered coefficient-weighted basis functions
 streamed from the upward Laguerre recursion started on the basis
@@ -72,26 +72,23 @@ def _upward(first: float, second: float, mult, off, kmax: int) -> np.ndarray:
     return np.array(x[: kmax + 1])
 
 
-def oscillator_reference(point: EnergyPoint, ell: int, kmax: int) -> ReferenceCoefficients:
+def oscillator_reference(point: EnergyPoint, ell: int, coeffs: tuple[np.ndarray, np.ndarray]) -> ReferenceCoefficients:
     """Sine-like and cosine-like coefficients in the oscillator basis.
 
-    s_k = alpha (-1)^k L~_k^ell(mu^2) with
-    alpha = sqrt(2/(lam ell!)) mu^{ell+1/2} e^{-mu^2/2}; the sign flip
-    absorbs the positive off-diagonal of the free matrix relative to the
-    Jacobi convention. c_0 carries the real part of the incomplete gamma
-    at negative argument, c_1 follows from the inhomogeneous k = 0
-    relation (E - a_0) c_0 + tau = b_0 c_1, and the rest from the free
-    recursion with multiplier E - a_k.
+    `coeffs` is the free operator's (a, b) for k = 0..kmax, as
+    `free_matrix_coeffs` builds them; the solver passes its Hamiltonian's
+    own. s and c run one recursion with multiplier E - a_k. s is its
+    homogeneous solution from s_0 = alpha = sqrt(2/(lam ell!)) mu^{ell+1/2}
+    e^{-mu^2/2}; c_0 carries the real part of the incomplete gamma at
+    negative argument, and c_1 follows from the inhomogeneous k = 0
+    relation (E - a_0) c_0 + tau = b_0 c_1.
     """
-    if ell < 0 or kmax < 0:
-        raise ValueError("ell and kmax must be nonnegative")
     mu2 = point.mu**2
     alpha = math.exp(
         0.5 * (math.log(2.0) - math.log(point.lam) - lgamma(ell + 1))
         + (ell + 0.5) * math.log(point.mu)
         - 0.5 * mu2
     )
-    s = np.array([alpha * (-1) ** k * p for k, p in enumerate(laguerre_upward(kmax, ell, mu2))])
     sign = 1.0 if ell % 2 else -1.0
     c0 = (
         sign
@@ -108,9 +105,10 @@ def oscillator_reference(point: EnergyPoint, ell: int, kmax: int) -> ReferenceCo
         + (0.5 - ell) * math.log(point.mu)
         + 0.5 * point.mu**2
     )
-    a, b = (v.tolist() for v in free_matrix_coeffs(kmax, ell, point.lam))
+    a, b = (v.tolist() for v in coeffs)
     mult = [point.energy - ak for ak in a]
-    return ReferenceCoefficients(s=s, c=_upward(c0, (mult[0] * c0 + tau) / b[0], mult, b, kmax))
+    s = _upward(alpha, mult[0] * alpha / b[0], mult, b, len(a) - 1)
+    return ReferenceCoefficients(s=s, c=_upward(c0, (mult[0] * c0 + tau) / b[0], mult, b, len(a) - 1))
 
 
 def laguerre_basis_reference(point: EnergyPoint, ell: int, kmax: int) -> ReferenceCoefficients:
@@ -126,8 +124,6 @@ def laguerre_basis_reference(point: EnergyPoint, ell: int, kmax: int) -> Referen
     diverges as cos^2(theta) -> 1, that is as E -> 0 or E -> infinity at
     fixed lam; energies with cos^2(theta) >= 1 - 1e-8 are refused.
     """
-    if ell < 0 or kmax < 0:
-        raise ValueError("ell and kmax must be nonnegative")
     mu2 = point.mu**2
     den = mu2 + 0.25
     ct, st = (mu2 - 0.25) / den, point.mu / den
@@ -151,9 +147,11 @@ def laguerre_basis_reference(point: EnergyPoint, ell: int, kmax: int) -> Referen
 def reference_coefficients(
     point: EnergyPoint, ell: int, kmax: int, basis: str = "oscillator"
 ) -> ReferenceCoefficients:
-    """Reference coefficient pair for the requested basis."""
+    """Reference coefficient pair for the requested basis, k = 0..kmax."""
+    if ell < 0 or kmax < 0:
+        raise ValueError("ell and kmax must be nonnegative")
     if basis == "oscillator":
-        return oscillator_reference(point, ell, kmax)
+        return oscillator_reference(point, ell, free_matrix_coeffs(kmax, ell, point.lam))
     if basis == "laguerre":
         return laguerre_basis_reference(point, ell, kmax)
     raise ValueError(f"unknown basis {basis!r}")

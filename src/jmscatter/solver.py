@@ -23,7 +23,7 @@ import numpy as np
 
 from .hamiltonian import LinearHamiltonian
 from .linearize import DTensor
-from .reference import energy_point, reference_coefficients
+from .reference import energy_point, oscillator_reference
 
 # A matrix this ill-conditioned is treated as an on-grid singularity,
 # not as data; the energy is nudged once and re-solved.
@@ -217,7 +217,7 @@ def _iterate(
     n = hamiltonian.n_basis
     lam = hamiltonian.lam
     b_edge = hamiltonian.coeffs[1][n - 1]
-    ref = reference_coefficients(energy_point(energy, lam), hamiltonian.ell, n)
+    ref = oscillator_reference(energy_point(energy, lam), hamiltonian.ell, hamiltonian.coeffs)
     h_plus = ref.c[n - 1 :] + 1j * ref.s[n - 1 :]
     h_minus = ref.c[n - 1 :] - 1j * ref.s[n - 1 :]
 

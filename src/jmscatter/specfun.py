@@ -56,9 +56,7 @@ def laguerre_upward(kmax: int, ell: int, x, first=1.0):
 
     which is stable for increasing degree. `first` may be an envelope
     array broadcast against `x`; carrying it inside every iterate keeps
-    products of a vanishing envelope and a huge polynomial finite. The
-    coefficients are read as Python floats, so a scalar `x` never
-    touches numpy arithmetic.
+    products of a vanishing envelope and a huge polynomial finite.
     """
     diag, off = jacobi_coefficients(kmax, ell)
     prev, p, link = 0.0, first, 0.0

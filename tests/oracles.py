@@ -24,7 +24,7 @@ determinant ratios, the closed-form nonlinear weight integrals, the
 associated Laguerre and Gegenbauer recursions, and plain weighted
 quadrature sums. `laguerre_normalized` is not independent: it reads one
 degree off the package's own upward recursion for tests that want a
-single polynomial value.
+single polynomial value; the sine-like closed form reads it per degree.
 """
 
 from __future__ import annotations
@@ -365,6 +365,19 @@ def laguerre_normalized(k: int, ell: int, x):
     x = np.asarray(x, dtype=float)
     *_, p = laguerre_upward(k, ell, x, np.ones_like(x))
     return p if p.ndim else float(p)
+
+
+def sine_like_closed_form(point, ell: int, degrees) -> np.ndarray:
+    """Oscillator-basis sine-like coefficients alpha (-1)^k L~_k^ell(mu^2) at the given degrees.
+
+    alpha = sqrt(2/(lam ell!)) mu^{ell+1/2} e^{-mu^2/2}; the sign flip
+    absorbs the positive off-diagonal of the free matrix relative to the
+    Jacobi convention. The package runs the free recursion from s_0 =
+    alpha instead.
+    """
+    mu2 = point.mu**2
+    alpha = math.sqrt(2.0 / (point.lam * factorial(ell))) * point.mu ** (ell + 0.5) * math.exp(-0.5 * mu2)
+    return np.array([alpha * (-1) ** k * laguerre_normalized(k, ell, mu2) for k in degrees])
 
 
 def laguerre_associated_normalized(k: int, ell: int, x, j: int = 1):

@@ -227,6 +227,30 @@ class TestMain:
         err = capsys.readouterr().err
         assert "configuration error" in err and flag in err
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--n-grid", "-5"),
+        ("--n-grid", "0"),
+        ("--n-grid", "1"),
+        ("--n-grid", "8,21"),
+        ("--n-grid", "200"),
+        ("--lambda-grid", "0"),
+        ("--lambda-grid", "1.0,-0.5"),
+        ("--drift-threshold", "-1"),
+        ("--drift-threshold", "0"),
+    ])
+    def test_out_of_range_stability_flags(self, tmp_path, capsys, flag, value):
+        # minimal() has quadrature_order 20, the largest basis size --n-grid may ask for
+        path = write_config(tmp_path, minimal())
+        argv = ["stability-scan", "--config", path, "--lambda-grid", "1.0", "--n-grid", "8"]
+        assert main([*argv, f"{flag}={value}"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error" in err and flag in err
+
+    def test_stability_flag_range_ends_are_accepted(self, tmp_path):
+        path = write_config(tmp_path, minimal())
+        argv = ["stability-scan", "--config", path, "--output", str(tmp_path / "stab.csv")]
+        assert main([*argv, "--lambda-grid", "0.5,1.0", "--n-grid", "2,20", "--drift-threshold", "1e-300"]) == EXIT_OK
+
     @pytest.mark.parametrize("argv", [
         ["scan", "--config", str(CONFIG_DIR / "table4.yaml")],
         ["stability-scan", "--config", str(CONFIG_DIR / "table1.yaml"), "--drift-threshold=nan"],

@@ -11,7 +11,7 @@ from jmscatter.reference import (
     reference_coefficients,
     regular_target,
 )
-from oracles import laguerre_associated_normalized
+from oracles import laguerre_associated_normalized, sine_like_closed_form
 
 FIG_PAIRS = ((0, 1.5), (1, 1.0), (2, 1.5), (3, 2.5))
 
@@ -79,6 +79,27 @@ class TestOscillatorCoefficients:
                 laguerre_associated_normalized(k - 1, ell, z)
             )
             assert closed == pytest.approx(ref.c[k], rel=1e-11, abs=1e-13)
+
+    @pytest.mark.parametrize("ell", [0, 1, 2, 3])
+    @pytest.mark.parametrize("lam", [0.6, 1.0, 1.6])
+    @pytest.mark.parametrize("kmax,degrees", [
+        (20, range(21)),
+        # every 250th degree up to the basis edge the solver reads
+        (3000, [*range(0, 3001, 250), 1, 2, 2999]),
+    ])
+    def test_sine_recursion_matches_closed_form(self, ell, lam, kmax, degrees):
+        # the free recursion from s_0 against alpha (-1)^k L~_k^ell(mu^2)
+        for energy in (0.2, 1.5, 6.0):
+            pt = energy_point(energy, lam)
+            s = reference_coefficients(pt, ell, kmax).s
+            closed = sine_like_closed_form(pt, ell, degrees)
+            assert np.abs(s[list(degrees)] - closed).max() <= 1e-11 * np.abs(closed).max()
+
+    @pytest.mark.parametrize("basis", ["oscillator", "laguerre"])
+    @pytest.mark.parametrize("ell,kmax", [(-1, 5), (0, -1)])
+    def test_negative_ell_or_kmax_rejected(self, basis, ell, kmax):
+        with pytest.raises(ValueError, match="nonnegative"):
+            reference_coefficients(energy_point(1.0, 1.0), ell, kmax, basis=basis)
 
     def test_unknown_basis_rejected(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,8 +14,9 @@ from jmscatter.hamiltonian import (
     f_weight_quadrature,
 )
 from jmscatter.linearize import d_tensor, quadrature_bound
-from jmscatter import solver
+from jmscatter import solver, specfun
 from jmscatter.quadrature import build_rule
+from jmscatter.reference import energy_point, reference_coefficients
 from jmscatter.solver import (
     ScatteringResult,
     SingularMatrixError,
@@ -375,6 +377,26 @@ class TestSolveEnergy:
             res = solve_energy(energy, ham, dten, coupling=coupling, max_iterations=cap)
             assert res.status == status
             assert len(calls) == res.iterations
+
+    def test_scan_builds_no_j_matrix_per_energy(self, gauss_setup, monkeypatch):
+        # every energy reads the J-matrix the Hamiltonian already holds
+        calls = []
+        original = specfun.jacobi_coefficients
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name == "jmscatter" or name.startswith("jmscatter."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+        ham, _ = gauss_setup
+        assert len(scan(np.linspace(0.5, 6.0, 50), ham)) == 50
+        assert calls == []
+        reference_coefficients(energy_point(1.0, 1.0), 0, 20)
+        assert len(calls) == 1
 
     def test_iteration_cap_requires_work(self, gauss_setup):
         ham, dten = gauss_setup
