@@ -12,8 +12,8 @@ is a node sum, and contracting it with the coefficient vector only
 rebuilds |psi(xi_l)|^{2n}, psi = sum_k a_k L~_k, at the nodes. So it is
 stored factored: the projection stencil Lambda, the basis values at
 the nodes and the per-node weight. The effective interaction is then
-assembled in node space (`solver.r_matrix`), at O(N Q + N^2 Q) per
-order, with no index-tuple enumeration.
+the node-space Gram product X X^T, X = Lambda diag(sqrt(weight |psi|^{2n}))
+(`solver.r_matrix`), at O(N Q + N^2 Q) per order with no tuple enumeration.
 """
 
 from __future__ import annotations

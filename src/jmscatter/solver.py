@@ -40,14 +40,6 @@ class SingularMatrixError(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class RMatrix:
-    """Effective nonlinear interaction with its pre-symmetrization defect."""
-
-    matrix: np.ndarray
-    hermiticity_defect: float
-
-
-@dataclass(frozen=True)
 class ScatteringResult:
     """Outcome of one energy point: its S history and how the iteration ended.
 
@@ -86,7 +78,7 @@ class ScatteringResult:
         return abs(1.0 - self.s_matrix)
 
 
-def r_matrix(dten: DTensor, coefficients: np.ndarray, lam: float) -> RMatrix:
+def r_matrix(dten: DTensor, coefficients: np.ndarray, lam: float) -> np.ndarray:
     """Contract interior coefficients into the effective interaction.
 
     The D tensor contracted with n coefficient vectors and n conjugated
@@ -94,19 +86,17 @@ def r_matrix(dten: DTensor, coefficients: np.ndarray, lam: float) -> RMatrix:
 
         R = (2 lam^2 / ell!)^n Lambda diag(xi^{n ell} e^{-n xi} |psi|^{2n}) Lambda^T,
 
-    with psi = sum_k a_k L~_k at the Gauss nodes. The matrix product is
-    symmetric only up to roundoff; it is symmetrized with the defect
-    recorded.
+    with psi = sum_k a_k L~_k at the Gauss nodes. The weight is never
+    negative, so R is the Gram product X X^T, X = Lambda diag(sqrt(weight)),
+    which numpy forms by BLAS syrk: R equals its transpose exactly.
     """
     a = np.asarray(coefficients, dtype=complex)
     if a.size < dten.n_basis:
         raise ValueError("coefficient vector shorter than the basis")
     psi = a[: dten.n_basis] @ dten.values
     pref = (2.0 * lam**2 / factorial(dten.ell)) ** dten.n
-    weight = pref * dten.node_weight * (psi.real**2 + psi.imag**2) ** dten.n
-    raw = (dten.stencil * weight) @ dten.stencil.T
-    defect = float(np.abs(raw - raw.T).max())
-    return RMatrix(matrix=0.5 * (raw + raw.T), hermiticity_defect=defect)
+    x = dten.stencil * np.sqrt(pref * dten.node_weight * (psi.real**2 + psi.imag**2) ** dten.n)
+    return x @ x.T
 
 
 def greens_spectral(eigenvalues: np.ndarray, eigenvectors: np.ndarray, energy: float) -> np.ndarray:
@@ -191,13 +181,15 @@ def solve_energy(
     themselves settle, so the reported pair is the converged cycle
     rather than its transient; values that merge revoke the cycle.
 
-    If a resolvent at any order is numerically singular, the whole
-    solve is repeated once at the energy raised by the relative nudge;
-    the result carries the energy actually solved. A second singular
-    resolvent raises SingularMatrixError.
+    A numerically singular resolvent at any order repeats the whole solve
+    once at the energy raised by the relative nudge (the result carries
+    the energy actually solved); a second one raises SingularMatrixError.
+    A nonzero coupling without `dten` raises ValueError.
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
+    if coupling != 0.0 and dten is None:
+        raise ValueError("a nonzero coupling needs a D tensor")
     settings = (hamiltonian, dten, coupling, tolerance, bifurcation_tolerance, max_iterations)
     try:
         return _iterate(energy, *settings)
@@ -223,7 +215,7 @@ def _iterate(
 
     g = greens_spectral(hamiltonian.eigenvalues, hamiltonian.eigenvectors, energy)
     history = [phase_shift(h_plus, h_minus, g[n - 1], b_edge)]
-    if coupling == 0.0 or dten is None:
+    if coupling == 0.0:
         return ScatteringResult(energy=energy, status="converged", history=tuple(history))
 
     status, period = "max-iterations", None
@@ -231,7 +223,7 @@ def _iterate(
     certified = None
     for m in range(1, max_iterations + 1):
         coeffs = interior_coefficients(history[-1], h_plus, h_minus, g, b_edge)
-        eff = hamiltonian.matrix + coupling * r_matrix(dten, coeffs, lam).matrix
+        eff = hamiltonian.matrix + coupling * r_matrix(dten, coeffs, lam)
         g = greens_matrix(eff, energy)
         history.append(phase_shift(h_plus, h_minus, g[n - 1], b_edge))
 

@@ -31,6 +31,7 @@ __all__ = [
 # Hard cap on series length; exceeding it raises instead of silently truncating.
 _SERIES_CAP = 100_000
 _SERIES_RTOL = 1e-16
+_OVERFLOW = "Re Gamma(-ell, -u) overflows float64 at u = 2E/lambda^2 = {:.6g}"
 
 
 def jacobi_coefficients(kmax: int, ell: int) -> tuple[np.ndarray, np.ndarray]:
@@ -92,8 +93,9 @@ def bessel_y(ell: int, x):
 def exp_integral_ei(u: float) -> float:
     """Exponential integral Ei(u) for u > 0 by its everywhere-convergent series.
 
-    Ei(u) = gamma + ln(u) + sum_{m>=1} u^m / (m m!). All terms are positive,
-    so there is no cancellation; truncation below 1e-16 relative.
+    Ei(u) = gamma + ln(u) + sum_{m>=1} u^m / (m m!). All terms are positive:
+    no cancellation, truncation below 1e-16 relative, and a term that
+    overflows (u above about 713) raises at once.
     """
     if u <= 0:
         raise ValueError("exp_integral_ei requires u > 0")
@@ -101,6 +103,8 @@ def exp_integral_ei(u: float) -> float:
     term = 1.0
     for m in range(1, _SERIES_CAP + 1):
         term *= u / m
+        if term == math.inf:
+            raise ArithmeticError(_OVERFLOW.format(u))
         contrib = term / m
         total += contrib
         if contrib < _SERIES_RTOL * abs(total):
@@ -109,7 +113,7 @@ def exp_integral_ei(u: float) -> float:
 
 
 def re_upper_gamma_neg(ell: int, u: float) -> float:
-    """Real part of the upper incomplete gamma Gamma(-ell, -u), u > 0.
+    """Real part of the upper incomplete gamma Gamma(-ell, -u), u > 0; overflow raises.
 
     Uses the finite reduction of Gamma(-ell, x) to Gamma(0, x) evaluated at
     x = -u, keeping only the real part: the ln(-u) branch of Gamma(0, -u)
@@ -125,6 +129,9 @@ def re_upper_gamma_neg(ell: int, u: float) -> float:
     acc = 0.0
     for m in range(ell):
         acc += math.factorial(ell - 1 - m) * u**m
-    finite = math.exp(u) * u ** (-ell) * acc if ell > 0 else 0.0
+    try:
+        finite = math.exp(u) * u ** (-ell) * acc if ell > 0 else 0.0
+    except OverflowError:
+        raise ArithmeticError(_OVERFLOW.format(u)) from None
     sign = -1.0 if ell % 2 else 1.0
     return sign / math.factorial(ell) * (finite - exp_integral_ei(u))

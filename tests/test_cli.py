@@ -277,6 +277,15 @@ class TestMain:
         assert main(["stability-scan", "--config", path, "--lambda-grid", grid, "--n-grid", "6"]) == EXIT_CONFIG
         assert "strictly increasing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config,u", [("table1", "4.8e+06"), ("table3", "2e+06")])
+    def test_gamma_overflow_is_numerical(self, capsys, config, u):
+        # lambda = 1e-3 puts u = 2E/lambda^2 far beyond float64's e^u (ell = 1)
+        # and Ei(u) series terms (ell = 0)
+        argv = ["stability-scan", "--config", str(CONFIG_DIR / f"{config}.yaml")]
+        assert main([*argv, "--lambda-grid", "1e-3,1.0", "--n-grid", "2,20"]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err == f"numerical failure: Re Gamma(-ell, -u) overflows float64 at u = 2E/lambda^2 = {u}\n"
+
     def test_linear_algebra_failure_is_numerical(self, tmp_path, capsys, monkeypatch):
         # np.linalg.LinAlgError subclasses ValueError; it must not pass for a config error
         def fail(*args, **kwargs):

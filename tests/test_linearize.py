@@ -149,5 +149,5 @@ class TestNodeSpaceDualRoute:
         want = r_matrix_expanded(
             d_tensor_expanded(n, ell, n_basis, rule, override=override), coeffs, lam
         )
-        got = r_matrix(d_tensor(n, ell, n_basis, rule, override=override), coeffs, lam).matrix
+        got = r_matrix(d_tensor(n, ell, n_basis, rule, override=override), coeffs, lam)
         assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()

@@ -163,16 +163,20 @@ def contraction():
 
 class TestRMatrix:
 
-    def test_output_symmetric_real(self, contraction):
-        dten, _, coeffs = contraction
+    # Q = 300 and 400 have dead nodes (zero weight under the square root);
+    # (3, 0, 20, 61) sits below the exactness bound
+    @pytest.mark.parametrize(
+        "n,ell,n_basis,order", [(1, 1, 6, 40), (2, 1, 20, 300), (3, 0, 20, 61), (1, 3, 30, 400)]
+    )
+    def test_output_symmetric_real(self, n, ell, n_basis, order):
+        rule = build_rule(order, ell)
+        dten = d_tensor(n, ell, n_basis, rule, override=order < quadrature_bound(n, n_basis))
+        rng = np.random.default_rng(order)
+        coeffs = rng.normal(size=n_basis) + 1j * rng.normal(size=n_basis)
         rm = r_matrix(dten, coeffs, 1.3)
-        assert rm.matrix.dtype == np.float64
-        assert np.array_equal(rm.matrix, rm.matrix.T)
-
-    def test_hermiticity_defect_is_roundoff(self, contraction):
-        dten, _, coeffs = contraction
-        rm = r_matrix(dten, coeffs, 1.3)
-        assert rm.hermiticity_defect < 1e-10 * np.abs(rm.matrix).max()
+        assert rm.dtype == np.float64
+        assert np.all(np.isfinite(rm))
+        assert np.array_equal(rm, rm.T)
 
     def test_dual_route_against_product_expansion(self, contraction):
         # reroute the contraction through the product-expansion tensor and
@@ -197,7 +201,7 @@ class TestRMatrix:
         expected = (0.5 * (raw + raw.conj().T)).real
         rm = r_matrix(dten, coeffs, lam)
         scale = np.abs(expected).max()
-        assert np.abs(rm.matrix - expected).max() < 1e-8 * scale
+        assert np.abs(rm - expected).max() < 1e-8 * scale
 
     def test_short_coefficients_rejected(self, contraction):
         dten, _, _ = contraction
@@ -218,6 +222,13 @@ class TestSolveEnergy:
         assert res.status == "converged"
         assert res.iterations == 0
         assert len(res.history) == 1
+
+    def test_coupling_without_d_tensor_refused(self, gauss_setup):
+        ham, _ = gauss_setup
+        with pytest.raises(ValueError, match="D tensor"):
+            solve_energy(2.5, ham, coupling=0.5)
+        with pytest.raises(ValueError, match="D tensor"):
+            scan((2.5,), ham, coupling=0.5)
 
     def test_scan_fast_path_matches_direct(self, gauss_setup):
         ham, _ = gauss_setup

@@ -114,6 +114,10 @@ class TestExponentialIntegral:
         with pytest.raises(ValueError):
             sf.exp_integral_ei(0.0)
 
+    def test_overflow_raises_at_once(self):
+        with pytest.raises(ArithmeticError, match=r"overflows float64 at u = 2E/lambda\^2 = 720$"):
+            sf.exp_integral_ei(720.0)
+
 
 class TestUpperGammaNegative:
     def test_order_zero_reduces_to_ei(self):
@@ -138,6 +142,10 @@ class TestUpperGammaNegative:
                 a = -ell
                 rhs = a * sf.re_upper_gamma_neg(ell, u) + ((-u) ** a) * np.exp(u)
                 assert lhs == pytest.approx(rhs, rel=1e-11)
+
+    def test_overflow_of_exponential_raises(self):
+        with pytest.raises(ArithmeticError, match=r"overflows float64 at u = 2E/lambda\^2 = 710$"):
+            sf.re_upper_gamma_neg(1, 710.0)
 
 
 class TestHypergeometric:
