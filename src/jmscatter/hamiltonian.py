@@ -25,7 +25,7 @@ from typing import Union
 import numpy as np
 
 from .quadrature import QuadratureRule, build_rule
-from .specfun import jacobi_coefficients, laguerre_upward
+from .specfun import finite_positive, jacobi_coefficients, laguerre_upward
 
 
 @dataclass(frozen=True)
@@ -104,8 +104,7 @@ def free_matrix_coeffs(kmax: int, ell: int, lam: float) -> tuple[np.ndarray, np.
     a is the diagonal and b the k <-> k+1 off-diagonal; both reach kmax so
     the tail relations at the basis edge have their coefficients.
     """
-    if lam <= 0:
-        raise ValueError("basis scale lam must be positive")
+    finite_positive(lam, "basis scale lam")
     diag, off = jacobi_coefficients(kmax, ell)
     return 0.5 * lam**2 * diag, 0.5 * lam**2 * off
 
@@ -118,8 +117,7 @@ def potential_matrix(rule: QuadratureRule, potential: Potential, lam: float, siz
     potentials polynomial in x; for everything else accuracy is set by
     the quadrature order.
     """
-    if lam <= 0:
-        raise ValueError("basis scale lam must be positive")
+    finite_positive(lam, "basis scale lam")
     if size > rule.order:
         raise ValueError("basis size exceeds the quadrature order")
     stencil = rule.vectors[:size]

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.special import hyp2f1
 
 from .hamiltonian import free_matrix_coeffs
-from .specfun import bessel_j, bessel_y, jacobi_coefficients, laguerre_upward, re_upper_gamma_neg
+from .specfun import bessel_j, bessel_y, finite_positive, jacobi_coefficients, laguerre_upward, re_upper_gamma_neg
 
 
 @dataclass(frozen=True)
@@ -48,10 +48,8 @@ class EnergyPoint:
 
 
 def energy_point(energy: float, lam: float) -> EnergyPoint:
-    if energy <= 0:
-        raise ValueError("scattering energy must be positive")
-    if lam <= 0:
-        raise ValueError("basis scale lam must be positive")
+    finite_positive(energy, "scattering energy")
+    finite_positive(lam, "basis scale lam")
     kappa = math.sqrt(2.0 * energy)
     return EnergyPoint(energy=energy, lam=lam, kappa=kappa, mu=kappa / lam)
 
@@ -64,15 +62,28 @@ class ReferenceCoefficients:
     c: np.ndarray
 
 
-def _upward(first: float, second: float, mult, off, kmax: int) -> np.ndarray:
-    """x_0..x_kmax of x_{k+1} = (mult_k x_k - off_{k-1} x_{k-1}) / off_k from the seeds x_0, x_1."""
+def _upward(first, second, mult: np.ndarray, off: np.ndarray, kmax: int) -> np.ndarray:
+    """x_0..x_kmax of x_{k+1} = (mult_k x_k - off_{k-1} x_{k-1}) / off_k from the seeds x_0, x_1.
+
+    `mult` is (kmax+1,) for scalar seeds, or (kmax+1, B) for seed vectors
+    of B recursions that run together as the columns of the result.
+    """
+    if mult.ndim == 1:
+        # Python floats step faster than numpy scalars or one-element arrays, to the same values.
+        first, second, mult = float(first), float(second), mult.tolist()
+    off = off.tolist()
     x = [first, second]
     for k in range(1, kmax):
         x.append((mult[k] * x[k] - off[k - 1] * x[k - 1]) / off[k])
     return np.array(x[: kmax + 1])
 
 
-def oscillator_reference(point: EnergyPoint, ell: int, coeffs: tuple[np.ndarray, np.ndarray]) -> ReferenceCoefficients:
+def _each(func, values: np.ndarray) -> np.ndarray:
+    """func of every element by Python's math, which numpy's ufuncs do not match in the last bit."""
+    return np.array([func(v) for v in values.tolist()])
+
+
+def oscillator_reference(energy, lam: float, ell: int, coeffs: tuple[np.ndarray, np.ndarray]) -> ReferenceCoefficients:
     """Sine-like and cosine-like coefficients in the oscillator basis.
 
     `coeffs` is the free operator's (a, b) for k = 0..kmax, as
@@ -82,33 +93,27 @@ def oscillator_reference(point: EnergyPoint, ell: int, coeffs: tuple[np.ndarray,
     e^{-mu^2/2}; c_0 carries the real part of the incomplete gamma at
     negative argument, and c_1 follows from the inhomogeneous k = 0
     relation (E - a_0) c_0 + tau = b_0 c_1.
+
+    `energy` is one energy or a 1-d array of B; then s and c are
+    (kmax+1, B), one recursion on (B,) vectors, and every column equals
+    its one-energy call bit for bit.
     """
-    mu2 = point.mu**2
-    alpha = math.exp(
-        0.5 * (math.log(2.0) - math.log(point.lam) - lgamma(ell + 1))
-        + (ell + 0.5) * math.log(point.mu)
-        - 0.5 * mu2
-    )
+    energies = np.atleast_1d(np.asarray(energy, dtype=float))
+    mu = np.sqrt(2.0 * energies) / lam
+    mu2, log_mu, lg = _each(lambda m: m**2, mu), _each(math.log, mu), lgamma(ell + 1)
+    rise, half = (ell + 0.5) * log_mu, 0.5 * mu2
+    alpha = _each(math.exp, 0.5 * (math.log(2.0) - math.log(lam) - lg) + rise - half)
     sign = 1.0 if ell % 2 else -1.0
-    c0 = (
-        sign
-        / math.pi
-        * math.exp(
-            0.5 * (math.log(2.0) + lgamma(ell + 1) - math.log(point.lam))
-            + (ell + 0.5) * math.log(point.mu)
-            - 0.5 * mu2
-        )
-        * re_upper_gamma_neg(ell, mu2)
-    )
-    tau = -(point.lam / math.pi) * math.exp(
-        0.5 * (math.log(point.lam) + lgamma(ell + 1) - math.log(2.0))
-        + (0.5 - ell) * math.log(point.mu)
-        + 0.5 * point.mu**2
-    )
-    a, b = (v.tolist() for v in coeffs)
-    mult = [point.energy - ak for ak in a]
-    s = _upward(alpha, mult[0] * alpha / b[0], mult, b, len(a) - 1)
-    return ReferenceCoefficients(s=s, c=_upward(c0, (mult[0] * c0 + tau) / b[0], mult, b, len(a) - 1))
+    c0 = sign / math.pi * _each(math.exp, 0.5 * (math.log(2.0) + lg - math.log(lam)) + rise - half)
+    c0 = c0 * re_upper_gamma_neg(ell, mu2)
+    tau = -(lam / math.pi) * _each(math.exp, 0.5 * (math.log(lam) + lg - math.log(2.0)) + (0.5 - ell) * log_mu + half)
+    a, b = coeffs
+    mult = energies - a[:, None]
+    seeds = ((alpha, mult[0] * alpha / b[0]), (c0, (mult[0] * c0 + tau) / b[0]))
+    if energies.size == 1:
+        mult, seeds = mult[:, 0], tuple((x0[0], x1[0]) for x0, x1 in seeds)
+    s, c = (_upward(x0, x1, mult, b, a.size - 1).reshape(a.size, *np.shape(energy)) for x0, x1 in seeds)
+    return ReferenceCoefficients(s=s, c=c)
 
 
 def laguerre_basis_reference(point: EnergyPoint, ell: int, kmax: int) -> ReferenceCoefficients:
@@ -137,8 +142,8 @@ def laguerre_basis_reference(point: EnergyPoint, ell: int, kmax: int) -> Referen
     hyp = float(hyp2f1(0.5, ell + 1.0, 1.5, ct * ct))
     norm0 = math.exp(-0.5 * lgamma(2 * ell + 1))
     norm1 = math.exp(-0.5 * lgamma(2 * ell + 2))
-    diag, off = (v.tolist() for v in jacobi_coefficients(kmax, 2 * ell))
-    mult = [d * ct for d in diag]
+    diag, off = jacobi_coefficients(kmax, 2 * ell)
+    mult = diag * ct
     s = _upward(pref_s * norm0, pref_s * (2.0 * nu * ct) * norm1, mult, off, kmax)
     c1 = pref_c * (ct * hyp * (2.0 * nu * ct) - st ** (-2.0 * ell)) * norm1
     return ReferenceCoefficients(s=s, c=_upward(pref_c * ct * hyp * norm0, c1, mult, off, kmax))
@@ -151,7 +156,7 @@ def reference_coefficients(
     if ell < 0 or kmax < 0:
         raise ValueError("ell and kmax must be nonnegative")
     if basis == "oscillator":
-        return oscillator_reference(point, ell, free_matrix_coeffs(kmax, ell, point.lam))
+        return oscillator_reference(point.energy, point.lam, ell, free_matrix_coeffs(kmax, ell, point.lam))
     if basis == "laguerre":
         return laguerre_basis_reference(point, ell, kmax)
     raise ValueError(f"unknown basis {basis!r}")

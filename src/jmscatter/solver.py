@@ -2,15 +2,18 @@
 
 One energy point runs as a fixed-point iteration in the perturbation
 order m; its result is the sequence S_0, S_1, ... and how it ended.
-Order zero is the linear problem. Each later order contracts the
-previous order's interior coefficients into the effective interaction
-R, reads the edge column G[:, N-1] of the interior resolvent off an
-eigendecomposition, matches it to the reference solutions at the basis
-edge k = N-1, N for S, and refreshes the coefficients. Termination is
-convergence of S, a certified cycle of period 2 or 3 (checked in that
-order, after convergence), or the iteration cap. A certification is
-revoked when its cycle values merge to within the bifurcation
-tolerance: that is a fixed point approached with alternating sign.
+Order zero is the linear problem, solved for a block of grid energies
+at once: one reference recursion and one condition test. Each energy
+then takes its own edge column and S, equal bit for bit to its
+one-energy solve. Each later order contracts the previous order's
+interior coefficients into the effective interaction R, reads the edge
+column G[:, N-1] of the interior resolvent off an eigendecomposition,
+matches it to the reference solutions at the basis edge k = N-1, N for
+S, and refreshes the coefficients. Termination is convergence of S, a
+certified cycle of period 2 or 3 (checked in that order, after
+convergence), or the iteration cap. A certification is revoked when its
+cycle values merge to within the bifurcation tolerance: that is a fixed
+point approached with alternating sign.
 """
 
 from __future__ import annotations
@@ -23,12 +26,15 @@ import numpy as np
 
 from .hamiltonian import LinearHamiltonian
 from .linearize import DTensor
-from .reference import energy_point, oscillator_reference
+from .reference import oscillator_reference
+from .specfun import finite_positive
 
 # A matrix this ill-conditioned is treated as an on-grid singularity,
 # not as data; the energy is nudged once and re-solved.
 _COND_LIMIT = 1e12
 _ENERGY_NUDGE = 1e-6
+# Order 0 of a scan runs on this many energies at a time, bounding its memory.
+_BLOCK = 1024
 # Cycle certification: this many consecutive orders must look periodic,
 # tried for each period in turn (period 2 wins over period 3).
 _CYCLE_STREAK = 4
@@ -99,21 +105,30 @@ def r_matrix(dten: DTensor, coefficients: np.ndarray, lam: float) -> np.ndarray:
     return x @ x.T
 
 
+def _conditioned(gaps: np.ndarray) -> np.ndarray:
+    """Whether H - E stays within the condition limit, per row of gaps e_k - E.
+
+    max|e_k - E| / min|e_k - E| is the 2-norm condition number of the symmetric H - E.
+    """
+    distance = np.abs(gaps)
+    return distance.max(axis=-1) <= _COND_LIMIT * distance.min(axis=-1)
+
+
+def _edge_column(eigenvectors: np.ndarray, gaps: np.ndarray, energy: float, conditioned: bool) -> np.ndarray:
+    """V (V[N-1, :] / gaps) for one energy, refused before the division unless conditioned."""
+    if not conditioned:
+        raise SingularMatrixError(f"resolvent condition number above {_COND_LIMIT:.0e} at E={energy!r}")
+    return eigenvectors @ (eigenvectors[-1] / gaps)
+
+
 def greens_spectral(eigenvalues: np.ndarray, eigenvectors: np.ndarray, energy: float) -> np.ndarray:
     """Edge column G[:, N-1] of the interior resolvent (H - E)^{-1}.
 
-    With H = V diag(e) V^T, G[:, N-1] = V (V[N-1, :] / (e - E)). The
-    ratio max|e_k - E| / min|e_k - E| is the 2-norm condition number of
-    the symmetric H - E; above the limit the energy is treated as an
-    on-grid singularity.
+    With H = V diag(e) V^T, G[:, N-1] = V (V[N-1, :] / (e - E)); an
+    ill-conditioned H - E raises SingularMatrixError.
     """
     gaps = eigenvalues - energy
-    distance = np.abs(gaps)
-    if not distance.max() <= _COND_LIMIT * distance.min():
-        raise SingularMatrixError(
-            f"resolvent condition number above {_COND_LIMIT:.0e} at E={energy!r}"
-        )
-    return eigenvectors @ (eigenvectors[-1] / gaps)
+    return _edge_column(eigenvectors, gaps, energy, _conditioned(gaps))
 
 
 def greens_matrix(h_eff: np.ndarray, energy: float) -> np.ndarray:
@@ -163,7 +178,14 @@ def _periodic(history: list[complex], p: int, bifurcation_tolerance: float) -> b
 
 
 def solve_energy(
-    energy: float,
+    energy: float, hamiltonian: LinearHamiltonian, dten: DTensor | None = None, **options
+) -> ScatteringResult:
+    """Run the perturbative iteration at one energy: the one-energy `scan`, same options."""
+    return scan([energy], hamiltonian, dten, **options)[0]
+
+
+def scan(
+    energies: Sequence[float],
     hamiltonian: LinearHamiltonian,
     dten: DTensor | None = None,
     *,
@@ -171,49 +193,62 @@ def solve_energy(
     tolerance: float = 1e-8,
     bifurcation_tolerance: float = 1e-3,
     max_iterations: int = 50,
-) -> ScatteringResult:
-    """Run the perturbative iteration at one energy.
+) -> list[ScatteringResult]:
+    """Solve a whole energy grid, in input order.
 
     Order 0 solves the linear problem from the eigendecomposition kept
-    on `hamiltonian`. Orders m >= 1 rebuild the effective interaction
-    from order m-1 and re-solve. After a cycle of period 2 or 3 is
-    certified, iteration continues to the cap or until the cycle values
-    themselves settle, so the reported pair is the converged cycle
-    rather than its transient; values that merge revoke the cycle.
+    on `hamiltonian`, `_BLOCK` energies at a time (see the module
+    docstring). Orders m >= 1 rebuild the effective interaction from
+    order m-1 and re-solve. After a cycle of period 2 or 3 is certified,
+    iteration continues to the cap or until the cycle values themselves
+    settle, so the reported pair is the converged cycle rather than its
+    transient; values that merge revoke the cycle.
 
-    A numerically singular resolvent at any order repeats the whole solve
-    once at the energy raised by the relative nudge (the result carries
-    the energy actually solved); a second one raises SingularMatrixError.
-    A nonzero coupling without `dten` raises ValueError.
+    A numerically singular resolvent at any order repeats the energy's
+    whole solve once at the energy raised by the relative nudge (the
+    result carries the energy actually solved); a second one raises
+    SingularMatrixError. A nonzero coupling without `dten` raises
+    ValueError, and so does an energy that is not finite and positive.
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
     if coupling != 0.0 and dten is None:
         raise ValueError("a nonzero coupling needs a D tensor")
+    grid = finite_positive(energies, "scattering energy")
     settings = (hamiltonian, dten, coupling, tolerance, bifurcation_tolerance, max_iterations)
-    try:
-        return _iterate(energy, *settings)
-    except SingularMatrixError:
-        return _iterate(energy * (1.0 + _ENERGY_NUDGE), *settings)
+    return [res for i in range(0, grid.size, _BLOCK) for res in _solve(grid[i : i + _BLOCK], settings)]
 
 
-def _iterate(
-    energy: float,
-    hamiltonian: LinearHamiltonian,
-    dten: DTensor | None,
-    coupling: float,
-    tolerance: float,
-    bifurcation_tolerance: float,
-    max_iterations: int,
-) -> ScatteringResult:
+def _solve(energies: np.ndarray, settings: tuple, nudge: bool = True) -> list[ScatteringResult]:
+    """Order 0 of a block of energies together, then each energy's own orders.
+
+    A refused energy is solved again, alone and by this same code, at
+    the nudged energy; a refusal there raises.
+    """
+    ham = settings[0]
+    n = ham.n_basis
+    ref = oscillator_reference(energies, ham.lam, ham.ell, ham.coeffs)
+    h_plus = (ref.c[n - 1 :] + 1j * ref.s[n - 1 :]).T
+    h_minus = (ref.c[n - 1 :] - 1j * ref.s[n - 1 :]).T
+    gaps = ham.eigenvalues - energies[:, None]
+    conditioned = _conditioned(gaps)
+    results = []
+    for j, energy in enumerate(energies.tolist()):
+        try:
+            g = _edge_column(ham.eigenvectors, gaps[j], energy, conditioned[j])
+            results.append(_iterate(energy, h_plus[j], h_minus[j], g, settings))
+        except SingularMatrixError:
+            if not nudge:
+                raise
+            results += _solve(np.array([energy * (1.0 + _ENERGY_NUDGE)]), settings, nudge=False)
+    return results
+
+
+def _iterate(energy: float, h_plus, h_minus, g: np.ndarray, settings: tuple) -> ScatteringResult:
+    """One energy's S history from its reference pair h+- and order-0 edge column g."""
+    hamiltonian, dten, coupling, tolerance, bifurcation_tolerance, max_iterations = settings
     n = hamiltonian.n_basis
-    lam = hamiltonian.lam
     b_edge = hamiltonian.coeffs[1][n - 1]
-    ref = oscillator_reference(energy_point(energy, lam), hamiltonian.ell, hamiltonian.coeffs)
-    h_plus = ref.c[n - 1 :] + 1j * ref.s[n - 1 :]
-    h_minus = ref.c[n - 1 :] - 1j * ref.s[n - 1 :]
-
-    g = greens_spectral(hamiltonian.eigenvalues, hamiltonian.eigenvectors, energy)
     history = [phase_shift(h_plus, h_minus, g[n - 1], b_edge)]
     if coupling == 0.0:
         return ScatteringResult(energy=energy, status="converged", history=tuple(history))
@@ -223,7 +258,7 @@ def _iterate(
     certified = None
     for m in range(1, max_iterations + 1):
         coeffs = interior_coefficients(history[-1], h_plus, h_minus, g, b_edge)
-        eff = hamiltonian.matrix + coupling * r_matrix(dten, coeffs, lam)
+        eff = hamiltonian.matrix + coupling * r_matrix(dten, coeffs, hamiltonian.lam)
         g = greens_matrix(eff, energy)
         history.append(phase_shift(h_plus, h_minus, g[n - 1], b_edge))
 
@@ -247,30 +282,6 @@ def _iterate(
         certified = next((p for p in _PERIODS if streaks[p] >= _CYCLE_STREAK), None)
 
     return ScatteringResult(energy=energy, status=status, history=tuple(history), period=period)
-
-
-def scan(
-    energies: Sequence[float],
-    hamiltonian: LinearHamiltonian,
-    dten: DTensor | None = None,
-    *,
-    coupling: float = 0.0,
-    tolerance: float = 1e-8,
-    bifurcation_tolerance: float = 1e-3,
-    max_iterations: int = 50,
-) -> list[ScatteringResult]:
-    """Solve a whole energy grid, in input order, one `solve_energy` each.
-
-    Every energy starts from the one eigendecomposition of the linear
-    Hamiltonian, so a linear grid costs no diagonalization per energy.
-    """
-    return [
-        solve_energy(
-            e, hamiltonian, dten, coupling=coupling, tolerance=tolerance,
-            bifurcation_tolerance=bifurcation_tolerance, max_iterations=max_iterations,
-        )
-        for e in energies
-    ]
 
 
 def resonance_energy(

@@ -3,7 +3,8 @@
 The three-term coefficients of the normalized Laguerre family and its
 upward recursion, cylindrical Bessel functions, the exponential
 integral and the real part of the upper incomplete gamma function at
-negative argument.
+negative argument. The last two take one argument or a 1-d array of
+them, and an array call equals its scalar calls bit for bit.
 
 The Laguerre coefficients are the one J-matrix of the method: the Gauss
 rule, the free Hamiltonian and every basis-polynomial evaluation read
@@ -26,11 +27,14 @@ __all__ = [
     "bessel_y",
     "re_upper_gamma_neg",
     "exp_integral_ei",
+    "finite_positive",
 ]
 
 # Hard cap on series length; exceeding it raises instead of silently truncating.
 _SERIES_CAP = 100_000
 _SERIES_RTOL = 1e-16
+# Series terms are formed this many at a time, as running products and sums.
+_SERIES_CHUNK = 16
 _OVERFLOW = "Re Gamma(-ell, -u) overflows float64 at u = 2E/lambda^2 = {:.6g}"
 
 
@@ -90,30 +94,48 @@ def bessel_y(ell: int, x):
     return out if out.ndim else float(out)
 
 
-def exp_integral_ei(u: float) -> float:
-    """Exponential integral Ei(u) for u > 0 by its everywhere-convergent series.
+def finite_positive(values, what: str) -> np.ndarray:
+    """`values` as a 1-d float array; an element that is not finite and positive is refused by value."""
+    arr = np.atleast_1d(np.asarray(values, dtype=float))
+    bad = [v for v in arr.tolist() if not 0.0 < v < math.inf]
+    if bad:
+        raise ValueError(f"{what} must be finite and positive, got {bad[0]!r}")
+    return arr
+
+
+def exp_integral_ei(u):
+    """Exponential integral Ei(u) for finite u > 0 by its everywhere-convergent series.
 
     Ei(u) = gamma + ln(u) + sum_{m>=1} u^m / (m m!). All terms are positive:
     no cancellation, truncation below 1e-16 relative, and a term that
-    overflows (u above about 713) raises at once.
+    overflows (u above about 713) raises at once. A 1-d array `u` sums all
+    its series together, each element stopping at its own last term, and
+    equals the scalar calls bit for bit (ln by `math.log`, which numpy's
+    log does not match in the last bit).
     """
-    if u <= 0:
-        raise ValueError("exp_integral_ei requires u > 0")
-    total = np.euler_gamma + math.log(u)
-    term = 1.0
-    for m in range(1, _SERIES_CAP + 1):
-        term *= u / m
-        if term == math.inf:
-            raise ArithmeticError(_OVERFLOW.format(u))
-        contrib = term / m
-        total += contrib
-        if contrib < _SERIES_RTOL * abs(total):
-            return total
+    us = finite_positive(u, "exp_integral_ei argument u")
+    out, live, term = np.empty_like(us), np.arange(us.size), np.ones_like(us)
+    total = np.euler_gamma + np.array([math.log(v) for v in us.tolist()])
+    with np.errstate(over="ignore"):
+        for first in range(1, _SERIES_CAP + 1, _SERIES_CHUNK):
+            m = np.arange(first, first + _SERIES_CHUNK, dtype=float)
+            # Running products and sums take term *= u / m, total += term / m in scalar order.
+            terms = np.multiply.accumulate(np.column_stack([term, us[:, None] / m]), axis=1)[:, 1:]
+            contribs = terms / m
+            totals = np.add.accumulate(np.column_stack([total, contribs]), axis=1)[:, 1:]
+            if np.isinf(terms[:, -1]).any():  # an overflowed term stays infinite
+                raise ArithmeticError(_OVERFLOW.format(us[np.isinf(terms[:, -1])][0]))
+            stop = contribs < _SERIES_RTOL * np.abs(totals)
+            done = stop.any(axis=1)
+            out[live[done]] = totals[done, stop[done].argmax(axis=1)]
+            live, us, term, total = live[~done], us[~done], terms[~done, -1], totals[~done, -1]
+            if not live.size:
+                return out if np.ndim(u) else float(out[0])
     raise ArithmeticError("Ei series exceeded the term cap")
 
 
-def re_upper_gamma_neg(ell: int, u: float) -> float:
-    """Real part of the upper incomplete gamma Gamma(-ell, -u), u > 0; overflow raises.
+def re_upper_gamma_neg(ell: int, u):
+    """Real part of the upper incomplete gamma Gamma(-ell, -u), finite u > 0; overflow raises.
 
     Uses the finite reduction of Gamma(-ell, x) to Gamma(0, x) evaluated at
     x = -u, keeping only the real part: the ln(-u) branch of Gamma(0, -u)
@@ -121,17 +143,20 @@ def re_upper_gamma_neg(ell: int, u: float) -> float:
 
     Re Gamma(-ell, -u) = ((-1)^ell / ell!) [e^u u^{-ell}
                           sum_{m=0}^{ell-1} (ell-1-m)! u^m  -  Ei(u)].
+
+    A 1-d array `u` equals the scalar calls bit for bit: the finite sum
+    takes `math.exp` and Python's `**` element by element.
     """
     if ell < 0:
         raise ValueError("ell must be nonnegative")
-    if u <= 0:
-        raise ValueError("re_upper_gamma_neg requires u > 0")
-    acc = 0.0
-    for m in range(ell):
-        acc += math.factorial(ell - 1 - m) * u**m
-    try:
-        finite = math.exp(u) * u ** (-ell) * acc if ell > 0 else 0.0
-    except OverflowError:
-        raise ArithmeticError(_OVERFLOW.format(u)) from None
+    us = finite_positive(u, "re_upper_gamma_neg argument u")
+    finite = np.zeros_like(us)
+    for i, v in enumerate(us.tolist() if ell > 0 else ()):
+        acc = sum(math.factorial(ell - 1 - m) * v**m for m in range(ell))
+        try:
+            finite[i] = math.exp(v) * v ** (-ell) * acc
+        except OverflowError:
+            raise ArithmeticError(_OVERFLOW.format(v)) from None
     sign = -1.0 if ell % 2 else 1.0
-    return sign / math.factorial(ell) * (finite - exp_integral_ei(u))
+    out = sign / math.factorial(ell) * (finite - exp_integral_ei(us))
+    return out if np.ndim(u) else float(out[0])

@@ -21,8 +21,9 @@ small N.
 The other routes here are independent of the package's production
 paths: the full resolvent by direct inversion and its entries as
 determinant ratios, the closed-form nonlinear weight integrals, the
-associated Laguerre and Gegenbauer recursions, and plain weighted
-quadrature sums. `laguerre_normalized` is not independent: it reads one
+associated Laguerre and Gegenbauer recursions, plain weighted
+quadrature sums, and the Ei series and the oscillator reference seeds
+in scalar math, one term and one energy at a time. `laguerre_normalized` is not independent: it reads one
 degree off the package's own upward recursion for tests that want a
 single polynomial value; the sine-like closed form reads it per degree.
 """
@@ -424,6 +425,44 @@ def laguerre_associated_normalized(k: int, ell: int, x, j: int = 1):
         pnew = ((x - eta(m + j)) * p - sigma(m + j - 1) * pm1) / sigma(m + j)
         pm1, p = p, pnew
     return p if p.ndim else float(p)
+
+
+def exp_integral_ei_scalar(u: float) -> float:
+    """Ei(u) by its series one term at a time, in the package's order of operations.
+
+    gamma + ln u, then term *= u / m and total += term / m until a
+    contribution falls below 1e-16 of the total. The package sums the
+    series of a whole array at once; every element must stop where this
+    loop stops, to the last bit.
+    """
+    total = np.euler_gamma + math.log(u)
+    term, m = 1.0, 0
+    while True:
+        m += 1
+        term *= u / m
+        contrib = term / m
+        total += contrib
+        if contrib < 1e-16 * abs(total):
+            return total
+
+
+def oscillator_seeds_scalar(energy: float, lam: float, ell: int) -> tuple[float, float, float]:
+    """s_0 = alpha, c_0 and tau of the oscillator reference pair at one energy, in scalar math.
+
+    Term for term the package's order of operations, with `math.exp`,
+    `math.log`, Python's `**` and the scalar Ei series. The package
+    evaluates the seeds of a whole energy array at once and must match
+    these to the last bit; numpy's exp, log and square do not.
+    """
+    mu = math.sqrt(2.0 * energy) / lam
+    mu2, lg, sign = mu**2, lgamma(ell + 1), (1.0 if ell % 2 else -1.0)
+    alpha = math.exp(0.5 * (math.log(2.0) - math.log(lam) - lg) + (ell + 0.5) * math.log(mu) - 0.5 * mu2)
+    acc = sum(factorial(ell - 1 - m) * mu2**m for m in range(ell))
+    finite = math.exp(mu2) * mu2 ** (-ell) * acc if ell else 0.0
+    gamma = -sign / factorial(ell) * (finite - exp_integral_ei_scalar(mu2))
+    c0 = sign / math.pi * math.exp(0.5 * (math.log(2.0) + lg - math.log(lam)) + (ell + 0.5) * math.log(mu) - 0.5 * mu2)
+    tau = -(lam / math.pi) * math.exp(0.5 * (math.log(lam) + lg - math.log(2.0)) + (0.5 - ell) * math.log(mu) + 0.5 * mu2)
+    return alpha, c0 * gamma, tau
 
 
 def hyp2f1_terminating(a: int, b: float, c: float, x: float) -> float:

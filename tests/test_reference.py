@@ -8,10 +8,11 @@ from jmscatter.reference import (
     chi_reconstruct,
     energy_point,
     irregular_target,
+    oscillator_reference,
     reference_coefficients,
     regular_target,
 )
-from oracles import laguerre_associated_normalized, sine_like_closed_form
+from oracles import laguerre_associated_normalized, oscillator_seeds_scalar, sine_like_closed_form
 
 FIG_PAIRS = ((0, 1.5), (1, 1.0), (2, 1.5), (3, 2.5))
 
@@ -27,6 +28,13 @@ class TestEnergyPoint:
             energy_point(0.0, 1.0)
         with pytest.raises(ValueError):
             energy_point(1.0, -1.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_energy_or_scale_refused_by_value(self, bad):
+        with pytest.raises(ValueError, match=f"scattering energy must be finite and positive, got {bad!r}"):
+            energy_point(bad, 1.0)
+        with pytest.raises(ValueError, match=f"basis scale lam must be finite and positive, got {bad!r}"):
+            energy_point(1.0, bad)
 
 
 class TestOscillatorCoefficients:
@@ -117,6 +125,34 @@ def test_short_ranges_are_prefixes(basis, ell, kmax):
     assert short.s.shape == short.c.shape == (kmax + 1,)
     assert np.array_equal(short.s, full.s[: kmax + 1])
     assert np.array_equal(short.c, full.c[: kmax + 1])
+
+
+@pytest.mark.parametrize("ell", [0, 1, 2, 3])
+@pytest.mark.parametrize("lam", [0.5, 1.0, 1.6])
+@pytest.mark.parametrize("kmax", [1, 2, 20])
+def test_oscillator_energy_array_is_its_one_energy_calls(ell, lam, kmax):
+    # one recursion on the energy vector, every column bit for bit its scalar run
+    energies = np.random.default_rng(ell + 10 * kmax).uniform(0.01, 8.0, 40)
+    coeffs = free_matrix_coeffs(kmax, ell, lam)
+    ref = oscillator_reference(energies, lam, ell, coeffs)
+    assert ref.s.shape == ref.c.shape == (kmax + 1, energies.size)
+    for j, energy in enumerate(energies.tolist()):
+        one = oscillator_reference(energy, lam, ell, coeffs)
+        assert np.array_equal(ref.s[:, j], one.s)
+        assert np.array_equal(ref.c[:, j], one.c)
+
+
+@pytest.mark.parametrize("ell", [0, 1, 2, 3])
+@pytest.mark.parametrize("lam", [0.5, 1.0, 1.6])
+def test_oscillator_seeds_are_their_scalar_math(ell, lam):
+    # the array seeds keep math's exp/log and Python's ** per energy, to the last bit
+    energies = np.random.default_rng(ell).uniform(0.01, 8.0, 200)
+    a, b = coeffs = free_matrix_coeffs(1, ell, lam)
+    ref = oscillator_reference(energies, lam, ell, coeffs)
+    for j, energy in enumerate(energies.tolist()):
+        alpha, c0, tau = oscillator_seeds_scalar(energy, lam, ell)
+        assert (ref.s[0, j], ref.c[0, j]) == (alpha, c0)
+        assert (ref.s[1, j], ref.c[1, j]) == ((energy - a[0]) * alpha / b[0], ((energy - a[0]) * c0 + tau) / b[0])
 
 
 class TestOscillatorReconstruction:

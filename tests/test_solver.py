@@ -2,7 +2,9 @@
 
 import itertools
 import math
+import re
 import sys
+from importlib.resources import files
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from jmscatter.hamiltonian import (
     assemble_linear,
     f_weight_quadrature,
 )
+from jmscatter.cli import _build_problem, load_config
 from jmscatter.linearize import d_tensor, quadrature_bound
 from jmscatter import solver, specfun
 from jmscatter.quadrature import build_rule
@@ -235,7 +238,7 @@ class TestSolveEnergy:
         energies = (0.9, 2.2, 3.6)
         fast = scan(energies, ham)
         for e, res in zip(energies, fast):
-            assert abs(res.s_matrix - solve_energy(e, ham).s_matrix) < 1e-10
+            assert res == solve_energy(e, ham)
 
     def test_unimodular_along_whole_history(self, gauss_setup):
         ham, dten = gauss_setup
@@ -413,6 +416,59 @@ class TestSolveEnergy:
         ham, dten = gauss_setup
         with pytest.raises(ValueError):
             solve_energy(2.5, ham, dten, coupling=0.001, max_iterations=0)
+
+
+def _config_problem(name):
+    cfg = load_config(str(files("jmscatter") / "configs" / f"{name}.yaml"))
+    ham, dten = _build_problem(cfg, build_rule(cfg.quadrature_order, cfg.ell), override=True)
+    options = dict(
+        coupling=cfg.coupling_g, tolerance=cfg.tolerance,
+        bifurcation_tolerance=cfg.bifurcation_tolerance, max_iterations=cfg.max_iterations,
+    )
+    return cfg, ham, dten, options
+
+
+class TestGridIsItsOneEnergySolves:
+    """scan solves order 0 of a whole block of energies at once; each result
+    must still equal that energy's own solve exactly: energy, status,
+    period and every S_m."""
+
+    @pytest.mark.parametrize("name", ["fig1", "table3"])
+    def test_config_grid(self, name):
+        # fig1: 2751 linear energies over three blocks; table3: cubic coupling
+        cfg, ham, dten, options = _config_problem(name)
+        results = scan(list(cfg.energies), ham, dten, **options)
+        assert len(results) == len(cfg.energies)
+        for energy, res in zip(cfg.energies, results):
+            assert res == solve_energy(energy, ham, dten, **options)
+            assert res.energy == energy
+
+    @pytest.mark.parametrize("coupling", [0.0, 0.001])
+    def test_only_the_trapped_energy_is_nudged(self, gauss_setup, coupling):
+        ham, dten = gauss_setup
+        trapped = float(ham.eigenvalues[np.argmin(np.abs(ham.eigenvalues - 2.5))])
+        energies = [2.3, 2.45, trapped, 2.55, 2.7]
+        results = scan(energies, ham, dten, coupling=coupling)
+        for energy, res in zip(energies, results):
+            assert res == solve_energy(energy, ham, dten, coupling=coupling)
+            assert (res.energy != energy) == (energy == trapped)
+
+
+class TestInputsRefusedByValue:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_bad_energy_refused_by_value(self, gauss_setup, bad):
+        ham, dten = gauss_setup
+        message = re.escape(f"scattering energy must be finite and positive, got {bad!r}")
+        with pytest.raises(ValueError, match=message):
+            scan([1.0, bad, 2.0], ham)
+        with pytest.raises(ValueError, match=message):
+            solve_energy(bad, ham, dten, coupling=0.001)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_bad_scale_refused_by_value(self, rule100_l0, bad):
+        potential = PowerExponentialPotential(strength=7.5, power=2.0, decay=1.0)
+        with pytest.raises(ValueError, match=f"basis scale lam must be finite and positive, got {bad!r}"):
+            assemble_linear(potential, n_basis=20, ell=0, lam=bad, rule=rule100_l0)
 
 
 class TestResonanceEnergy:

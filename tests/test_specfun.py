@@ -1,6 +1,7 @@
 """Special-function building blocks against frozen values and recursions."""
 
-from math import lgamma
+import re
+from math import inf, lgamma, nan
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scipy.special import eval_genlaguerre, expi, hyp2f1, jv, yv
 from jmscatter import specfun as sf
 from jmscatter.reference import energy_point, reference_coefficients
 from oracles import (
+    exp_integral_ei_scalar,
     gegenbauer,
     gegenbauer_associated,
     hyp2f1_terminating,
@@ -146,6 +148,51 @@ class TestUpperGammaNegative:
     def test_overflow_of_exponential_raises(self):
         with pytest.raises(ArithmeticError, match=r"overflows float64 at u = 2E/lambda\^2 = 710$"):
             sf.re_upper_gamma_neg(1, 710.0)
+
+
+class TestArrayArguments:
+    # a shuffled grid, so that neighbouring elements stop at different terms
+    U = np.random.default_rng(7).permutation(np.geomspace(1e-3, 700.0, 301))
+
+    def test_ei_array_is_its_scalar_calls(self):
+        values = sf.exp_integral_ei(self.U)
+        assert np.array_equal(values, [sf.exp_integral_ei(u) for u in self.U.tolist()])
+        assert np.array_equal(values, [exp_integral_ei_scalar(u) for u in self.U.tolist()])
+
+    def test_ei_array_is_the_scalar_series_on_a_dense_sample(self):
+        # numpy's log differs from math.log on about 1e-3 of these u, and a
+        # few of those reach Ei's last bit
+        u = np.random.default_rng(7).uniform(1e-3, 50.0, 20000)
+        assert np.array_equal(sf.exp_integral_ei(u), [exp_integral_ei_scalar(v) for v in u.tolist()])
+
+    @pytest.mark.parametrize("ell", [0, 1, 2, 3])
+    def test_upper_gamma_array_is_its_scalar_calls(self, ell):
+        values = sf.re_upper_gamma_neg(ell, self.U)
+        assert np.array_equal(values, [sf.re_upper_gamma_neg(ell, u) for u in self.U.tolist()])
+
+    def test_scalar_in_scalar_out(self):
+        assert type(sf.exp_integral_ei(2.0)) is float
+        assert type(sf.re_upper_gamma_neg(1, 2.0)) is float
+        assert sf.exp_integral_ei(np.array([2.0])).shape == (1,)
+
+    @pytest.mark.parametrize("ell,u", [(0, 720.0), (1, 710.0), (3, 710.0)])
+    def test_one_overflowing_u_in_a_grid_raises_naming_it(self, ell, u):
+        grid = [1.0, 3.0, u, 0.5]
+        with pytest.raises(ArithmeticError, match=rf"= {u:g}$"):
+            sf.re_upper_gamma_neg(ell, grid)
+        if ell == 0:
+            with pytest.raises(ArithmeticError, match=rf"= {u:g}$"):
+                sf.exp_integral_ei(grid)
+
+    @pytest.mark.parametrize("bad", [0.0, -2.0, nan, inf])
+    def test_non_positive_or_non_finite_u_refused(self, bad):
+        grid = [1.0, bad, 2.0]
+        with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+            sf.exp_integral_ei(grid)
+        with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+            sf.re_upper_gamma_neg(2, grid)
+        with pytest.raises(ValueError):
+            sf.exp_integral_ei(bad)
 
 
 class TestHypergeometric:
