@@ -67,11 +67,13 @@ def d_tensor(
     """D tensor of nonlinearity order n on the rule's Gauss grid, factored.
 
     Shares the C-tensor exactness bound on the rule order (the sampled
-    products have the same degrees), refusable by override. The tensor
-    does not depend on the basis scale.
+    products have the same degrees), refusable by override; a basis
+    larger than the rule is refused always. Independent of the basis scale.
     """
     if rule.ell != ell:
         raise ValueError("quadrature rule was built for a different ell")
+    if n_basis > rule.order:
+        raise ValueError("basis size exceeds the quadrature order")
     _check_bound(n, n_basis, rule.order, override)
     return DTensor(
         n=n, ell=ell, n_basis=n_basis,

@@ -1,19 +1,18 @@
 """Scattering solve: effective interior problem, tail matching, iteration.
 
-One energy point runs as a fixed-point iteration in the perturbation
-order m; its result is the sequence S_0, S_1, ... and how it ended.
-Order zero is the linear problem, solved for a block of grid energies
-at once: one reference recursion and one condition test. Each energy
-then takes its own edge column and S, equal bit for bit to its
-one-energy solve. Each later order contracts the previous order's
-interior coefficients into the effective interaction R, reads the edge
-column G[:, N-1] of the interior resolvent off an eigendecomposition,
-matches it to the reference solutions at the basis edge k = N-1, N for
-S, and refreshes the coefficients. Termination is convergence of S, a
-certified cycle of period 2 or 3 (checked in that order, after
-convergence), or the iteration cap. A certification is revoked when its
-cycle values merge to within the bifurcation tolerance: that is a fixed
-point approached with alternating sign.
+One energy point is a fixed-point iteration g <- Phi(g) on the real
+edge column g = G[:, N-1] of the interior resolvent. Each order's S is
+matched from g[N-1] to the reference solutions at the basis edge
+k = N-1, N; the result is S_0, S_1, ... and how the iteration ended.
+Order 0 is the linear problem, solved for a block of grid energies at
+once, each energy's g equal bit for bit to its one-energy solve; a
+linear energy runs no later order. Phi (`_order_map`) contracts the
+coefficients of g and S into the effective interaction R and returns
+the edge column of (H + c R - E)^{-1}. Termination is convergence of S,
+a certified cycle of period 2 or 3 (checked in that order, after
+convergence), or the iteration cap. A certification is revoked when
+its cycle values merge to within the bifurcation tolerance: that is a
+fixed point approached with alternating sign.
 """
 
 from __future__ import annotations
@@ -197,71 +196,75 @@ def scan(
     """Solve a whole energy grid, in input order.
 
     Order 0 solves the linear problem from the eigendecomposition kept
-    on `hamiltonian`, `_BLOCK` energies at a time (see the module
-    docstring). Orders m >= 1 rebuild the effective interaction from
-    order m-1 and re-solve. After a cycle of period 2 or 3 is certified,
-    iteration continues to the cap or until the cycle values themselves
-    settle, so the reported pair is the converged cycle rather than its
-    transient; values that merge revoke the cycle.
+    on `hamiltonian`, `_BLOCK` energies at a time, and each order m >= 1
+    applies `_order_map` (see the module docstring). After a cycle of
+    period 2 or 3 is certified, iteration continues to the cap or until
+    the cycle values themselves settle, so the reported pair is the
+    converged cycle rather than its transient; values that merge revoke
+    the cycle.
 
     A numerically singular resolvent at any order repeats the energy's
     whole solve once at the energy raised by the relative nudge (the
     result carries the energy actually solved); a second one raises
-    SingularMatrixError. A nonzero coupling without `dten` raises
-    ValueError, and so does an energy that is not finite and positive.
+    SingularMatrixError. ValueError refuses a nonzero coupling without
+    `dten`, a `dten` built for another (n_basis, ell), and an energy
+    that is not finite and positive.
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
     if coupling != 0.0 and dten is None:
         raise ValueError("a nonzero coupling needs a D tensor")
+    basis = (hamiltonian.n_basis, hamiltonian.ell)
+    if dten is not None and (dten.n_basis, dten.ell) != basis:
+        raise ValueError(f"D tensor built for (n_basis, ell) = {(dten.n_basis, dten.ell)}, Hamiltonian for {basis}")
     grid = finite_positive(energies, "scattering energy")
-    settings = (hamiltonian, dten, coupling, tolerance, bifurcation_tolerance, max_iterations)
-    return [res for i in range(0, grid.size, _BLOCK) for res in _solve(grid[i : i + _BLOCK], settings)]
+    n, orders = hamiltonian.n_basis, max_iterations if coupling else 0
+
+    def solve(block: np.ndarray, nudge: bool = True) -> list[ScatteringResult]:
+        # Order 0 of the block together, then each energy's own orders; a refusal re-solves it nudged.
+        ref = oscillator_reference(block, hamiltonian.lam, hamiltonian.ell, hamiltonian.coeffs)
+        h_plus = (ref.c[n - 1 :] + 1j * ref.s[n - 1 :]).T
+        h_minus = (ref.c[n - 1 :] - 1j * ref.s[n - 1 :]).T
+        gaps = hamiltonian.eigenvalues - block[:, None]
+        conditioned = _conditioned(gaps)
+        results = []
+        for j, energy in enumerate(block.tolist()):
+            try:
+                g = _edge_column(hamiltonian.eigenvectors, gaps[j], energy, conditioned[j])
+                results.append(_iterate(energy, h_plus[j], h_minus[j], g, hamiltonian, dten, coupling,
+                                        tolerance, bifurcation_tolerance, orders))
+            except SingularMatrixError:
+                if not nudge:
+                    raise
+                results += solve(np.array([energy * (1.0 + _ENERGY_NUDGE)]), nudge=False)
+        return results
+
+    return [res for i in range(0, grid.size, _BLOCK) for res in solve(grid[i : i + _BLOCK])]
 
 
-def _solve(energies: np.ndarray, settings: tuple, nudge: bool = True) -> list[ScatteringResult]:
-    """Order 0 of a block of energies together, then each energy's own orders.
-
-    A refused energy is solved again, alone and by this same code, at
-    the nudged energy; a refusal there raises.
-    """
-    ham = settings[0]
-    n = ham.n_basis
-    ref = oscillator_reference(energies, ham.lam, ham.ell, ham.coeffs)
-    h_plus = (ref.c[n - 1 :] + 1j * ref.s[n - 1 :]).T
-    h_minus = (ref.c[n - 1 :] - 1j * ref.s[n - 1 :]).T
-    gaps = ham.eigenvalues - energies[:, None]
-    conditioned = _conditioned(gaps)
-    results = []
-    for j, energy in enumerate(energies.tolist()):
-        try:
-            g = _edge_column(ham.eigenvectors, gaps[j], energy, conditioned[j])
-            results.append(_iterate(energy, h_plus[j], h_minus[j], g, settings))
-        except SingularMatrixError:
-            if not nudge:
-                raise
-            results += _solve(np.array([energy * (1.0 + _ENERGY_NUDGE)]), settings, nudge=False)
-    return results
+def _order_map(
+    g: np.ndarray, s: complex, energy: float, h_plus: np.ndarray, h_minus: np.ndarray, b_edge: float,
+    hamiltonian: LinearHamiltonian, dten: DTensor, coupling: float,
+) -> np.ndarray:
+    """One order, g <- Phi(g): the edge column of (H + c R(a) - E)^{-1}, a the coefficients of g and S."""
+    a = interior_coefficients(s, h_plus, h_minus, g, b_edge)
+    return greens_matrix(hamiltonian.matrix + coupling * r_matrix(dten, a, hamiltonian.lam), energy)
 
 
-def _iterate(energy: float, h_plus, h_minus, g: np.ndarray, settings: tuple) -> ScatteringResult:
-    """One energy's S history from its reference pair h+- and order-0 edge column g."""
-    hamiltonian, dten, coupling, tolerance, bifurcation_tolerance, max_iterations = settings
-    n = hamiltonian.n_basis
-    b_edge = hamiltonian.coeffs[1][n - 1]
-    history = [phase_shift(h_plus, h_minus, g[n - 1], b_edge)]
-    if coupling == 0.0:
-        return ScatteringResult(energy=energy, status="converged", history=tuple(history))
-
-    status, period = "max-iterations", None
-    streaks = dict.fromkeys(_PERIODS, 0)
-    certified = None
-    for m in range(1, max_iterations + 1):
-        coeffs = interior_coefficients(history[-1], h_plus, h_minus, g, b_edge)
-        eff = hamiltonian.matrix + coupling * r_matrix(dten, coeffs, hamiltonian.lam)
-        g = greens_matrix(eff, energy)
-        history.append(phase_shift(h_plus, h_minus, g[n - 1], b_edge))
-
+def _iterate(
+    energy: float, h_plus: np.ndarray, h_minus: np.ndarray, g: np.ndarray, hamiltonian: LinearHamiltonian,
+    dten: DTensor | None, coupling: float, tolerance: float, bifurcation_tolerance: float, orders: int,
+) -> ScatteringResult:
+    """One energy's S history: order 0 from its edge column g, then up to `orders` steps of Phi."""
+    b_edge = hamiltonian.coeffs[1][hamiltonian.n_basis - 1]
+    history, status, period = [], "max-iterations" if orders else "converged", None
+    streaks, certified = dict.fromkeys(_PERIODS, 0), None
+    for m in range(orders + 1):
+        if m:
+            g = _order_map(g, history[-1], energy, h_plus, h_minus, b_edge, hamiltonian, dten, coupling)
+        history.append(phase_shift(h_plus, h_minus, g[-1], b_edge))
+        if m == 0:
+            continue
         if abs(history[-1] - history[-2]) < tolerance:
             status = "converged"
             break
@@ -273,7 +276,7 @@ def _iterate(energy: float, h_plus, h_minus, g: np.ndarray, settings: tuple) -> 
                 certified = None
                 streaks = dict.fromkeys(_PERIODS, 0)
             # Ride the certified cycle until its values settle.
-            elif abs(history[-1] - history[-1 - certified]) < tolerance or m == max_iterations:
+            elif abs(history[-1] - history[-1 - certified]) < tolerance or m == orders:
                 status, period = "bifurcated", certified
                 break
             continue

@@ -41,6 +41,12 @@ class TestQuadratureBound:
         assert dten.node_weight.shape == (10,)
 
 
+    def test_basis_beyond_the_rule_refused_under_override(self):
+        # the override waives the exactness bound, not the rule's size
+        with pytest.raises(ValueError, match="basis size exceeds the quadrature order"):
+            d_tensor(1, 0, 20, build_rule(10, 0), override=True)
+
+
 class TestCTensorDualRoutes:
     # the matrix-polynomial route is exact in exact arithmetic but its
     # entries grow exponentially with the basis size; in double precision

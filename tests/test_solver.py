@@ -19,12 +19,13 @@ from jmscatter.cli import _build_problem, load_config
 from jmscatter.linearize import d_tensor, quadrature_bound
 from jmscatter import solver, specfun
 from jmscatter.quadrature import build_rule
-from jmscatter.reference import energy_point, reference_coefficients
+from jmscatter.reference import energy_point, oscillator_reference, reference_coefficients
 from jmscatter.solver import (
     ScatteringResult,
     SingularMatrixError,
     greens_matrix,
     greens_spectral,
+    phase_shift,
     r_matrix,
     resonance_energy,
     scan,
@@ -454,6 +455,32 @@ class TestGridIsItsOneEnergySolves:
             assert (res.energy != energy) == (energy == trapped)
 
 
+class TestOrderMap:
+    """Each order m >= 1 is one pure step g <- _order_map(g) on the real edge
+    column; S_m is phase_shift of its corner entry."""
+
+    @pytest.mark.parametrize("name,energy", [("table3", 1.0), ("table4", 3.0)])
+    def test_iterates_reproduce_the_history(self, name, energy):
+        # table4 E=3 is the period-2 cycle, run below the exactness bound
+        cfg, ham, dten, options = _config_problem(name)
+        res = solve_energy(energy, ham, dten, **options)
+        assert res.iterations >= 5
+        n = ham.n_basis
+        ref = oscillator_reference(energy, ham.lam, ham.ell, ham.coeffs)
+        h_plus, h_minus = ref.c[n - 1 :] + 1j * ref.s[n - 1 :], ref.c[n - 1 :] - 1j * ref.s[n - 1 :]
+        b_edge = ham.coeffs[1][n - 1]
+        g = greens_spectral(ham.eigenvalues, ham.eigenvectors, energy)
+        s = phase_shift(h_plus, h_minus, g[n - 1], b_edge)
+        assert s == res.history[0]
+        for expected in res.history[1:]:
+            args = (g, s, energy, h_plus, h_minus, b_edge, ham, dten, cfg.coupling_g)
+            g = solver._order_map(*args)
+            assert g.dtype == np.float64 and g.shape == (n,)
+            assert solver._order_map(*args).tobytes() == g.tobytes()
+            s = phase_shift(h_plus, h_minus, g[n - 1], b_edge)
+            assert s == expected
+
+
 class TestInputsRefusedByValue:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
     def test_bad_energy_refused_by_value(self, gauss_setup, bad):
@@ -463,6 +490,18 @@ class TestInputsRefusedByValue:
             scan([1.0, bad, 2.0], ham)
         with pytest.raises(ValueError, match=message):
             solve_energy(bad, ham, dten, coupling=0.001)
+
+    @pytest.mark.parametrize("n_basis,ell", [(20, 1), (10, 0), (30, 0)])
+    def test_d_tensor_of_another_basis_refused(self, gauss_setup, rule100_l0, rule100_l1, n_basis, ell):
+        # unrefused, the ell=1 tensor runs to a plausible "converged" S and the
+        # other sizes fail inside numpy or r_matrix, naming neither basis
+        ham, _ = gauss_setup
+        dten = d_tensor(1, ell, n_basis, rule100_l1 if ell else rule100_l0)
+        message = re.escape(f"(n_basis, ell) = ({n_basis}, {ell})") + ".*" + re.escape("(20, 0)")
+        with pytest.raises(ValueError, match=message):
+            solve_energy(2.5, ham, dten, coupling=0.001)
+        with pytest.raises(ValueError, match=message):
+            scan([1.0, 2.5], ham, dten, coupling=0.001)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_bad_scale_refused_by_value(self, rule100_l0, bad):
