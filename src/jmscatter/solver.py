@@ -5,20 +5,23 @@ edge column g = G[:, N-1] of the interior resolvent. Each order's S is
 matched from g[N-1] to the reference solutions at the basis edge
 k = N-1, N; the result is S_0, S_1, ... and how the iteration ended.
 Order 0 is the linear problem, solved for a block of grid energies at
-once, each energy's g equal bit for bit to its one-energy solve; a
-linear energy runs no later order. Phi (`_order_map`) contracts the
-coefficients of g and S into the effective interaction R and returns
-the edge column of (H + c R - E)^{-1}. Termination is convergence of S,
-a certified cycle of period 2 or 3 (checked in that order, after
-convergence), or the iteration cap. A certification is revoked when
-its cycle values merge to within the bifurcation tolerance: that is a
-fixed point approached with alternating sign.
+once from the eigendecomposition of H; a linear energy runs no later
+order. Phi (`_order_map`) advances a stack of the block's unsettled
+energies together: it contracts each row's coefficients of g and S into
+its effective interaction R, refuses a row by the eigenvalues of
+H + c R - E and solves the others' edge columns of (H + c R - E)^{-1}
+by LU. An energy leaves the stack when its iteration ends, and every
+row's g equals bit for bit its one-energy solve. Termination is
+convergence of S, a certified cycle of period 2 or 3 (checked in that
+order, after convergence), or the iteration cap. A certification is
+revoked when its cycle values merge to within the bifurcation
+tolerance: that is a fixed point approached with alternating sign.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, isfinite
 from typing import Sequence
 
 import numpy as np
@@ -32,8 +35,11 @@ from .specfun import finite_positive
 # not as data; the energy is nudged once and re-solved.
 _COND_LIMIT = 1e12
 _ENERGY_NUDGE = 1e-6
-# Order 0 of a scan runs on this many energies at a time, bounding its memory.
+# Order 0 of a scan runs on this many energies at a time, bounding its memory;
+# each later order advances at most _STACK of them together, which bounds the
+# (B, N, Q) node array of R (about 1 MB at N = 20, Q = 100).
 _BLOCK = 1024
+_STACK = 64
 # Cycle certification: this many consecutive orders must look periodic,
 # tried for each period in turn (period 2 wins over period 3).
 _CYCLE_STREAK = 4
@@ -93,15 +99,18 @@ def r_matrix(dten: DTensor, coefficients: np.ndarray, lam: float) -> np.ndarray:
 
     with psi = sum_k a_k L~_k at the Gauss nodes. The weight is never
     negative, so R is the Gram product X X^T, X = Lambda diag(sqrt(weight)),
-    which numpy forms by BLAS syrk: R equals its transpose exactly.
+    which numpy forms by BLAS syrk: R equals its transpose exactly. A
+    stack of coefficient rows (..., N+1) gives a stack of R (..., N, N),
+    each row's psi one vector-matrix product and its R one syrk.
     """
     a = np.asarray(coefficients, dtype=complex)
-    if a.size < dten.n_basis:
+    if a.shape[-1] < dten.n_basis:
         raise ValueError("coefficient vector shorter than the basis")
-    psi = a[: dten.n_basis] @ dten.values
+    psi = np.matmul(a[..., None, : dten.n_basis], dten.values)[..., 0, :]
     pref = (2.0 * lam**2 / factorial(dten.ell)) ** dten.n
-    x = dten.stencil * np.sqrt(pref * dten.node_weight * (psi.real**2 + psi.imag**2) ** dten.n)
-    return x @ x.T
+    weight = pref * dten.node_weight * (psi.real**2 + psi.imag**2) ** dten.n
+    x = dten.stencil * np.sqrt(weight)[..., None, :]
+    return x @ x.swapaxes(-1, -2)
 
 
 def _conditioned(gaps: np.ndarray) -> np.ndarray:
@@ -113,26 +122,46 @@ def _conditioned(gaps: np.ndarray) -> np.ndarray:
     return distance.max(axis=-1) <= _COND_LIMIT * distance.min(axis=-1)
 
 
-def _edge_column(eigenvectors: np.ndarray, gaps: np.ndarray, energy: float, conditioned: bool) -> np.ndarray:
-    """V (V[N-1, :] / gaps) for one energy, refused before the division unless conditioned."""
-    if not conditioned:
-        raise SingularMatrixError(f"resolvent condition number above {_COND_LIMIT:.0e} at E={energy!r}")
-    return eigenvectors @ (eigenvectors[-1] / gaps)
+def greens_spectral(
+    eigenvalues: np.ndarray, eigenvectors: np.ndarray, energies: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Edge columns G[:, N-1] of the interior resolvent (H - E)^{-1}, one per energy.
 
-
-def greens_spectral(eigenvalues: np.ndarray, eigenvectors: np.ndarray, energy: float) -> np.ndarray:
-    """Edge column G[:, N-1] of the interior resolvent (H - E)^{-1}.
-
-    With H = V diag(e) V^T, G[:, N-1] = V (V[N-1, :] / (e - E)); an
-    ill-conditioned H - E raises SingularMatrixError.
+    With H = V diag(e) V^T, G[:, N-1] = V (V[N-1, :] / (e - E)), one
+    product per energy. Returns the (B, N) columns for the (B,) energies
+    and the mask of energies whose H - E passes the condition test; a
+    refused row is never divided by and stays zero.
     """
-    gaps = eigenvalues - energy
-    return _edge_column(eigenvectors, gaps, energy, _conditioned(gaps))
+    gaps = eigenvalues - np.asarray(energies, dtype=float)[:, None]
+    conditioned = _conditioned(gaps)
+    columns = np.zeros(gaps.shape)
+    for j in np.flatnonzero(conditioned):
+        columns[j] = eigenvectors @ (eigenvectors[-1] / gaps[j])
+    return columns, conditioned
 
 
-def greens_matrix(h_eff: np.ndarray, energy: float) -> np.ndarray:
-    """Edge column of the resolvent of a symmetric H_eff, by diagonalization."""
-    return greens_spectral(*np.linalg.eigh(h_eff), energy)
+def greens_matrix(h_eff: np.ndarray, energies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Edge columns of the resolvents of a (B, N, N) stack of symmetric H_eff, one energy each.
+
+    The condition test runs on the eigenvalues of each H_eff - E, and the
+    column of each conditioned row is one LU solve of (H_eff - E) g = e_{N-1}.
+    Returns the (B, N) columns and the (B,) mask; a refused row never
+    reaches the solve and stays zero.
+    """
+    shifted = np.array(h_eff, dtype=float)
+    np.einsum("...ii->...i", shifted)[...] -= np.asarray(energies, dtype=float)[:, None]
+    conditioned = _conditioned(np.linalg.eigvalsh(shifted))
+    every = conditioned.all()
+    solvable = shifted if every else shifted[conditioned]
+    # The right-hand sides carry the stack's full shape: numpy 1.x would read an (N, 1) one as N vectors.
+    edge = np.zeros(solvable.shape[:-1] + (1,))
+    edge[:, -1] = 1.0
+    solved = np.linalg.solve(solvable, edge)[..., 0]
+    if every:
+        return solved, conditioned
+    columns = np.zeros(shifted.shape[:-1])
+    columns[conditioned] = solved
+    return columns, conditioned
 
 
 def phase_shift(h_plus: np.ndarray, h_minus: np.ndarray, g_corner: float, b_edge: float) -> complex:
@@ -152,18 +181,22 @@ def phase_shift(h_plus: np.ndarray, h_minus: np.ndarray, g_corner: float, b_edge
 
 
 def interior_coefficients(
-    s: complex, h_plus: np.ndarray, h_minus: np.ndarray, greens_column: np.ndarray, b_edge: float
+    s: np.ndarray, h_plus: np.ndarray, h_minus: np.ndarray, greens_columns: np.ndarray, b_edge: float
 ) -> np.ndarray:
-    """Expansion coefficients A_0..A_N at one order.
+    """Expansion coefficients A_0..A_N at one order, one row per energy of a stack.
 
-    The two edge entries come from the tail solution
-    A_k = h^-_k - S h^+_k (k = N-1, N); the interior follows from the
-    Green's function edge column acting on the edge coupling.
+    s holds the B values of S, h_plus and h_minus are (B, 2) and
+    greens_columns (B, N). The two edge entries come from the tail
+    solution A_k = h^-_k - S h^+_k (k = N-1, N), row by row in scalar
+    complex arithmetic (numpy's vectorised complex product can differ
+    from it in the last bit); the interior follows from the Green's
+    function edge column acting on the edge coupling.
     """
-    a = np.empty(greens_column.size + 1, dtype=complex)
-    a[-2] = h_minus[0] - s * h_plus[0]
-    a[-1] = h_minus[1] - s * h_plus[1]
-    a[:-2] = -b_edge * greens_column[:-1] * a[-1]
+    rows, size = greens_columns.shape
+    a = np.empty((rows, size + 1), dtype=complex)
+    a[:, -2:] = [[hm[0] - s_row * hp[0], hm[1] - s_row * hp[1]]
+                 for s_row, hp, hm in zip(s, h_plus.tolist(), h_minus.tolist())]
+    a[:, :-2] = -b_edge * greens_columns[:, :-1] * a[:, -1:]
     return a
 
 
@@ -174,6 +207,40 @@ def _periodic(history: list[complex], p: int, bifurcation_tolerance: float) -> b
         and abs(history[-1] - history[-1 - p]) < bifurcation_tolerance
         and all(abs(history[-1] - history[-1 - q]) >= bifurcation_tolerance for q in range(1, p))
     )
+
+
+class _Iteration:
+    """One energy's S history and the termination rules applied to it, order by order."""
+
+    def __init__(self, s0: complex, orders: int, tolerance: float, bifurcation_tolerance: float):
+        self.history = [s0]
+        self.orders, self.tolerance, self.bifurcation_tolerance = orders, tolerance, bifurcation_tolerance
+        self.status, self.period = (None, None) if orders else ("converged", None)
+        self.streaks, self.certified = dict.fromkeys(_PERIODS, 0), None
+
+    def add(self, s: complex) -> None:
+        """Record S_m of the next order m; `status` is set once the iteration has ended."""
+        history = self.history
+        history.append(s)
+        m = len(history) - 1
+        if abs(history[-1] - history[-2]) < self.tolerance:
+            self.status = "converged"
+        elif self.certified:
+            # Merged cycle values are a fixed point approached with
+            # alternating sign: revoke the certification and go on.
+            merged = min(abs(history[-1] - history[-1 - q]) for q in range(1, self.certified))
+            if merged < self.bifurcation_tolerance:
+                self.certified = None
+                self.streaks = dict.fromkeys(_PERIODS, 0)
+            # Ride the certified cycle until its values settle.
+            elif abs(history[-1] - history[-1 - self.certified]) < self.tolerance or m == self.orders:
+                self.status, self.period = "bifurcated", self.certified
+        else:
+            for p in _PERIODS:
+                self.streaks[p] = self.streaks[p] + 1 if _periodic(history, p, self.bifurcation_tolerance) else 0
+            self.certified = next((p for p in _PERIODS if self.streaks[p] >= _CYCLE_STREAK), None)
+        if self.status is None and m == self.orders:
+            self.status = "max-iterations"
 
 
 def solve_energy(
@@ -196,95 +263,94 @@ def scan(
     """Solve a whole energy grid, in input order.
 
     Order 0 solves the linear problem from the eigendecomposition kept
-    on `hamiltonian`, `_BLOCK` energies at a time, and each order m >= 1
-    applies `_order_map` (see the module docstring). After a cycle of
-    period 2 or 3 is certified, iteration continues to the cap or until
-    the cycle values themselves settle, so the reported pair is the
-    converged cycle rather than its transient; values that merge revoke
-    the cycle.
+    on `hamiltonian`, `_BLOCK` energies at a time. Each order m >= 1
+    applies `_order_map` to the block's unsettled energies, at most
+    `_STACK` of them per call, and an energy leaves the stack when its
+    iteration ends (see the module docstring). After a cycle of period 2
+    or 3 is certified, iteration continues to the cap or until the cycle
+    values themselves settle, so the reported pair is the converged cycle
+    rather than its transient; values that merge revoke the cycle.
 
     A numerically singular resolvent at any order repeats the energy's
-    whole solve once at the energy raised by the relative nudge (the
-    result carries the energy actually solved); a second one raises
-    SingularMatrixError. ValueError refuses a nonzero coupling without
-    `dten`, a `dten` built for another (n_basis, ell), and an energy
+    whole solve once, alone, at the energy raised by the relative nudge
+    (the result carries the energy actually solved); a second one raises
+    SingularMatrixError. ValueError refuses a coupling that is not
+    finite, a nonzero coupling without `dten`, a `dten` built for another
+    (n_basis, ell), and an energy, `tolerance` or `bifurcation_tolerance`
     that is not finite and positive.
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
+    if not isfinite(coupling):
+        raise ValueError(f"coupling must be finite, got {coupling!r}")
     if coupling != 0.0 and dten is None:
         raise ValueError("a nonzero coupling needs a D tensor")
     basis = (hamiltonian.n_basis, hamiltonian.ell)
     if dten is not None and (dten.n_basis, dten.ell) != basis:
         raise ValueError(f"D tensor built for (n_basis, ell) = {(dten.n_basis, dten.ell)}, Hamiltonian for {basis}")
+    finite_positive(tolerance, "tolerance")
+    finite_positive(bifurcation_tolerance, "bifurcation_tolerance")
     grid = finite_positive(energies, "scattering energy")
     n, orders = hamiltonian.n_basis, max_iterations if coupling else 0
+    b_edge = hamiltonian.coeffs[1][n - 1]
 
     def solve(block: np.ndarray, nudge: bool = True) -> list[ScatteringResult]:
-        # Order 0 of the block together, then each energy's own orders; a refusal re-solves it nudged.
+        # Order 0 of the block together, then its unsettled energies in stacks; a refusal re-solves one nudged.
         ref = oscillator_reference(block, hamiltonian.lam, hamiltonian.ell, hamiltonian.coeffs)
         h_plus = (ref.c[n - 1 :] + 1j * ref.s[n - 1 :]).T
         h_minus = (ref.c[n - 1 :] - 1j * ref.s[n - 1 :]).T
-        gaps = hamiltonian.eigenvalues - block[:, None]
-        conditioned = _conditioned(gaps)
+        g, conditioned = greens_spectral(hamiltonian.eigenvalues, hamiltonian.eigenvectors, block)
+        runs = [
+            _Iteration(phase_shift(h_plus[j], h_minus[j], g[j, -1], b_edge), orders, tolerance, bifurcation_tolerance)
+            if ok else None
+            for j, ok in enumerate(conditioned.tolist())
+        ]
+        # The unsettled energies' block indices, their g, E and h+- packed in the same order.
+        stack, energies, h_plus_s, h_minus_s = np.arange(block.size), block, h_plus, h_minus
+        going = [run is not None and run.status is None for run in runs]
+        while any(going):
+            if not all(going):
+                keep = np.flatnonzero(going)
+                stack, g, energies, h_plus_s, h_minus_s = (x[keep] for x in (stack, g, energies, h_plus_s, h_minus_s))
+            for part in (slice(i, i + _STACK) for i in range(0, stack.size, _STACK)):
+                rows = stack[part].tolist()
+                g[part], ok = _order_map(g[part], [runs[j].history[-1] for j in rows], energies[part],
+                                         h_plus_s[part], h_minus_s[part], b_edge, hamiltonian, dten, coupling)
+                for j, row_ok, hp, hm, corner in zip(rows, ok.tolist(), h_plus_s[part], h_minus_s[part], g[part, -1]):
+                    if row_ok:
+                        runs[j].add(phase_shift(hp, hm, corner, b_edge))
+                    else:
+                        runs[j] = None
+            going = [runs[j] is not None and runs[j].status is None for j in stack.tolist()]
         results = []
-        for j, energy in enumerate(block.tolist()):
-            try:
-                g = _edge_column(hamiltonian.eigenvectors, gaps[j], energy, conditioned[j])
-                results.append(_iterate(energy, h_plus[j], h_minus[j], g, hamiltonian, dten, coupling,
-                                        tolerance, bifurcation_tolerance, orders))
-            except SingularMatrixError:
-                if not nudge:
-                    raise
+        for energy, run in zip(block.tolist(), runs):
+            if run is not None:
+                results.append(ScatteringResult(energy=energy, status=run.status, history=tuple(run.history),
+                                                period=run.period))
+            elif nudge:
                 results += solve(np.array([energy * (1.0 + _ENERGY_NUDGE)]), nudge=False)
+            else:
+                raise SingularMatrixError(f"resolvent condition number above {_COND_LIMIT:.0e} at E={energy!r}")
         return results
 
     return [res for i in range(0, grid.size, _BLOCK) for res in solve(grid[i : i + _BLOCK])]
 
 
 def _order_map(
-    g: np.ndarray, s: complex, energy: float, h_plus: np.ndarray, h_minus: np.ndarray, b_edge: float,
+    g: np.ndarray, s: np.ndarray, energies: np.ndarray, h_plus: np.ndarray, h_minus: np.ndarray, b_edge: float,
     hamiltonian: LinearHamiltonian, dten: DTensor, coupling: float,
-) -> np.ndarray:
-    """One order, g <- Phi(g): the edge column of (H + c R(a) - E)^{-1}, a the coefficients of g and S."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """One order for a stack of B energies, g <- Phi(g) row by row.
+
+    g is (B, N), s the B values of S, energies (B,), h_plus and h_minus
+    (B, 2). Each row's coefficients of g and S give its effective
+    interaction R(a); returns the (B, N) edge columns of
+    (H + c R(a) - E)^{-1} and the (B,) mask of rows that passed the
+    condition test (`greens_matrix`). A row's output depends on that
+    row's inputs alone.
+    """
     a = interior_coefficients(s, h_plus, h_minus, g, b_edge)
-    return greens_matrix(hamiltonian.matrix + coupling * r_matrix(dten, a, hamiltonian.lam), energy)
-
-
-def _iterate(
-    energy: float, h_plus: np.ndarray, h_minus: np.ndarray, g: np.ndarray, hamiltonian: LinearHamiltonian,
-    dten: DTensor | None, coupling: float, tolerance: float, bifurcation_tolerance: float, orders: int,
-) -> ScatteringResult:
-    """One energy's S history: order 0 from its edge column g, then up to `orders` steps of Phi."""
-    b_edge = hamiltonian.coeffs[1][hamiltonian.n_basis - 1]
-    history, status, period = [], "max-iterations" if orders else "converged", None
-    streaks, certified = dict.fromkeys(_PERIODS, 0), None
-    for m in range(orders + 1):
-        if m:
-            g = _order_map(g, history[-1], energy, h_plus, h_minus, b_edge, hamiltonian, dten, coupling)
-        history.append(phase_shift(h_plus, h_minus, g[-1], b_edge))
-        if m == 0:
-            continue
-        if abs(history[-1] - history[-2]) < tolerance:
-            status = "converged"
-            break
-        if certified:
-            # Merged cycle values are a fixed point approached with
-            # alternating sign: revoke the certification and go on.
-            merged = min(abs(history[-1] - history[-1 - q]) for q in range(1, certified))
-            if merged < bifurcation_tolerance:
-                certified = None
-                streaks = dict.fromkeys(_PERIODS, 0)
-            # Ride the certified cycle until its values settle.
-            elif abs(history[-1] - history[-1 - certified]) < tolerance or m == orders:
-                status, period = "bifurcated", certified
-                break
-            continue
-        for p in _PERIODS:
-            streaks[p] = streaks[p] + 1 if _periodic(history, p, bifurcation_tolerance) else 0
-        certified = next((p for p in _PERIODS if streaks[p] >= _CYCLE_STREAK), None)
-
-    return ScatteringResult(energy=energy, status=status, history=tuple(history), period=period)
+    return greens_matrix(hamiltonian.matrix + coupling * r_matrix(dten, a, hamiltonian.lam), energies)
 
 
 def resonance_energy(

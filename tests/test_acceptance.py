@@ -194,7 +194,7 @@ def test_criterion_6_property_suite(rule100_l0):
     h = 0.5 * (h + h.T)
     evals, evecs = np.linalg.eigh(h)
     direct = greens_inverse(h, 0.31)
-    assert np.abs(direct[:, -1] - greens_spectral(evals, evecs, 0.31)).max() < 1e-9
+    assert np.abs(direct[:, -1] - greens_spectral(evals, evecs, [0.31])[0][0]).max() < 1e-9
     for i in range(6):
         assert greens_diagonal_minor(h, i, 0.31) == pytest.approx(
             direct[i, i], rel=1e-9, abs=1e-12

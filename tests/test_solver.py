@@ -79,14 +79,14 @@ def septic_setup(request):
 
 class TestGreens:
     def test_scalar_case(self):
-        out = greens_matrix(np.array([[2.0]]), 1.0)
-        assert out.shape == (1,)
-        assert out[0] == pytest.approx(1.0, rel=1e-14)
+        out, conditioned = greens_matrix(np.array([[[2.0]]]), [1.0])
+        assert out.shape == (1, 1) and conditioned.tolist() == [True]
+        assert out[0, 0] == pytest.approx(1.0, rel=1e-14)
 
     def test_inverse_residual(self):
         # the edge column solves (H - E) g = e_{N-1}
         h = random_symmetric(6, seed=11)
-        g = greens_matrix(h, 0.37)
+        (g,), _ = greens_matrix(h[None], [0.37])
         residual = (h - 0.37 * np.eye(6)) @ g - np.eye(6)[:, -1]
         assert np.abs(residual).max() < 1e-9
 
@@ -95,8 +95,8 @@ class TestGreens:
         evals, evecs = np.linalg.eigh(h)
         for energy in (-1.3, 0.2, 0.9, 2.7):
             direct = greens_inverse(h, energy)[:, -1]
-            assert np.abs(greens_matrix(h, energy) - direct).max() < 1e-10
-            assert np.abs(greens_spectral(evals, evecs, energy) - direct).max() < 1e-10
+            assert np.abs(greens_matrix(h[None], [energy])[0][0] - direct).max() < 1e-10
+            assert np.abs(greens_spectral(evals, evecs, [energy])[0][0] - direct).max() < 1e-10
 
     def test_minor_ratio_routes_match_direct(self):
         # two determinant-based constructions of individual entries,
@@ -130,10 +130,10 @@ class TestGreens:
     def test_singular_energy_refused(self):
         h = random_symmetric(5, seed=15)
         evals, evecs = np.linalg.eigh(h)
-        with pytest.raises(SingularMatrixError):
-            greens_matrix(h, float(evals[2]))
-        with pytest.raises(SingularMatrixError):
-            greens_spectral(evals, evecs, float(evals[2]))
+        # a refusal is a False in the mask, and the refused column stays zero
+        for columns, conditioned in (greens_matrix(h[None], [evals[2]]), greens_spectral(evals, evecs, [evals[2]])):
+            assert conditioned.tolist() == [False]
+            assert not columns.any()
         # refused exactly where the 2-norm condition number of H - E
         # exceeds 1e12: offsets from a level giving about 1e11 and 1e13
         widest = np.abs(evals - evals[2]).max()
@@ -142,14 +142,29 @@ class TestGreens:
             cond = np.linalg.cond(h - energy * np.eye(5))
             assert cond == pytest.approx(target, rel=0.1)
             assert (cond > 1e12) == refused
-            if refused:
-                with pytest.raises(SingularMatrixError):
-                    greens_spectral(evals, evecs, energy)
-                with pytest.raises(SingularMatrixError):
-                    greens_matrix(h, energy)
-            else:
-                assert np.isfinite(greens_spectral(evals, evecs, energy)).all()
-                assert np.isfinite(greens_matrix(h, energy)).all()
+            for columns, conditioned in (greens_spectral(evals, evecs, [energy]), greens_matrix(h[None], [energy])):
+                assert conditioned.tolist() == [not refused]
+                assert np.isfinite(columns).all()
+
+    def test_right_hand_sides_carry_the_stack_shape(self, monkeypatch):
+        # numpy 1.x reads a right-hand side with one dimension fewer than the
+        # (K, N, N) stack as K vectors, numpy 2 as one (N, 1) matrix: only a
+        # (K, N, 1) one is read alike by both
+        h = np.stack([random_symmetric(5, seed=seed) for seed in (16, 17, 18)])
+        level = float(np.linalg.eigvalsh(h[1])[2])
+        solve, shapes = np.linalg.solve, []
+
+        def recording_solve(a, b):
+            shapes.append((a.shape, b.shape))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recording_solve)
+        for energies in ([0.3, 0.4, 0.5], [0.3, level, 0.5]):
+            columns, conditioned = greens_matrix(h, energies)
+            for row, energy, ok in zip(range(3), energies, conditioned.tolist()):
+                if ok:
+                    assert np.abs(columns[row] - greens_inverse(h[row], energy)[:, -1]).max() < 1e-10
+        assert shapes == [((3, 5, 5), (3, 5, 1)), ((2, 5, 5), (2, 5, 1))]
 
 
 @pytest.fixture(scope="module")
@@ -181,6 +196,15 @@ class TestRMatrix:
         assert rm.dtype == np.float64
         assert np.all(np.isfinite(rm))
         assert np.array_equal(rm, rm.T)
+        # a stack of coefficient rows: one R per row, each exactly
+        # symmetric and equal to its one-row call
+        rows = np.stack([coeffs, coeffs.conj(), 2.0 * coeffs[::-1]])
+        stack = r_matrix(dten, rows, 1.3)
+        assert stack.shape == (3, n_basis, n_basis)
+        assert np.array_equal(stack, stack.swapaxes(-1, -2))
+        assert np.array_equal(stack[0], rm)
+        for row, one in zip(rows, stack):
+            assert np.array_equal(one, r_matrix(dten, row, 1.3))
 
     def test_dual_route_against_product_expansion(self, contraction):
         # reroute the contraction through the product-expansion tensor and
@@ -278,11 +302,11 @@ class TestSolveEnergy:
         ham, dten = gauss_setup
         attempts = []
 
-        def refuse(eigenvalues, eigenvectors, energy):
-            attempts.append(energy)
-            raise SingularMatrixError(f"refused at E={energy!r}")
+        def refuse(h_eff, energies):
+            attempts.extend(energies.tolist())
+            return np.zeros(h_eff.shape[:-1]), np.zeros(len(energies), dtype=bool)
 
-        monkeypatch.setattr(solver, "greens_spectral", refuse)
+        monkeypatch.setattr(solver, "greens_matrix", refuse)
         with pytest.raises(SingularMatrixError):
             solve_energy(2.5, ham, dten, coupling=0.001)
         assert len(attempts) == 2
@@ -444,6 +468,17 @@ class TestGridIsItsOneEnergySolves:
             assert res == solve_energy(energy, ham, dten, **options)
             assert res.energy == energy
 
+    def test_stacked_orders_match_one_energy_solves(self):
+        # table4 across its period-doubling window: 150 energies in three
+        # stacks at first, each leaving the stack at its own order
+        cfg, ham, dten, options = _config_problem("table4")
+        energies = [2.0 + k / 100 for k in range(150)]
+        assert len(energies) > 2 * solver._STACK
+        results = scan(energies, ham, dten, **options)
+        assert len({res.iterations for res in results}) > 10
+        for energy, res in zip(energies, results):
+            assert res == solve_energy(energy, ham, dten, **options)
+
     @pytest.mark.parametrize("coupling", [0.0, 0.001])
     def test_only_the_trapped_energy_is_nudged(self, gauss_setup, coupling):
         ham, dten = gauss_setup
@@ -469,19 +504,65 @@ class TestOrderMap:
         ref = oscillator_reference(energy, ham.lam, ham.ell, ham.coeffs)
         h_plus, h_minus = ref.c[n - 1 :] + 1j * ref.s[n - 1 :], ref.c[n - 1 :] - 1j * ref.s[n - 1 :]
         b_edge = ham.coeffs[1][n - 1]
-        g = greens_spectral(ham.eigenvalues, ham.eigenvectors, energy)
+        (g,), _ = greens_spectral(ham.eigenvalues, ham.eigenvectors, [energy])
         s = phase_shift(h_plus, h_minus, g[n - 1], b_edge)
         assert s == res.history[0]
         for expected in res.history[1:]:
-            args = (g, s, energy, h_plus, h_minus, b_edge, ham, dten, cfg.coupling_g)
-            g = solver._order_map(*args)
+            args = (g[None], np.array([s]), np.array([energy]), h_plus[None], h_minus[None], b_edge, ham, dten,
+                    cfg.coupling_g)
+            (g,), _ = solver._order_map(*args)
             assert g.dtype == np.float64 and g.shape == (n,)
-            assert solver._order_map(*args).tobytes() == g.tobytes()
+            assert solver._order_map(*args)[0][0].tobytes() == g.tobytes()
             s = phase_shift(h_plus, h_minus, g[n - 1], b_edge)
             assert s == expected
 
+    def test_refused_row_leaves_the_others_alone(self):
+        # the middle row's energy is an eigenvalue of its own H + c R: it is
+        # refused with no LinAlgError escaping, its column stays zero, and
+        # the other rows equal their one-row calls bit for bit
+        cfg, ham, dten, _ = _config_problem("table3")
+        n, c = ham.n_basis, cfg.coupling_g
+        energies = np.array([1.0, 2.0, 3.0])
+        ref = oscillator_reference(energies, ham.lam, ham.ell, ham.coeffs)
+        h_plus, h_minus = (ref.c[n - 1 :] + 1j * ref.s[n - 1 :]).T, (ref.c[n - 1 :] - 1j * ref.s[n - 1 :]).T
+        b_edge = ham.coeffs[1][n - 1]
+        g, _ = greens_spectral(ham.eigenvalues, ham.eigenvectors, energies)
+        s = np.array([phase_shift(h_plus[j], h_minus[j], g[j, -1], b_edge) for j in range(3)])
+        a = solver.interior_coefficients(s, h_plus, h_minus, g, b_edge)
+        levels = np.linalg.eigvalsh(ham.matrix + c * r_matrix(dten, a[1], ham.lam))
+        energies[1] = levels[np.argmin(np.abs(levels - 2.0))]
+        columns, conditioned = solver._order_map(g, s, energies, h_plus, h_minus, b_edge, ham, dten, c)
+        assert conditioned.tolist() == [True, False, True]
+        assert not columns[1].any()
+        for j in (0, 2):
+            one = slice(j, j + 1)
+            alone, ok = solver._order_map(g[one], s[one], energies[one], h_plus[one], h_minus[one], b_edge,
+                                          ham, dten, c)
+            assert ok.tolist() == [True]
+            assert alone[0].tobytes() == columns[j].tobytes()
+
 
 class TestInputsRefusedByValue:
+    @pytest.mark.parametrize(
+        "option,bad,message",
+        [
+            ("tolerance", float("nan"), "tolerance must be finite and positive, got nan"),
+            ("tolerance", -1.0, "tolerance must be finite and positive, got -1.0"),
+            ("bifurcation_tolerance", float("nan"), "bifurcation_tolerance must be finite and positive, got nan"),
+            ("coupling", float("nan"), "coupling must be finite, got nan"),
+        ],
+    )
+    def test_bad_option_refused_by_value(self, gauss_setup, option, bad, message):
+        # unrefused, a NaN or negative tolerance ran every order to
+        # "max-iterations", a NaN bifurcation tolerance passed silently and
+        # a NaN coupling failed inside LAPACK, naming no value
+        ham, dten = gauss_setup
+        options = {"coupling": 0.001, option: bad}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            solve_energy(2.5, ham, dten, **options)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            scan([1.0, 2.5], ham, dten, **options)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
     def test_bad_energy_refused_by_value(self, gauss_setup, bad):
         ham, dten = gauss_setup
