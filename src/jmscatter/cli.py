@@ -184,10 +184,10 @@ _TOP_KEYS = {
 
 
 def load_config(path: str) -> RunConfig:
-    """Read and strictly validate a YAML run configuration."""
+    """Read and strictly validate a YAML run configuration (libyaml's safe loader where PyYAML has it)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -8,10 +8,12 @@ Order 0 is the linear problem, solved for a block of grid energies at
 once from the eigendecomposition of H; a linear energy runs no later
 order. Phi (`_order_map`) advances a stack of the block's unsettled
 energies together: it contracts each row's coefficients of g and S into
-its effective interaction R, refuses a row by the eigenvalues of
-H + c R - E and solves the others' edge columns of (H + c R - E)^{-1}
-by LU. An energy leaves the stack when its iteration ends, and every
-row's g equals bit for bit its one-energy solve. Termination is
+its effective interaction R, refuses a row whose H + c R - E is too
+ill-conditioned and solves the others' edge columns of
+(H + c R - E)^{-1} by LU. Most rows' condition is certified from the
+eigenvalues of H and ||R||_F alone; only the rest take the eigenvalues
+of H + c R - E. An energy leaves the stack when its iteration ends, and
+every row's g equals bit for bit its one-energy solve. Termination is
 convergence of S, a certified cycle of period 2 or 3 (checked in that
 order, after convergence), or the iteration cap. A certification is
 revoked when its cycle values merge to within the bifurcation
@@ -122,6 +124,32 @@ def _conditioned(gaps: np.ndarray) -> np.ndarray:
     return distance.max(axis=-1) <= _COND_LIMIT * distance.min(axis=-1)
 
 
+def _certified(levels: np.ndarray, energies: np.ndarray, spread: np.ndarray) -> np.ndarray:
+    """Whether H + c R - E is certainly conditioned, per row, without its eigenvalues.
+
+    levels are the eigenvalues e of H, shared (N,) or one row each, and
+    spread is c ||R||_F per row, R positive semidefinite. Since
+    0 <= R <= ||R||_2 <= ||R||_F, Weyl's inequality puts the i-th
+    eigenvalue of H + c R - E in [e_i - E + min(0, spread),
+    e_i - E + max(0, spread)]. With `near` the least distance from 0 to
+    these intervals and `far` their largest endpoint magnitude, a row is
+    certified when far <= 1e-4 * _COND_LIMIT * near. That margin is what
+    makes the certificate agree with `_conditioned` on the eigenvalues
+    that `eigvalsh` would compute: the rounding of eigh(H), of forming
+    H + c R - E and of eigvalsh itself is about N eps far (4e-15 far at
+    N = 20), while a certified row has near >= 1e-8 far, so its computed
+    condition number is at most 1e8 (1 + 1e-6) and eigvalsh would accept
+    it too. A row with a NaN or infinite level, energy or spread is never
+    certified.
+    """
+    gaps = levels - np.asarray(energies, dtype=float)[:, None]
+    spread = np.asarray(spread, dtype=float)[:, None]
+    low, high = gaps + np.minimum(spread, 0.0), gaps + np.maximum(spread, 0.0)
+    near = np.maximum(np.maximum(low, -high), 0.0).min(axis=-1)
+    far = np.maximum(high, -low).max(axis=-1)
+    return np.isfinite(far) & (far <= 1e-4 * _COND_LIMIT * near)
+
+
 def greens_spectral(
     eigenvalues: np.ndarray, eigenvectors: np.ndarray, energies: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -140,17 +168,26 @@ def greens_spectral(
     return columns, conditioned
 
 
-def greens_matrix(h_eff: np.ndarray, energies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def greens_matrix(
+    h_eff: np.ndarray, energies: np.ndarray, levels: np.ndarray, spread: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Edge columns of the resolvents of a (B, N, N) stack of symmetric H_eff, one energy each.
 
-    The condition test runs on the eigenvalues of each H_eff - E, and the
+    Each H_eff is H + c R with R positive semidefinite; levels are the
+    eigenvalues of H and spread is c ||R||_F per row. A row that
+    `_certified` vouches for is conditioned; the condition test of the
+    others runs on the eigenvalues of their H_eff - E, in one stacked
+    eigvalsh, and the two decide every row alike (see `_certified`). The
     column of each conditioned row is one LU solve of (H_eff - E) g = e_{N-1}.
     Returns the (B, N) columns and the (B,) mask; a refused row never
     reaches the solve and stays zero.
     """
     shifted = np.array(h_eff, dtype=float)
     np.einsum("...ii->...i", shifted)[...] -= np.asarray(energies, dtype=float)[:, None]
-    conditioned = _conditioned(np.linalg.eigvalsh(shifted))
+    conditioned = _certified(levels, energies, spread)
+    doubtful = np.flatnonzero(~conditioned)
+    if doubtful.size:
+        conditioned[doubtful] = _conditioned(np.linalg.eigvalsh(shifted[doubtful]))
     every = conditioned.all()
     solvable = shifted if every else shifted[conditioned]
     # The right-hand sides carry the stack's full shape: numpy 1.x would read an (N, 1) one as N vectors.
@@ -346,11 +383,13 @@ def _order_map(
     (B, 2). Each row's coefficients of g and S give its effective
     interaction R(a); returns the (B, N) edge columns of
     (H + c R(a) - E)^{-1} and the (B,) mask of rows that passed the
-    condition test (`greens_matrix`). A row's output depends on that
-    row's inputs alone.
+    condition test (`greens_matrix`, given the eigenvalues of H and each
+    row's c ||R||_F). A row's output depends on that row's inputs alone.
     """
     a = interior_coefficients(s, h_plus, h_minus, g, b_edge)
-    return greens_matrix(hamiltonian.matrix + coupling * r_matrix(dten, a, hamiltonian.lam), energies)
+    r = r_matrix(dten, a, hamiltonian.lam)
+    norm = np.sqrt(np.einsum("...ij,...ij->...", r, r))
+    return greens_matrix(hamiltonian.matrix + coupling * r, energies, hamiltonian.eigenvalues, coupling * norm)
 
 
 def resonance_energy(

@@ -50,6 +50,26 @@ class TestLoadConfig:
             cfg = load_config(str(CONFIG_DIR / name))
             assert cfg.basis_size_n >= 2
 
+    def test_c_and_pure_python_loaders_agree(self, tmp_path, monkeypatch):
+        # load_config parses with libyaml's CSafeLoader where PyYAML has it;
+        # the pure-Python SafeLoader must read every config to the same RunConfig
+        energies = np.round(np.random.default_rng(5).uniform(0.5, 7.0, 600), 6).tolist()
+        paths = [str(p) for p in sorted(CONFIG_DIR.iterdir(), key=lambda p: p.name) if p.name.endswith(".yaml")]
+        paths.append(write_config(tmp_path, minimal(energy_grid={"list": energies})))
+        loaded = [load_config(path) for path in paths]
+        assert loaded[-1].energies == tuple(energies)
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        assert [load_config(path) for path in paths] == loaded
+
+    @pytest.mark.parametrize("loader", ["CSafeLoader", "SafeLoader"])
+    def test_malformed_yaml_is_a_config_error(self, tmp_path, monkeypatch, loader):
+        if loader == "SafeLoader":
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        path = tmp_path / "broken.yaml"
+        path.write_text("basis_size_N: 8\nenergy_grid: {list: [1.0, 1.2\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="cannot parse config"):
+            load_config(str(path))
+
     def test_trapezoid_run_fields(self):
         cfg = load_config(str(CONFIG_DIR / "table3.yaml"))
         assert cfg.ell == 1

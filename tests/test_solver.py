@@ -8,6 +8,8 @@ from importlib.resources import files
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jmscatter.hamiltonian import (
     PiecewiseLinearPotential,
@@ -79,14 +81,14 @@ def septic_setup(request):
 
 class TestGreens:
     def test_scalar_case(self):
-        out, conditioned = greens_matrix(np.array([[[2.0]]]), [1.0])
+        out, conditioned = greens_matrix(np.array([[[2.0]]]), [1.0], levels=np.array([2.0]), spread=[0.0])
         assert out.shape == (1, 1) and conditioned.tolist() == [True]
         assert out[0, 0] == pytest.approx(1.0, rel=1e-14)
 
     def test_inverse_residual(self):
         # the edge column solves (H - E) g = e_{N-1}
         h = random_symmetric(6, seed=11)
-        (g,), _ = greens_matrix(h[None], [0.37])
+        (g,), _ = greens_matrix(h[None], [0.37], levels=np.linalg.eigvalsh(h), spread=[0.0])
         residual = (h - 0.37 * np.eye(6)) @ g - np.eye(6)[:, -1]
         assert np.abs(residual).max() < 1e-9
 
@@ -95,7 +97,8 @@ class TestGreens:
         evals, evecs = np.linalg.eigh(h)
         for energy in (-1.3, 0.2, 0.9, 2.7):
             direct = greens_inverse(h, energy)[:, -1]
-            assert np.abs(greens_matrix(h[None], [energy])[0][0] - direct).max() < 1e-10
+            column = greens_matrix(h[None], [energy], levels=np.linalg.eigvalsh(h), spread=[0.0])[0][0]
+            assert np.abs(column - direct).max() < 1e-10
             assert np.abs(greens_spectral(evals, evecs, [energy])[0][0] - direct).max() < 1e-10
 
     def test_minor_ratio_routes_match_direct(self):
@@ -131,7 +134,8 @@ class TestGreens:
         h = random_symmetric(5, seed=15)
         evals, evecs = np.linalg.eigh(h)
         # a refusal is a False in the mask, and the refused column stays zero
-        for columns, conditioned in (greens_matrix(h[None], [evals[2]]), greens_spectral(evals, evecs, [evals[2]])):
+        for columns, conditioned in (greens_matrix(h[None], [evals[2]], levels=np.linalg.eigvalsh(h), spread=[0.0]),
+                                     greens_spectral(evals, evecs, [evals[2]])):
             assert conditioned.tolist() == [False]
             assert not columns.any()
         # refused exactly where the 2-norm condition number of H - E
@@ -142,7 +146,8 @@ class TestGreens:
             cond = np.linalg.cond(h - energy * np.eye(5))
             assert cond == pytest.approx(target, rel=0.1)
             assert (cond > 1e12) == refused
-            for columns, conditioned in (greens_spectral(evals, evecs, [energy]), greens_matrix(h[None], [energy])):
+            for columns, conditioned in (greens_spectral(evals, evecs, [energy]),
+                                         greens_matrix(h[None], [energy], levels=np.linalg.eigvalsh(h), spread=[0.0])):
                 assert conditioned.tolist() == [not refused]
                 assert np.isfinite(columns).all()
 
@@ -160,7 +165,7 @@ class TestGreens:
 
         monkeypatch.setattr(np.linalg, "solve", recording_solve)
         for energies in ([0.3, 0.4, 0.5], [0.3, level, 0.5]):
-            columns, conditioned = greens_matrix(h, energies)
+            columns, conditioned = greens_matrix(h, energies, levels=np.linalg.eigvalsh(h), spread=[0.0] * 3)
             for row, energy, ok in zip(range(3), energies, conditioned.tolist()):
                 if ok:
                     assert np.abs(columns[row] - greens_inverse(h[row], energy)[:, -1]).max() < 1e-10
@@ -302,7 +307,7 @@ class TestSolveEnergy:
         ham, dten = gauss_setup
         attempts = []
 
-        def refuse(h_eff, energies):
+        def refuse(h_eff, energies, levels, spread):
             attempts.extend(energies.tolist())
             return np.zeros(h_eff.shape[:-1]), np.zeros(len(energies), dtype=bool)
 
@@ -516,7 +521,7 @@ class TestOrderMap:
             s = phase_shift(h_plus, h_minus, g[n - 1], b_edge)
             assert s == expected
 
-    def test_refused_row_leaves_the_others_alone(self):
+    def test_refused_row_leaves_the_others_alone(self, monkeypatch):
         # the middle row's energy is an eigenvalue of its own H + c R: it is
         # refused with no LinAlgError escaping, its column stays zero, and
         # the other rows equal their one-row calls bit for bit
@@ -531,8 +536,18 @@ class TestOrderMap:
         a = solver.interior_coefficients(s, h_plus, h_minus, g, b_edge)
         levels = np.linalg.eigvalsh(ham.matrix + c * r_matrix(dten, a[1], ham.lam))
         energies[1] = levels[np.argmin(np.abs(levels - 2.0))]
+        eigvalsh, stacks = np.linalg.eigvalsh, []
+
+        def recording_eigvalsh(a):
+            stacks.append(a.copy())
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
         columns, conditioned = solver._order_map(g, s, energies, h_plus, h_minus, b_edge, ham, dten, c)
         assert conditioned.tolist() == [True, False, True]
+        # the refused row was not certified: the eigenvalue test refused it
+        shifted = ham.matrix + c * r_matrix(dten, a[1], ham.lam) - energies[1] * np.eye(n)
+        assert len(stacks) == 1 and any(np.abs(m - shifted).max() < 1e-12 for m in stacks[0])
         assert not columns[1].any()
         for j in (0, 2):
             one = slice(j, j + 1)
@@ -540,6 +555,98 @@ class TestOrderMap:
                                           ham, dten, c)
             assert ok.tolist() == [True]
             assert alone[0].tobytes() == columns[j].tobytes()
+
+
+class TestConditionCertificate:
+    """greens_matrix vouches for a row's condition from the eigenvalues of H
+    and c ||R||_F; only the rows it cannot vouch for run eigvalsh, and a
+    vouched row is always one that eigvalsh would accept."""
+
+    @staticmethod
+    def case(size, seed, rank, coupling):
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(size, size))
+        x = rng.normal(size=(size, rank))
+        h, r = 0.5 * (m + m.T), x @ x.T
+        return np.linalg.eigh(h)[0], h + coupling * r, coupling * np.sqrt(np.einsum("ij,ij->", r, r))
+
+    @staticmethod
+    def eigenvalue_test(h_eff, energy):
+        return bool(solver._conditioned(np.linalg.eigvalsh(h_eff - energy * np.eye(len(h_eff)))))
+
+    @given(
+        size=st.integers(min_value=4, max_value=20),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        rank=st.integers(min_value=1, max_value=20),
+        log_coupling=st.floats(min_value=-14.0, max_value=0.0),
+        coupling_sign=st.sampled_from([-1.0, 1.0]),
+        level=st.integers(min_value=0, max_value=19),
+        log_distance=st.floats(min_value=-15.0, max_value=0.0),
+        side=st.sampled_from([-1.0, 1.0]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_certified_rows_pass_the_eigenvalue_test(
+        self, size, seed, rank, log_coupling, coupling_sign, level, log_distance, side
+    ):
+        levels, h_eff, spread = self.case(size, seed, rank, coupling_sign * 10.0**log_coupling)
+        near = levels[level % size]
+        energy = near + side * 10.0**log_distance * max(abs(near), np.ptp(levels))
+        if solver._certified(levels, [energy], [spread])[0]:
+            assert self.eigenvalue_test(h_eff, energy)
+
+    def test_certificate_decides_on_both_sides(self):
+        # energies from 1e-15 to 1 (relative) off a level, couplings of
+        # either sign: some rows are certified, some are not, and every
+        # certified one passes the eigenvalue test
+        decided = []
+        for seed, coupling in itertools.product(range(4), (-1e-6, 1e-15, 1e-9, 1e-3)):
+            levels, h_eff, spread = self.case(12, seed, 5, coupling)
+            for k, exponent in itertools.product((0, 5, 11), range(-15, 1)):
+                energy = levels[k] + 10.0**exponent * max(abs(levels[k]), np.ptp(levels))
+                certified = bool(solver._certified(levels, [energy], [spread])[0])
+                assert not certified or self.eigenvalue_test(h_eff, energy)
+                decided.append(certified)
+        assert 0.2 < np.mean(decided) < 0.8
+
+    @pytest.mark.parametrize("coupling", [-0.3, 0.3])
+    def test_level_moved_onto_the_energy_is_not_certified(self, coupling):
+        # R = v v^T along the eigenvector of one level moves that level, and
+        # only it, by c exactly: at E = e_k + c the matrix is singular
+        h = random_symmetric(8, seed=31)
+        levels, vectors = np.linalg.eigh(h)
+        r = np.outer(vectors[:, 3], vectors[:, 3])
+        energy = levels[3] + coupling
+        assert not self.eigenvalue_test(h + coupling * r, energy)
+        spread = coupling * np.sqrt(np.einsum("ij,ij->", r, r))
+        assert solver._certified(levels, [energy], [spread]).tolist() == [False]
+
+    def test_nan_and_inf_never_certified(self):
+        levels = np.array([-1.0, 0.5, 2.0])
+        bad = (np.nan, np.inf, -np.inf)
+        for energy, spread in [*((e, 0.0) for e in bad), *((1.0, x) for x in bad), (np.nan, np.inf)]:
+            assert solver._certified(levels, [energy], [spread]).tolist() == [False]
+        assert solver._certified(np.array([-1.0, np.nan, 2.0]), [1.0], [0.0]).tolist() == [False]
+        assert solver._certified(levels, [1.0], [0.0]).tolist() == [True]
+
+    def test_few_rows_reach_eigvalsh_on_the_paper_energies(self, monkeypatch):
+        # table1's paper energies: every order row went through eigvalsh
+        # before the certificate; now under 10% of them do
+        cfg, ham, dten, options = _config_problem("table1")
+        eigvalsh, matrix_rows, greens, order_rows = np.linalg.eigvalsh, [], solver.greens_matrix, []
+
+        def counting_eigvalsh(a):
+            matrix_rows.append(a.shape[0])
+            return eigvalsh(a)
+
+        def counting_greens(h_eff, *rest):
+            order_rows.append(h_eff.shape[0])
+            return greens(h_eff, *rest)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        monkeypatch.setattr(solver, "greens_matrix", counting_greens)
+        scan(list(cfg.energies), ham, dten, **options)
+        assert sum(order_rows) >= 20
+        assert sum(matrix_rows) < 0.1 * sum(order_rows)
 
 
 class TestInputsRefusedByValue:
