@@ -3,11 +3,12 @@
 The free Hamiltonian in the oscillator basis is tridiagonal; its
 coefficients, stripped of the scale lam^2/2, form the Jacobi matrix of
 the normalized Laguerre family (`specfun.jacobi_coefficients`). Its
-eigenvalues are the Gauss nodes of the weight x^ell e^{-x} / ell! and
-the squared first components of its eigenvectors are the Gauss weights
-(Golub & Welsch 1969; the weight function integrates to one, so the
-weights sum to one). Eigenvector rows evaluate the basis polynomials at
-the nodes without any explicit recursion.
+eigenvalues are the Gauss nodes of the weight x^ell e^{-x} / ell!, which
+integrates to one, and the squared first components of its eigenvectors
+are the Gauss weights (Golub & Welsch 1969); eigenvector rows evaluate
+the basis polynomials at the nodes. numpy's dense `eigh` diagonalizes,
+O(Q^3) once per rule. Its eigenvectors are kept in Fortran order: the
+BLAS products of `potential_matrix` round differently on a C-ordered copy.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .specfun import jacobi_coefficients
 
@@ -68,10 +68,13 @@ def build_rule(order: int, ell: int) -> QuadratureRule:
     if order < 1:
         raise ValueError("quadrature order must be >= 1")
     diag, off = jacobi_coefficients(order - 1, ell)
-    nodes, vecs = eigh_tridiagonal(diag, -off[:-1])
-    first = vecs[0, :].copy()
-    vecs[:, first < 0] *= -1.0
-    first = vecs[0, :]
+    jacobi = np.zeros((order, order))
+    jacobi.flat[:: order + 1] = diag
+    jacobi.flat[1 :: order + 1] = jacobi.flat[order :: order + 1] = -off[:-1]
+    nodes, vecs = np.linalg.eigh(jacobi)
+    vecs = np.asfortranarray(vecs)
+    vecs *= np.where(vecs[0] < 0, -1.0, 1.0)
+    first = vecs[0]
     live = first > 0
     if not live.any():
         raise ArithmeticError("all first eigenvector components vanished in Jacobi diagonalization")

@@ -22,10 +22,12 @@ The other routes here are independent of the package's production
 paths: the full resolvent by direct inversion and its entries as
 determinant ratios, the closed-form nonlinear weight integrals, the
 associated Laguerre and Gegenbauer recursions, plain weighted
-quadrature sums, and the Ei series and the oscillator reference seeds
-in scalar math, one term and one energy at a time. `laguerre_normalized` is not independent: it reads one
-degree off the package's own upward recursion for tests that want a
-single polynomial value; the sine-like closed form reads it per degree.
+quadrature sums, the Ei series and the oscillator reference seeds
+in scalar math, one term and one energy at a time, and the Gauss rule
+from LAPACK's tridiagonal eigensolver. `laguerre_normalized` is not
+independent: it reads one degree off the package's own upward recursion
+for tests that want a single polynomial value; the sine-like closed
+form reads it per degree.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from dataclasses import dataclass
 from math import factorial, lgamma
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from jmscatter.linearize import _check_bound
 from jmscatter.quadrature import QuadratureRule
@@ -514,6 +517,24 @@ def gegenbauer_associated(k: int, nu: float, x: float) -> float:
         pnew = (2 * (m + nu + 1) * x * p - (m + 2 * nu) * pm1) / (m + 2)
         pm1, p = p, pnew
     return p
+
+
+def gauss_rule_tridiagonal(order: int, ell: int) -> QuadratureRule:
+    """`build_rule` through scipy's `eigh_tridiagonal` on the Jacobi bands.
+
+    Same negated off-diagonal and the same sign fix, Lambda[0, l] >= 0,
+    as the package, which diagonalizes the dense matrix instead.
+    """
+    diag, off = jacobi_coefficients(order - 1, ell)
+    nodes, vecs = eigh_tridiagonal(diag, -off[:-1])
+    vecs[:, vecs[0] < 0] *= -1.0
+    first = vecs[0]
+    live = first > 0
+    values = np.zeros_like(vecs)
+    values[:, live] = vecs[:, live] / first[live]
+    return QuadratureRule(
+        ell=ell, order=order, nodes=nodes, weights=first**2, vectors=vecs, values=values, live=live
+    )
 
 
 def integrate_weighted(rule: QuadratureRule, fvals: np.ndarray):

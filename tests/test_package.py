@@ -5,9 +5,16 @@ somewhere else in the package (as a name, an attribute or an import) or
 be exported in `jmscatter.__all__`. Routes that only tests reach belong
 in `tests/oracles.py`. Imports sit at the top of each module, never
 inside a function, so a module's dependencies can be read off its head.
+numpy does all of the package's linear algebra: no module imports
+`scipy.linalg`, and importing the CLI loads none of it beyond what
+`scipy.special` loads by itself. That is none with a scipy whose
+`scipy.special` imports `scipy.linalg` lazily (gh-23420; 1.17.1 has it),
+while older releases load it with `scipy.special` at import.
 """
 
 import ast
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -69,3 +76,36 @@ def imports_inside_functions() -> list[str]:
 
 def test_no_imports_inside_functions():
     assert imports_inside_functions() == []
+
+
+def scipy_linalg_imports() -> list[str]:
+    """Package modules that import `scipy.linalg` or anything under it."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(name.startswith("scipy.linalg") for name in names):
+                found.append(path.stem)
+    return found
+
+
+def test_no_module_imports_scipy_linalg():
+    assert scipy_linalg_imports() == []
+
+
+def test_cli_import_loads_no_scipy_linalg():
+    # Whatever scipy.special loads by itself is scipy's doing, not the package's.
+    probe = (
+        f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import scipy.special; "
+        "own = {m for m in sys.modules if m.startswith('scipy.linalg')}; import jmscatter.cli; "
+        "print(' '.join(m for m in sys.modules if m.startswith('scipy.linalg') and m not in own))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == []

@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 
 from jmscatter.quadrature import build_rule
 from jmscatter.specfun import jacobi_coefficients
-from oracles import integrate_weighted, laguerre_normalized, quadrature_values
+from oracles import (
+    gauss_rule_tridiagonal,
+    integrate_weighted,
+    laguerre_normalized,
+    quadrature_values,
+)
 
 
 def moment(m, ell):
@@ -128,3 +133,18 @@ class TestDeepTailNodes:
         recon = rule.vectors @ np.diag(rule.nodes) @ rule.vectors.T
         tri = np.diag(diag) - np.diag(off[:-1], 1) - np.diag(off[:-1], -1)
         assert np.abs(recon - tri).max() < 1e-12
+
+
+class TestDenseEigensolve:
+    @pytest.mark.parametrize("ell", [0, 1, 2, 3])
+    @pytest.mark.parametrize("order", [30, 100, 320])
+    def test_matches_tridiagonal_solver(self, order, ell):
+        rule = build_rule(order, ell)
+        want = gauss_rule_tridiagonal(order, ell)
+        np.testing.assert_array_equal(rule.live, want.live)
+        for name in ("nodes", "weights", "vectors"):
+            got, ref = getattr(rule, name), getattr(want, name)
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max(), name
+
+    def test_vectors_fortran_ordered(self):
+        assert build_rule(30, 1).vectors.flags.f_contiguous
