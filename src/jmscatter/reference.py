@@ -10,7 +10,8 @@ seed s_0, and c adds the source term tau of the inhomogeneous k = 0
 relation to a closed-form c_0; upward is stable because both solutions
 decay at the same slow rate. Laguerre basis: Gegenbauer polynomials of
 cos(theta), with mu mapped onto the unit circle, in place of Laguerre
-polynomials of mu^2; the cosine-like seeds read scipy's 2F1.
+polynomials of mu^2; the cosine-like seeds read a 2F1 that one
+recursion on its second parameter gives in closed form.
 
 Reconstruction sums filtered coefficient-weighted basis functions
 streamed from the upward Laguerre recursion started on the basis
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 from math import lgamma
 
 import numpy as np
-from scipy.special import hyp2f1
 
 from .hamiltonian import free_matrix_coeffs
 from .specfun import bessel_j, bessel_y, finite_positive, jacobi_coefficients, laguerre_upward, re_upper_gamma_neg
@@ -116,6 +116,22 @@ def oscillator_reference(energy, lam: float, ell: int, coeffs: tuple[np.ndarray,
     return ReferenceCoefficients(s=s, c=c)
 
 
+def _hyp2f1_seed(ell: int, ct: float, st: float) -> float:
+    """2F1(1/2, ell+1; 3/2; ct^2) for ct = cos(theta), st = sin(theta) > 0, without a series.
+
+    I_b = 2F1(1/2, b; 3/2; z) = int_0^1 (1 - z u^2)^-b du obeys
+    I_{b+1} = ((1 - z)^-b + (2b - 1) I_b) / (2b), all terms positive, from
+    I_1 = artanh|ct| / |ct|. With 1 - z = st^2 read from st, not formed as
+    1 - ct^2, and artanh|ct| = log((1 + |ct|) / st) away from ct = 0, no
+    digit is lost near the refusal band.
+    """
+    act = abs(ct)
+    hyp = 1.0 if act == 0.0 else (math.atanh(act) if act < 0.5 else math.log((1.0 + act) / st)) / act
+    for b in range(1, ell + 1):
+        hyp = (st ** (-2 * b) + (2 * b - 1) * hyp) / (2 * b)
+    return hyp
+
+
 def laguerre_basis_reference(point: EnergyPoint, ell: int, kmax: int) -> ReferenceCoefficients:
     """Sine-like and cosine-like coefficients in the Laguerre basis.
 
@@ -125,9 +141,10 @@ def laguerre_basis_reference(point: EnergyPoint, ell: int, kmax: int) -> Referen
     every k, including k = 0 where it contributes 1/sqrt((2 ell)!);
     dropping it there desynchronizes the seeds from the recursion.
 
-    The cosine-like seeds read 2F1(1/2, ell+1; 3/2; cos^2(theta)), which
-    diverges as cos^2(theta) -> 1, that is as E -> 0 or E -> infinity at
-    fixed lam; energies with cos^2(theta) >= 1 - 1e-8 are refused.
+    The cosine-like seeds read 2F1(1/2, ell+1; 3/2; cos^2(theta)) from
+    `_hyp2f1_seed`, which diverges as cos^2(theta) -> 1, that is as E -> 0
+    or E -> infinity at fixed lam; energies with cos^2(theta) >= 1 - 1e-8
+    are refused.
     """
     mu2 = point.mu**2
     den = mu2 + 0.25
@@ -139,7 +156,7 @@ def laguerre_basis_reference(point: EnergyPoint, ell: int, kmax: int) -> Referen
         2.0**ell / math.sqrt(math.pi * point.lam) * math.exp(lgamma(nu)) * st**nu
     )
     pref_c = 2.0 ** (ell + 1) * math.exp(lgamma(ell + 1)) / (math.pi * math.sqrt(point.lam)) * st**nu
-    hyp = float(hyp2f1(0.5, ell + 1.0, 1.5, ct * ct))
+    hyp = _hyp2f1_seed(ell, ct, st)
     norm0 = math.exp(-0.5 * lgamma(2 * ell + 1))
     norm1 = math.exp(-0.5 * lgamma(2 * ell + 2))
     diag, off = jacobi_coefficients(kmax, 2 * ell)

@@ -5,11 +5,10 @@ somewhere else in the package (as a name, an attribute or an import) or
 be exported in `jmscatter.__all__`. Routes that only tests reach belong
 in `tests/oracles.py`. Imports sit at the top of each module, never
 inside a function, so a module's dependencies can be read off its head.
-numpy does all of the package's linear algebra: no module imports
-`scipy.linalg`, and importing the CLI loads none of it beyond what
-`scipy.special` loads by itself. That is none with a scipy whose
-`scipy.special` imports `scipy.linalg` lazily (gh-23420; 1.17.1 has it),
-while older releases load it with `scipy.special` at import.
+At run time the package needs only numpy and PyYAML: no module imports
+scipy, importing the CLI loads no scipy module, and every CLI verb runs
+where importing scipy fails. scipy is a test dependency, the oracle of
+the special functions.
 """
 
 import ast
@@ -78,34 +77,63 @@ def test_no_imports_inside_functions():
     assert imports_inside_functions() == []
 
 
-def scipy_linalg_imports() -> list[str]:
-    """Package modules that import `scipy.linalg` or anything under it."""
+def scipy_imports() -> list[str]:
+    """Package modules that import `scipy` or anything under it."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.module:
-                names = [f"{node.module}.{alias.name}" for alias in node.names]
+                names = [node.module]
             else:
                 continue
-            if any(name.startswith("scipy.linalg") for name in names):
+            if any(name == "scipy" or name.startswith("scipy.") for name in names):
                 found.append(path.stem)
     return found
 
 
-def test_no_module_imports_scipy_linalg():
-    assert scipy_linalg_imports() == []
+def test_no_module_imports_scipy():
+    assert scipy_imports() == []
 
 
-def test_cli_import_loads_no_scipy_linalg():
-    # Whatever scipy.special loads by itself is scipy's doing, not the package's.
+def test_cli_import_loads_no_scipy():
     probe = (
-        f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import scipy.special; "
-        "own = {m for m in sys.modules if m.startswith('scipy.linalg')}; import jmscatter.cli; "
-        "print(' '.join(m for m in sys.modules if m.startswith('scipy.linalg') and m not in own))"
+        f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import jmscatter.cli; "
+        "print(' '.join(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
     ).stdout
     assert out.split() == []
+
+
+# Every CLI verb, each basis of basis-check included, in a process where importing scipy fails.
+BLOCKED_SCIPY_RUN = """
+import os, sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, BlockScipy())
+sys.path.insert(0, sys.argv[1])
+from jmscatter.cli import main
+
+configs = os.path.join(sys.argv[1], "jmscatter", "configs")
+runs = [("scan", "table1"), ("table", "table1"), ("stability-scan", "table1"),
+        ("basis-check", "fig3b"), ("basis-check", "fig5")]
+codes = []
+for verb, config in runs:
+    argv = [verb, "--config", os.path.join(configs, config + ".yaml"), "--output", os.devnull]
+    codes.append(main(argv if verb == "basis-check" else argv + ["--override-quadrature-bound"]))
+print(codes)
+"""
+
+
+def test_every_verb_runs_with_scipy_blocked():
+    out = subprocess.run(
+        [sys.executable, "-c", BLOCKED_SCIPY_RUN, str(PACKAGE.parent)], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[0, 0, 0, 0, 0]"

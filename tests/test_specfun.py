@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre, expi, hyp2f1, jv, yv
 
 from jmscatter import specfun as sf
-from jmscatter.reference import energy_point, reference_coefficients
+from jmscatter.reference import _hyp2f1_seed, energy_point, reference_coefficients
 from oracles import (
     exp_integral_ei_scalar,
     gegenbauer,
@@ -88,12 +88,42 @@ class TestLaguerreAssociated:
             assert got == pytest.approx(want, rel=1e-13, abs=1e-15)
 
 
-class TestBesselWrappers:
-    def test_matches_scipy(self):
-        for ell in (0, 1, 3):
-            for x in (0.3, 2.0, 17.5, 80.0):
-                assert sf.bessel_j(ell, x) == pytest.approx(float(jv(ell, x)), rel=1e-12)
-                assert sf.bessel_y(ell, x) == pytest.approx(float(yv(ell, x)), rel=1e-12)
+class TestBessel:
+    # a log grid over [1e-10, 1e4] plus the neighbours of the switch from Miller's recurrence to Hankel's expansion
+    X = np.concatenate([np.geomspace(1e-10, 1e4, 3001), np.nextafter(50.0, [0.0, inf]), [50.0]])
+
+    @pytest.mark.parametrize("ell", range(6))
+    def test_matches_scipy_across_the_switch(self, ell):
+        for ours, ref in ((sf.bessel_j, jv), (sf.bessel_y, yv)):
+            want = ref(ell, self.X)
+            assert np.all(np.abs(ours(ell, self.X) - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("ell", range(6))
+    def test_array_is_its_scalar_calls(self, ell):
+        x = np.random.default_rng(ell).permutation(np.concatenate([self.X[::20], self.X[-3:], [0.0, 1e-300, 1e-45]]))
+        assert np.array_equal(sf.bessel_j(ell, x), [sf.bessel_j(ell, v) for v in x.tolist()])
+        x = x[x > 0]
+        assert np.array_equal(sf.bessel_y(ell, x), [sf.bessel_y(ell, v) for v in x.tolist()])
+
+    def test_extreme_arguments_and_large_orders(self):
+        # below 1e-40 the leading series terms; above order 50 Miller's range reaches x = ell
+        for ell, x in ((0, 1e-300), (1, 1e-300), (3, 1e-45), (3, 1e-39), (2, 1e8), (60, 55.0), (60, 80.0), (60, 30.0)):
+            for ours, ref in ((sf.bessel_j, jv), (sf.bessel_y, yv)):
+                want = float(ref(ell, x))
+                assert ours(ell, x) == pytest.approx(want, rel=1e-13, abs=1e-13)
+        assert sf.bessel_y(60, 1e-4) == yv(60, 1e-4) == -inf
+        # scipy's yv(0, 5e-324) is -inf; Y_0 there is (2/pi)(ln(x/2) + gamma), about -474
+        assert (sf.bessel_j(0, 5e-324), sf.bessel_y(0, 5e-324)) == (1.0, pytest.approx(-473.99907342300423, rel=1e-15))
+
+    def test_origin_and_empty_input(self):
+        assert sf.bessel_j(0, 0.0) == 1.0
+        assert [sf.bessel_j(ell, 0.0) for ell in (1, 2, 5)] == [0.0, 0.0, 0.0]
+        assert sf.bessel_j(1, np.array([0.0, 0.0])).tolist() == [0.0, 0.0]
+        for func in (sf.bessel_j, sf.bessel_y):
+            out = func(2, np.array([]))
+            assert isinstance(out, np.ndarray) and out.shape == (0,)
+        assert sf.bessel_j(1, np.ones((2, 3))).shape == (2, 3)
+        assert type(sf.bessel_j(1, 2.0)) is float and type(sf.bessel_y(1, 2.0)) is float
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):
@@ -102,6 +132,19 @@ class TestBesselWrappers:
             sf.bessel_y(0, 0.0)
         with pytest.raises(ValueError):
             sf.bessel_j(-1, 1.0)
+
+    @pytest.mark.parametrize("bad", [nan, inf, -inf])
+    def test_non_finite_argument_refused_by_value(self, bad):
+        for func in (sf.bessel_j, sf.bessel_y):
+            with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+                func(1, [1.0, bad, 2.0])
+
+    @pytest.mark.parametrize("bad", [0.5, 2.25, nan])
+    def test_non_integer_order_refused_by_value(self, bad):
+        for func in (sf.bessel_j, sf.bessel_y):
+            with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+                func(bad, 1.0)
+        assert sf.bessel_j(2.0, 1.5) == sf.bessel_j(2, 1.5)
 
 
 class TestExponentialIntegral:
@@ -220,6 +263,22 @@ class TestHypergeometric:
         assert hyp2f1(0.5, 1.0, 1.5, z * z) == pytest.approx(
             float(np.arctanh(z) / z), rel=1e-13
         )
+
+    @pytest.mark.parametrize("ell", range(6))
+    def test_laguerre_seed_matches_scipy(self, ell):
+        # cos(theta) of both signs, on both artanh branches, up to the 1 - 1e-8 refusal band
+        mu = np.concatenate([np.geomspace(5e-5, 0.5, 400), np.geomspace(0.5, 2e4, 800)])
+        den = mu * mu + 0.25
+        for ct, st in zip(((mu * mu - 0.25) / den).tolist(), (mu / den).tolist()):
+            z = ct * ct
+            if z >= 1 - 1e-8:
+                continue
+            want = hyp2f1(0.5, ell + 1, 1.5, z)
+            tol = 1e-14 + 4e-16 * (ell + 1) / (1 - z)
+            assert abs(_hyp2f1_seed(ell, ct, st) - want) <= tol * want
+
+    def test_laguerre_seed_at_zero_cosine(self):
+        assert [_hyp2f1_seed(ell, 0.0, 1.0) for ell in range(4)] == [1.0, 1.0, 1.0, 1.0]
 
     def test_series_rejects_divergent_argument(self):
         # cos(theta)^2 of the Laguerre seeds within 1e-8 of 1, where 2F1 diverges
