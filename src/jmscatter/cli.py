@@ -26,13 +26,7 @@ import yaml
 from . import hamiltonian as ham
 from .linearize import DTensor, d_tensor, quadrature_bound
 from .quadrature import QuadratureRule, build_rule
-from .reference import (
-    chi_reconstruct,
-    energy_point,
-    irregular_target,
-    reference_coefficients,
-    regular_target,
-)
+from .reference import chi_reconstruct, energy_point, free_targets, reference_coefficients
 from .solver import ScatteringResult, SingularMatrixError, scan, solve_energy
 
 EXIT_OK = 0
@@ -290,22 +284,16 @@ def cmd_table(cfg: RunConfig, out, override: bool = False) -> None:
             out.write("\n")
 
 
-def _basis_block(cfg: RunConfig, basis: str, out) -> None:
-    point = energy_point(cfg.energies[0], cfg.lam)
-    start, stop, count = cfg.r_grid
-    r = np.linspace(start, stop, count)
+def _basis_block(cfg: RunConfig, basis: str, point, r: np.ndarray, reg: np.ndarray, irr: np.ndarray, out) -> None:
     ref = reference_coefficients(point, cfg.ell, cfg.basis_size_n, basis=basis)
     chi_sin, chi_cos = chi_reconstruct([ref.s, ref.c], cfg.ell, cfg.lam, r, basis=basis)
-    reg = regular_target(point, cfg.ell, r)
-    irr = irregular_target(point, cfg.ell, r)
     out.write(f"# basis = {basis}, ell = {cfg.ell}, E = {point.energy:g}, "
               f"lambda = {cfg.lam:g}, N = {cfg.basis_size_n}\n")
     out.write("r,chi_sin,chi_reg_target,chi_cos,chi_irr_target\n")
-    for i in range(r.size):
-        out.write(
-            f"{r[i]:.6f},{chi_sin[i]:.6f},{reg[i]:.6f},{chi_cos[i]:.6f},{irr[i]:.6f}\n"
-        )
+    columns = (r.tolist(), chi_sin.tolist(), reg.tolist(), chi_cos.tolist(), irr.tolist())
+    out.write("".join(f"{a:.6f},{b:.6f},{c:.6f},{d:.6f},{e:.6f}\n" for a, b, c, d, e in zip(*columns)))
     finite = np.isfinite(irr)
+    start, stop, _ = cfg.r_grid
     outer = finite & (r >= 0.5 * (start + stop))
     dev_sin = float(np.abs(chi_sin - reg).max())
     dev_cos = float(np.abs(chi_cos[outer] - irr[outer]).max())
@@ -314,10 +302,17 @@ def _basis_block(cfg: RunConfig, basis: str, out) -> None:
 
 
 def cmd_basis_check(cfg: RunConfig, out) -> None:
-    """Reconstruction CSV at the first grid energy, plus deviation summaries."""
+    """Reconstruction CSV at the first grid energy, plus deviation summaries.
+
+    The Bessel targets depend on the energy, ell and r only, so one pass
+    serves both bases.
+    """
     bases = ("oscillator", "laguerre") if cfg.basis_check == "both" else (cfg.basis_check,)
+    point = energy_point(cfg.energies[0], cfg.lam)
+    r = np.linspace(*cfg.r_grid)
+    reg, irr = free_targets(point, cfg.ell, r)
     for basis in bases:
-        _basis_block(cfg, basis, out)
+        _basis_block(cfg, basis, point, r, reg, irr, out)
 
 
 def stability_rows(

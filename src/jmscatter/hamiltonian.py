@@ -180,7 +180,7 @@ def f_weight_quadrature(n: int, ell: int, size: int) -> np.ndarray:
     sigma = n + 1
     rule = build_rule(size + 2, sigma * ell)
     xs = rule.nodes / sigma
-    values = np.array(list(laguerre_upward(size - 1, ell, xs, np.ones_like(xs))))
+    values = np.concatenate([block.copy() for block in laguerre_upward(size - 1, ell, xs)])
     pref = math.exp(
         lgamma(sigma * ell + 1) - lgamma(ell + 1) - (sigma * ell + 1) * math.log(sigma)
     )

@@ -14,8 +14,10 @@ polynomials of mu^2; the cosine-like seeds read a 2F1 that one
 recursion on its second parameter gives in closed form.
 
 Reconstruction sums filtered coefficient-weighted basis functions
-streamed from the upward Laguerre recursion started on the basis
-envelope, so the exponentially large bare polynomial values never form.
+from the upward Laguerre recursion started on the basis envelope, so
+the exponentially large bare polynomial values never form. The sum is
+taken block by block, in the order of the one-term-at-a-time sum and
+with its bits. Both Bessel targets come from one pass.
 Every recursion here reads its three-term coefficients from
 `specfun.jacobi_coefficients` (the free ones through
 `hamiltonian.free_matrix_coeffs`).
@@ -30,7 +32,7 @@ from math import lgamma
 import numpy as np
 
 from .hamiltonian import free_matrix_coeffs
-from .specfun import bessel_j, bessel_y, finite_positive, jacobi_coefficients, laguerre_upward, re_upper_gamma_neg
+from .specfun import LAGUERRE_BLOCK, bessel_jy, finite_positive, jacobi_coefficients, laguerre_upward, re_upper_gamma_neg
 
 
 @dataclass(frozen=True)
@@ -203,40 +205,56 @@ def chi_reconstruct(coefficients, ell: int, lam: float, r, basis: str = "oscilla
     is inside every iterate and bare polynomial values never appear.
     phi_0 must be representable at the largest radius requested; for the
     oscillator basis that bounds lam*r by about 37.
+
+    The sum is taken in the recursion's blocks of LAGUERRE_BLOCK basis
+    functions. Per block and row, the products c_k phi_k fill one buffer
+    behind the running total in its row 0, and `np.add.reduce` along
+    that axis adds them row after row, starting from -0.0, which leaves
+    every value as it is. So each entry has the bits of the plain
+    one-term-at-a-time sum, and does not depend on the other radii.
     """
     coefficients = np.asarray(coefficients, dtype=float)
     size = coefficients.shape[-1]
-    coefficients = coefficients * np.exp(-36.0 * (np.arange(size) / size) ** 16)
+    rows = coefficients.reshape(-1, size) * np.exp(-36.0 * (np.arange(size) / size) ** 16)
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise ValueError("radii must be nonnegative")
+    # numpy would sum a lone column pairwise, not in order; a copy of it as a second column keeps the order.
+    flat = np.repeat(r.ravel(), 2) if r.size == 1 else r.ravel()
     if basis == "oscillator":
-        x, order, norm = (lam * r) ** 2, ell, 0.5 * (math.log(2.0 * lam) - lgamma(ell + 1))
+        x, order, norm = (lam * flat) ** 2, ell, 0.5 * (math.log(2.0 * lam) - lgamma(ell + 1))
     elif basis == "laguerre":
-        x, order, norm = lam * r, 2 * ell, 0.5 * (math.log(lam) - lgamma(2 * ell + 1))
+        x, order, norm = lam * flat, 2 * ell, 0.5 * (math.log(lam) - lgamma(2 * ell + 1))
     else:
         raise ValueError(f"unknown basis {basis!r}")
     phi0 = np.where(
-        r > 0,
-        np.exp(norm + (ell + 0.5) * np.log(np.maximum(lam * r, 1e-300)) - 0.5 * x),
+        flat > 0,
+        np.exp(norm + (ell + 0.5) * np.log(np.maximum(lam * flat, 1e-300)) - 0.5 * x),
         0.0,
     )
+    totals, terms = np.empty((len(rows), flat.size)), np.empty((LAGUERRE_BLOCK + 1, flat.size))
+    k = 0
+    for phis in laguerre_upward(size - 1, order, x, phi0):
+        n, lead = len(phis), int(k > 0)
+        for c, total in zip(rows, totals):
+            if lead:
+                terms[0] = total
+            np.multiply(c[k : k + n, None], phis, out=terms[lead : lead + n])
+            np.add.reduce(terms[: lead + n], axis=0, out=total, initial=-0.0)
+        k += n
+    return totals[:, : r.size].reshape(coefficients.shape[:-1] + r.shape)
 
-    phis = laguerre_upward(size - 1, order, x, phi0)
-    terms = (np.multiply.outer(c, phi) for c, phi in zip(coefficients.T, phis))
-    total = next(terms)
-    for term in terms:
-        total += term
-    return total
 
+def free_targets(point: EnergyPoint, ell: int, r) -> tuple[np.ndarray, np.ndarray]:
+    """Targets of the sine-like and cosine-like reconstructions from one Bessel pass.
 
-def irregular_target(point: EnergyPoint, ell: int, r):
-    """Asymptotic target of the cosine-like reconstruction, sqrt(kappa r) Y_ell(kappa r).
-
-    The sign convention follows the coefficients themselves: the
-    reconstructed cosine-like function approaches +sqrt(kappa r) Y_ell,
-    as direct comparison confirms. Diverges at r = 0; entries there are
-    NaN and callers restrict to r > 0.
+    The regular target is sqrt(kappa r) J_ell(kappa r), 0 at r = 0; the
+    irregular one is sqrt(kappa r) Y_ell(kappa r). Its sign convention
+    follows the coefficients themselves: the reconstructed cosine-like
+    function approaches +sqrt(kappa r) Y_ell, as direct comparison
+    confirms. It diverges at r = 0; entries there are NaN and callers
+    restrict to r > 0. Both depend on the energy, ell and r only, not on
+    the basis.
 
     In the Laguerre basis the cosine-like function is regular at the
     origin and reaches this target only outside a regularization layer
@@ -246,14 +264,7 @@ def irregular_target(point: EnergyPoint, ell: int, r):
     and does not shrink with N. At lam = 1 it is about 2.5e-4 (ell = 0) to
     0.4 (ell = 3) at r = 12.5, and 1.5e-10 to 7.6e-6 at r = 40.
     """
-    r = np.asarray(r, dtype=float)
-    out = np.full_like(r, np.nan)
-    pos = r > 0
-    out[pos] = np.sqrt(point.kappa * r[pos]) * bessel_y(ell, point.kappa * r[pos])
-    return out
-
-
-def regular_target(point: EnergyPoint, ell: int, r):
-    """Target of the sine-like reconstruction, sqrt(kappa r) J_ell(kappa r)."""
-    r = np.asarray(r, dtype=float)
-    return np.sqrt(point.kappa * r) * bessel_j(ell, point.kappa * r)
+    kr = point.kappa * np.asarray(r, dtype=float)
+    j, y = bessel_jy(ell, kr)
+    with np.errstate(invalid="ignore"):  # 0 * Y_ell(0) = 0 * -inf
+        return np.sqrt(kr) * j, np.sqrt(kr) * y

@@ -1,10 +1,11 @@
 """Special functions for the J-matrix scattering machinery, in numpy alone.
 
 The three-term coefficients of the normalized Laguerre family and its
-upward recursion, cylindrical Bessel functions of integer order, the
-exponential integral and the real part of the upper incomplete gamma
-function at negative argument. The last four take one argument or an
-array of them, and an array call equals its scalar calls bit for bit.
+upward recursion in blocks, the pair of cylindrical Bessel functions
+J_ell and Y_ell of integer order, the exponential integral and the real
+part of the upper incomplete gamma function at negative argument. The
+last three take one argument or an array of them, and an array call
+equals its scalar calls bit for bit.
 
 J_ell and Y_ell come from Miller's backward recurrence up to
 x = max(50, ell) (Gautschi, SIAM Rev. 9 (1967) 24), with Y_0 and Y_1 from
@@ -31,13 +32,15 @@ import numpy as np
 __all__ = [
     "jacobi_coefficients",
     "laguerre_upward",
-    "bessel_j",
-    "bessel_y",
+    "LAGUERRE_BLOCK",
+    "bessel_jy",
     "re_upper_gamma_neg",
     "exp_integral_ei",
     "finite_positive",
 ]
 
+# Degrees per block of `laguerre_upward` after the first, which holds one more.
+LAGUERRE_BLOCK = 64
 # Hard cap on series length; exceeding it raises instead of silently truncating.
 _SERIES_CAP = 100_000
 _SERIES_RTOL = 1e-16
@@ -65,7 +68,7 @@ def jacobi_coefficients(kmax: int, ell: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def laguerre_upward(kmax: int, ell: int, x, first=1.0):
-    """Yield first * L~_k^ell(x) for k = 0..kmax by the upward recursion
+    """Yield first * L~_k^ell(x) for k = 0..kmax, in blocks, by the upward recursion
 
         L~_{k+1} = ((2k+ell+1 - x) L~_k - sqrt(k(k+ell)) L~_{k-1})
                    / sqrt((k+1)(k+ell+1)),
@@ -73,29 +76,39 @@ def laguerre_upward(kmax: int, ell: int, x, first=1.0):
     which is stable for increasing degree. `first` may be an envelope
     array broadcast against `x`; carrying it inside every iterate keeps
     products of a vanishing envelope and a huge polynomial finite.
+
+    A block stacks its degrees along a new first axis. The first block
+    holds k = 0..LAGUERRE_BLOCK and each later one the next
+    LAGUERRE_BLOCK degrees, the last one what is left. Every block
+    is a view of one buffer that the next block overwrites, so a caller
+    copies what must outlive it. A block forms its 2k+ell+1 - x in one
+    call; each step then takes the rest of the formula in place, one
+    operation at a time in its order, so every iterate has the bits of
+    the plain expression.
     """
     diag, off = jacobi_coefficients(kmax, ell)
-    prev, p, link = 0.0, first, 0.0
-    yield p
-    for d, o in zip(diag[:kmax].tolist(), off[:kmax].tolist()):
-        prev, p = p, ((d - x) * p - link * prev) / o
-        link = o
-        yield p
-
-
-def _order(ell) -> int:
-    """ell as an int; a negative or non-integer Bessel order is refused by value."""
-    if not float(ell).is_integer() or ell < 0:
-        raise ValueError(f"Bessel order must be a nonnegative integer, got {ell!r}")
-    return int(ell)
-
-
-def _argument(x, what: str, zero: bool) -> np.ndarray:
-    """x as a flat float array; an element not finite, negative, or zero unless `zero`, is refused by value."""
-    flat = np.asarray(x, dtype=float).ravel()
-    if bad := [v for v in flat.tolist() if not (0.0 <= v if zero else 0.0 < v) or v == math.inf]:
-        raise ValueError(f"{what} must be finite and {'nonnegative' if zero else 'positive'}, got {bad[0]!r}")
-    return flat
+    shape = np.broadcast_shapes(np.shape(x), np.shape(first))
+    x, width = np.broadcast_to(np.asarray(x, dtype=float), shape), min(kmax, LAGUERRE_BLOCK)
+    # Rows 0 and 1 carry the two iterates before a block: zero and `first` at the start.
+    buf, factors = np.zeros((width + 2, *shape)), np.empty((width, *shape))
+    buf[1] = first
+    if not kmax:
+        yield buf[1:]
+        return
+    # Views made once: making one per step costs about as much as a ufunc call on a few hundred entries.
+    rows, factor_rows = [buf[i, ...] for i in range(width + 2)], [factors[i, ...] for i in range(width)]
+    link = 0.0
+    for k in range(0, kmax, width):
+        n = min(width, kmax - k)
+        np.subtract.outer(diag[k : k + n], x, out=factors[:n])
+        for j, o in enumerate(off[k : k + n].tolist()):
+            factor, nxt = factor_rows[j], rows[j + 2]
+            np.multiply(factor, rows[j + 1], out=factor)
+            np.subtract(factor, np.multiply(link, rows[j], out=nxt), out=nxt)
+            np.divide(nxt, o, out=nxt)
+            link = o
+        yield buf[2 if k else 1 : n + 2]
+        buf[:2] = buf[n : n + 2]
 
 
 def _small(ell: int, x: np.ndarray):
@@ -191,19 +204,21 @@ def _bessel_jy(ell: int, x: np.ndarray):
     return j, (y_0 if ell == 0 else np.where(np.isnan(y), -math.inf, y))
 
 
-def bessel_j(ell: int, x):
-    """Cylindrical Bessel function of the first kind J_ell(x), integer ell >= 0, finite x >= 0."""
-    ell = _order(ell)
-    flat = _argument(x, "bessel_j argument x", zero=True)
-    out = np.where(flat == 0.0, float(ell == 0), 0.0)
-    out[flat > 0.0] = _bessel_jy(ell, flat[flat > 0.0])[0]
-    return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])
+def bessel_jy(ell: int, x):
+    """Cylindrical Bessel functions J_ell(x) and Y_ell(x) from one pass, integer ell >= 0, finite x >= 0.
 
-
-def bessel_y(ell: int, x):
-    """Cylindrical Bessel function of the second kind Y_ell(x), integer ell >= 0, finite x > 0."""
-    out = _bessel_jy(_order(ell), _argument(x, "bessel_y argument x", zero=False))[1]
-    return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])
+    At x = 0, J_ell is 1 for ell = 0 and 0 otherwise, and Y_ell is its
+    limit -inf.
+    """
+    if not float(ell).is_integer() or ell < 0:
+        raise ValueError(f"Bessel order must be a nonnegative integer, got {ell!r}")
+    ell, flat = int(ell), np.asarray(x, dtype=float).ravel()
+    if bad := [v for v in flat.tolist() if not 0.0 <= v < math.inf]:
+        raise ValueError(f"bessel_jy argument x must be finite and nonnegative, got {bad[0]!r}")
+    j, y = np.where(flat == 0.0, float(ell == 0), 0.0), np.full_like(flat, -math.inf)
+    pos = flat > 0.0
+    j[pos], y[pos] = _bessel_jy(ell, flat[pos])
+    return (j.reshape(np.shape(x)), y.reshape(np.shape(x))) if np.ndim(x) else (float(j[0]), float(y[0]))
 
 
 def finite_positive(values, what: str) -> np.ndarray:

@@ -367,8 +367,37 @@ def f_weight_analytic(n: int, ell: int, rows: int, cols: int) -> np.ndarray:
 def laguerre_normalized(k: int, ell: int, x):
     """Normalized Laguerre polynomial L~_k^ell(x), the last iterate of `laguerre_upward`."""
     x = np.asarray(x, dtype=float)
-    *_, p = laguerre_upward(k, ell, x, np.ones_like(x))
-    return p if p.ndim else float(p)
+    *_, last = laguerre_upward(k, ell, x)
+    return last[-1].copy() if x.ndim else float(last[-1])
+
+
+def laguerre_streamed(kmax: int, ell: int, x, first=1.0):
+    """Yield first * L~_k^ell(x), k = 0..kmax, one new array per degree from the plain expression."""
+    diag, off = jacobi_coefficients(kmax, ell)
+    prev, p, link = 0.0, first, 0.0
+    yield p
+    for d, o in zip(diag[:kmax].tolist(), off[:kmax].tolist()):
+        prev, p = p, ((d - x) * p - link * prev) / o
+        link = o
+        yield p
+
+
+def chi_reconstruct_streamed(coefficients, ell: int, lam: float, r, basis: str = "oscillator"):
+    """`reference.chi_reconstruct` as one running total: each filtered c_k phi_k is formed and added in turn."""
+    coefficients = np.asarray(coefficients, dtype=float)
+    size = coefficients.shape[-1]
+    coefficients = coefficients * np.exp(-36.0 * (np.arange(size) / size) ** 16)
+    r = np.asarray(r, dtype=float)
+    if basis == "oscillator":
+        x, order, norm = (lam * r) ** 2, ell, 0.5 * (math.log(2.0 * lam) - lgamma(ell + 1))
+    else:
+        x, order, norm = lam * r, 2 * ell, 0.5 * (math.log(lam) - lgamma(2 * ell + 1))
+    phi0 = np.where(r > 0, np.exp(norm + (ell + 0.5) * np.log(np.maximum(lam * r, 1e-300)) - 0.5 * x), 0.0)
+    terms = (np.multiply.outer(c, phi) for c, phi in zip(coefficients.T, laguerre_streamed(size - 1, order, x, phi0)))
+    total = next(terms)
+    for term in terms:
+        total += term
+    return total
 
 
 def sine_like_closed_form(point, ell: int, degrees) -> np.ndarray:

@@ -22,9 +22,8 @@ from jmscatter.quadrature import build_rule
 from jmscatter.reference import (
     chi_reconstruct,
     energy_point,
-    irregular_target,
+    free_targets,
     reference_coefficients,
-    regular_target,
 )
 from jmscatter.solver import greens_spectral, r_matrix, resonance_energy, scan, solve_energy
 from oracles import (
@@ -135,12 +134,12 @@ def test_criterion_5_reference_reconstruction():
             point = energy_point(energy, 1.0)
             ref = reference_coefficients(point, ell, 1000, basis=basis)
             chi_sin = chi_reconstruct(ref.s, ell, 1.0, r, basis=basis)
-            dev_sin = float(np.abs(chi_sin - regular_target(point, ell, r)).max())
+            dev_sin = float(np.abs(chi_sin - free_targets(point, ell, r)[0]).max())
             if dev_sin >= 1e-6:
                 sin_failures.append(f"{basis} ell={ell} E={energy}: {dev_sin:.3e}")
             r_cos = r[outer] if basis == "oscillator" else r_far
             chi_cos = chi_reconstruct(ref.c, ell, 1.0, r_cos, basis=basis)
-            target = irregular_target(point, ell, r_cos)
+            target = free_targets(point, ell, r_cos)[1]
             dev_cos = float(np.abs(chi_cos - target).max())
             if dev_cos >= 1e-3:
                 cos_failures.append(f"{basis} ell={ell} E={energy}: {dev_cos:.3e}")

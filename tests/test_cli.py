@@ -398,6 +398,19 @@ class TestMain:
         assert len(devs) == 4
         assert all(np.isfinite(devs))
 
+    def test_both_bases_are_the_two_single_basis_outputs(self, tmp_path):
+        # one Bessel pass serves both blocks; each block is byte for byte its one-basis run
+        texts = {}
+        for basis in ("both", "oscillator", "laguerre"):
+            path = write_config(tmp_path, {
+                "basis_size_N": 200, "lambda": 1.0, "ell": 2, "energy_grid": {"list": [1.7]},
+                "basis_check": basis, "r_grid": {"start": 0.0, "stop": 20.0, "count": 90},
+            }, name=f"{basis}.yaml")
+            out = tmp_path / f"{basis}.csv"
+            assert main(["basis-check", "--config", path, "--output", str(out)]) == EXIT_OK
+            texts[basis] = out.read_bytes()
+        assert texts["both"] == texts["oscillator"] + texts["laguerre"]
+
     def test_stability_scan_single_point(self, tmp_path):
         path = write_config(tmp_path, minimal())
         out = tmp_path / "stab.csv"

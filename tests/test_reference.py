@@ -1,5 +1,7 @@
 """Regular/irregular reference solutions and their Bessel targets."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,16 @@ from jmscatter.hamiltonian import free_matrix_coeffs
 from jmscatter.reference import (
     chi_reconstruct,
     energy_point,
-    irregular_target,
+    free_targets,
     oscillator_reference,
     reference_coefficients,
-    regular_target,
 )
-from oracles import laguerre_associated_normalized, oscillator_seeds_scalar, sine_like_closed_form
+from oracles import (
+    chi_reconstruct_streamed,
+    laguerre_associated_normalized,
+    oscillator_seeds_scalar,
+    sine_like_closed_form,
+)
 
 FIG_PAIRS = ((0, 1.5), (1, 1.0), (2, 1.5), (3, 2.5))
 
@@ -162,7 +168,7 @@ class TestOscillatorReconstruction:
         ref = reference_coefficients(pt, ell, 1000)
         r = np.linspace(0.0, 25.0, 400)
         chi = chi_reconstruct(ref.s, ell, 1.0, r)
-        assert np.abs(chi - regular_target(pt, ell, r)).max() < 1e-8
+        assert np.abs(chi - free_targets(pt, ell, r)[0]).max() < 1e-8
 
     @pytest.mark.parametrize("ell,energy", FIG_PAIRS)
     def test_cosine_tracks_irregular_bessel_asymptotically(self, ell, energy):
@@ -170,7 +176,7 @@ class TestOscillatorReconstruction:
         ref = reference_coefficients(pt, ell, 1000)
         r = np.linspace(0.05, 25.0, 400)
         chi = chi_reconstruct(ref.c, ell, 1.0, r)
-        target = irregular_target(pt, ell, r)
+        target = free_targets(pt, ell, r)[1]
         outer = r >= 12.5
         assert np.abs(chi[outer] - target[outer]).max() < 1e-8
 
@@ -180,7 +186,7 @@ class TestOscillatorReconstruction:
         ref = reference_coefficients(pt, 0, 800)
         r = np.linspace(10.0, 25.0, 200)
         chi = chi_reconstruct(ref.c, 0, 1.0, r)
-        target = irregular_target(pt, 0, r)
+        target = free_targets(pt, 0, r)[1]
         assert np.abs(chi - target).max() < 1e-8
         assert np.abs(chi + target).max() > 1.0
 
@@ -205,8 +211,9 @@ class TestOscillatorReconstruction:
 
     def test_origin_values(self):
         pt = energy_point(1.0, 1.0)
-        assert regular_target(pt, 2, np.array([0.0]))[0] == 0.0
-        assert not np.isfinite(irregular_target(pt, 2, np.array([0.0]))[0])
+        regular, irregular = free_targets(pt, 2, np.array([0.0]))
+        assert regular[0] == 0.0
+        assert not np.isfinite(irregular[0])
 
 
 class TestLaguerreBasis:
@@ -231,7 +238,7 @@ class TestLaguerreBasis:
         ref = reference_coefficients(pt, ell, 1000, basis="laguerre")
         r = np.linspace(0.0, 25.0, 300)
         chi = chi_reconstruct(ref.s, ell, 1.0, r, basis="laguerre")
-        assert np.abs(chi - regular_target(pt, ell, r)).max() < 1e-8
+        assert np.abs(chi - free_targets(pt, ell, r)[0]).max() < 1e-8
 
     def test_high_wave_cosine_far_window(self):
         # the regularization layer delays the irregular asymptote for larger
@@ -241,5 +248,73 @@ class TestLaguerreBasis:
         ref = reference_coefficients(pt, 3, 4000, basis="laguerre")
         r = np.linspace(40.0, 80.0, 300)
         chi = chi_reconstruct(ref.c, 3, 1.0, r, basis="laguerre")
-        target = irregular_target(pt, 3, r)
+        target = free_targets(pt, 3, r)[1]
         assert np.abs(chi - target).max() < 1e-4
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and equal bits in every entry: signed zeros and NaNs included."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestBlockedSum:
+    """The sum taken in blocks has the bits of the one-term-at-a-time sum."""
+
+    R = np.linspace(0.0, 25.0, 301)
+
+    @pytest.mark.parametrize("basis", ["oscillator", "laguerre"])
+    @pytest.mark.parametrize("ell", range(4))
+    @pytest.mark.parametrize("size", [1, 2, 63, 64, 65, 129])
+    def test_block_edges_equal_the_streamed_sum(self, basis, ell, size):
+        ref = reference_coefficients(energy_point(1.3, 1.0), ell, size - 1, basis=basis)
+        for coefficients in (ref.s, ref.c, np.array([ref.s, ref.c])):
+            want = chi_reconstruct_streamed(coefficients, ell, 1.0, self.R, basis=basis)
+            assert same_bits(chi_reconstruct(coefficients, ell, 1.0, self.R, basis=basis), want)
+
+    @pytest.mark.parametrize("basis", ["oscillator", "laguerre"])
+    @pytest.mark.parametrize("ell", range(4))
+    def test_benchmark_size_equals_the_streamed_sum(self, basis, ell):
+        r = np.linspace(0.05, 25.0, 500)
+        ref = reference_coefficients(energy_point(1.7, 1.0), ell, 3000, basis=basis)
+        for coefficients in (ref.c, np.array([ref.s, ref.c])):
+            want = chi_reconstruct_streamed(coefficients, ell, 1.0, r, basis=basis)
+            assert same_bits(chi_reconstruct(coefficients, ell, 1.0, r, basis=basis), want)
+
+    @pytest.mark.parametrize("basis", ["oscillator", "laguerre"])
+    def test_sum_of_signed_zeros_keeps_its_sign(self, basis):
+        # at r = 0 every phi_k is +0, so negative coefficients sum to -0 there
+        for size in (1, 70):
+            coefficients = -np.linspace(1.0, 2.0, size)
+            out = chi_reconstruct(coefficients, 1, 1.0, self.R[:3], basis=basis)
+            assert np.signbit(out[0]) and out[0] == 0.0
+            assert same_bits(out, chi_reconstruct_streamed(coefficients, 1, 1.0, self.R[:3], basis=basis))
+
+    @pytest.mark.parametrize("basis", ["oscillator", "laguerre"])
+    def test_entries_do_not_depend_on_the_other_radii(self, basis):
+        r = np.linspace(0.05, 25.0, 500)
+        ref = reference_coefficients(energy_point(2.2, 1.0), 1, 3000, basis=basis)
+        coefficients = np.array([ref.s, ref.c])
+        full = chi_reconstruct(coefficients, 1, 1.0, r, basis=basis)
+        for sub in (slice(None, None, 7), slice(3, 4), slice(101, 357)):
+            assert same_bits(chi_reconstruct(coefficients, 1, 1.0, r[sub], basis=basis), full[:, sub])
+
+    def test_result_shape_follows_rows_and_radii(self):
+        ref = reference_coefficients(energy_point(1.3, 1.0), 0, 80)
+        assert chi_reconstruct(ref.s, 0, 1.0, np.array([])).shape == (0,)
+        assert chi_reconstruct(np.array([ref.s, ref.c]), 0, 1.0, np.array([2.0])).shape == (2, 1)
+        grid = np.linspace(0.1, 5.0, 12).reshape(3, 4)
+        assert same_bits(chi_reconstruct(ref.c, 0, 1.0, grid), chi_reconstruct(ref.c, 0, 1.0, grid.ravel()).reshape(3, 4))
+
+    @pytest.mark.parametrize("basis", ["oscillator", "laguerre"])
+    def test_peak_allocation_at_benchmark_size(self, basis):
+        # the block buffers, not N-sized tables: the two reconstructions of one basis-check block
+        r = np.linspace(0.05, 25.0, 500)
+        ref = reference_coefficients(energy_point(1.7, 1.0), 2, 3000, basis=basis)
+        coefficients = np.array([ref.s, ref.c])
+        tracemalloc.start()
+        try:
+            chi_reconstruct(coefficients, 2, 1.0, r, basis=basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6

@@ -18,6 +18,7 @@ from oracles import (
     hyp2f1_terminating,
     laguerre_associated_normalized,
     laguerre_normalized,
+    laguerre_streamed,
 )
 
 
@@ -70,6 +71,23 @@ class TestLaguerreNormalized:
         assert abs(lhs - rhs) / scale < 1e-11
 
 
+class TestLaguerreBlocks:
+    @pytest.mark.parametrize("kmax", [0, 1, 2, 63, 64, 65, 128, 129, 200])
+    def test_blocks_are_the_plain_recursion_bit_for_bit(self, kmax):
+        x = np.linspace(0.0, 40.0, 9)
+        envelope = np.exp(-0.5 * x) * x
+        for xs, first in ((2.5, 1.0), (x, 1.0), (x, envelope), (2.5, envelope)):
+            shape = np.broadcast_shapes(np.shape(xs), np.shape(first))
+            got = np.concatenate([block.copy() for block in sf.laguerre_upward(kmax, 1, xs, first)])
+            want = np.array([np.broadcast_to(p, shape) for p in laguerre_streamed(kmax, 1, xs, first)])
+            assert got.shape == want.shape == (kmax + 1, *shape)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_block_lengths(self):
+        lengths = [len(block) for block in sf.laguerre_upward(200, 0, np.ones(3))]
+        assert lengths == [sf.LAGUERRE_BLOCK + 1, sf.LAGUERRE_BLOCK, sf.LAGUERRE_BLOCK, 200 - 3 * sf.LAGUERRE_BLOCK]
+
+
 class TestLaguerreAssociated:
     def test_convention_below_range(self):
         assert laguerre_associated_normalized(-1, 2, 3.0) == 0.0
@@ -88,63 +106,73 @@ class TestLaguerreAssociated:
             assert got == pytest.approx(want, rel=1e-13, abs=1e-15)
 
 
+def bessel_j(ell, x):
+    return sf.bessel_jy(ell, x)[0]
+
+
+def bessel_y(ell, x):
+    return sf.bessel_jy(ell, x)[1]
+
+
 class TestBessel:
     # a log grid over [1e-10, 1e4] plus the neighbours of the switch from Miller's recurrence to Hankel's expansion
     X = np.concatenate([np.geomspace(1e-10, 1e4, 3001), np.nextafter(50.0, [0.0, inf]), [50.0]])
 
     @pytest.mark.parametrize("ell", range(6))
     def test_matches_scipy_across_the_switch(self, ell):
-        for ours, ref in ((sf.bessel_j, jv), (sf.bessel_y, yv)):
+        for ours, ref in ((bessel_j, jv), (bessel_y, yv)):
             want = ref(ell, self.X)
             assert np.all(np.abs(ours(ell, self.X) - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
 
     @pytest.mark.parametrize("ell", range(6))
     def test_array_is_its_scalar_calls(self, ell):
         x = np.random.default_rng(ell).permutation(np.concatenate([self.X[::20], self.X[-3:], [0.0, 1e-300, 1e-45]]))
-        assert np.array_equal(sf.bessel_j(ell, x), [sf.bessel_j(ell, v) for v in x.tolist()])
+        assert np.array_equal(bessel_j(ell, x), [bessel_j(ell, v) for v in x.tolist()])
         x = x[x > 0]
-        assert np.array_equal(sf.bessel_y(ell, x), [sf.bessel_y(ell, v) for v in x.tolist()])
+        assert np.array_equal(bessel_y(ell, x), [bessel_y(ell, v) for v in x.tolist()])
 
     def test_extreme_arguments_and_large_orders(self):
         # below 1e-40 the leading series terms; above order 50 Miller's range reaches x = ell
         for ell, x in ((0, 1e-300), (1, 1e-300), (3, 1e-45), (3, 1e-39), (2, 1e8), (60, 55.0), (60, 80.0), (60, 30.0)):
-            for ours, ref in ((sf.bessel_j, jv), (sf.bessel_y, yv)):
+            for ours, ref in ((bessel_j, jv), (bessel_y, yv)):
                 want = float(ref(ell, x))
                 assert ours(ell, x) == pytest.approx(want, rel=1e-13, abs=1e-13)
-        assert sf.bessel_y(60, 1e-4) == yv(60, 1e-4) == -inf
+        assert bessel_y(60, 1e-4) == yv(60, 1e-4) == -inf
         # scipy's yv(0, 5e-324) is -inf; Y_0 there is (2/pi)(ln(x/2) + gamma), about -474
-        assert (sf.bessel_j(0, 5e-324), sf.bessel_y(0, 5e-324)) == (1.0, pytest.approx(-473.99907342300423, rel=1e-15))
+        assert (bessel_j(0, 5e-324), bessel_y(0, 5e-324)) == (1.0, pytest.approx(-473.99907342300423, rel=1e-15))
 
     def test_origin_and_empty_input(self):
-        assert sf.bessel_j(0, 0.0) == 1.0
-        assert [sf.bessel_j(ell, 0.0) for ell in (1, 2, 5)] == [0.0, 0.0, 0.0]
-        assert sf.bessel_j(1, np.array([0.0, 0.0])).tolist() == [0.0, 0.0]
-        for func in (sf.bessel_j, sf.bessel_y):
+        assert bessel_j(0, 0.0) == 1.0
+        assert [bessel_j(ell, 0.0) for ell in (1, 2, 5)] == [0.0, 0.0, 0.0]
+        assert bessel_j(1, np.array([0.0, 0.0])).tolist() == [0.0, 0.0]
+        for func in (bessel_j, bessel_y):
             out = func(2, np.array([]))
             assert isinstance(out, np.ndarray) and out.shape == (0,)
-        assert sf.bessel_j(1, np.ones((2, 3))).shape == (2, 3)
-        assert type(sf.bessel_j(1, 2.0)) is float and type(sf.bessel_y(1, 2.0)) is float
+        assert bessel_j(1, np.ones((2, 3))).shape == (2, 3)
+        assert type(bessel_j(1, 2.0)) is float and type(bessel_y(1, 2.0)) is float
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):
-            sf.bessel_j(0, -1.0)
+            bessel_j(0, -1.0)
         with pytest.raises(ValueError):
-            sf.bessel_y(0, 0.0)
+            bessel_y(0, -1.0)
+        # Y_ell(0) is its limit, as in scipy
+        assert [bessel_y(ell, 0.0) for ell in (0, 1, 3)] == [yv(ell, 0.0) for ell in (0, 1, 3)] == [-inf] * 3
         with pytest.raises(ValueError):
-            sf.bessel_j(-1, 1.0)
+            bessel_j(-1, 1.0)
 
     @pytest.mark.parametrize("bad", [nan, inf, -inf])
     def test_non_finite_argument_refused_by_value(self, bad):
-        for func in (sf.bessel_j, sf.bessel_y):
+        for func in (bessel_j, bessel_y):
             with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
                 func(1, [1.0, bad, 2.0])
 
     @pytest.mark.parametrize("bad", [0.5, 2.25, nan])
     def test_non_integer_order_refused_by_value(self, bad):
-        for func in (sf.bessel_j, sf.bessel_y):
+        for func in (bessel_j, bessel_y):
             with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
                 func(bad, 1.0)
-        assert sf.bessel_j(2.0, 1.5) == sf.bessel_j(2, 1.5)
+        assert bessel_j(2.0, 1.5) == bessel_j(2, 1.5)
 
 
 class TestExponentialIntegral:
