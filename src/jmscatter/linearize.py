@@ -9,11 +9,17 @@ D tensor
                             prod_a L~_{k_a}(xi_l)] Lambda_jl
 
 is a node sum, and contracting it with the coefficient vector only
-rebuilds |psi(xi_l)|^{2n}, psi = sum_k a_k L~_k, at the nodes. So it is
-stored factored: the projection stencil Lambda, the basis values at
-the nodes and the per-node weight. The effective interaction is then
-the node-space Gram product X X^T, X = Lambda diag(sqrt(weight |psi|^{2n}))
-(`solver.r_matrix`), at O(N Q + N^2 Q) per order with no tuple enumeration.
+rebuilds xi_l^{n ell} e^{-n xi_l} |psi(xi_l)|^{2n}, psi = sum_k a_k L~_k,
+at the nodes. So it is stored factored: the projection stencil Lambda
+and the basis values at the nodes, which carry the envelope
+xi^{ell/2} e^{-xi/2}, so |psi|^{2n} formed from them is that whole
+factor. The effective interaction is then the node-space Gram product
+X X^T, X ~ Lambda diag(|psi|^n) (`solver.r_matrix`), at O(N Q + N^2 Q)
+per order with no tuple enumeration.
+
+`quadrature_bound` is the exactness bound of the C tensor, not of D:
+e^{-n xi} is not a polynomial, so D converges in the rule order rather
+than being exact at any order.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import QuadratureRule
+from .specfun import laguerre_upward
 
 
 @dataclass(frozen=True)
@@ -30,9 +37,7 @@ class DTensor:
     """The D tensor in factored node-space form.
 
     stencil[i, l] = Lambda_il = sqrt(w_l) L~_i(xi_l) and
-    values[k, l] = L~_k(xi_l) for i, k < N; node_weight[l] is
-    xi_l^{n ell} e^{-n xi_l}. Dead nodes (see `QuadratureRule.live`)
-    carry zero values and so drop out of every product.
+    values[k, l] = xi_l^{ell/2} e^{-xi_l/2} L~_k(xi_l) for i, k < N.
     """
 
     n: int
@@ -40,7 +45,6 @@ class DTensor:
     n_basis: int
     stencil: np.ndarray
     values: np.ndarray
-    node_weight: np.ndarray
 
 
 def quadrature_bound(n: int, n_basis: int) -> int:
@@ -66,18 +70,17 @@ def d_tensor(
 ) -> DTensor:
     """D tensor of nonlinearity order n on the rule's Gauss grid, factored.
 
-    Shares the C-tensor exactness bound on the rule order (the sampled
-    products have the same degrees), refusable by override; a basis
-    larger than the rule is refused always. Independent of the basis scale.
+    The basis values come from the upward recursion with the envelope
+    inside every iterate, so they stay accurate where the Gauss weight is
+    tiny. The rule order must reach the C-tensor exactness bound,
+    refusable by override; a basis larger than the rule is refused
+    always. Independent of the basis scale.
     """
     if rule.ell != ell:
         raise ValueError("quadrature rule was built for a different ell")
     if n_basis > rule.order:
         raise ValueError("basis size exceeds the quadrature order")
     _check_bound(n, n_basis, rule.order, override)
-    return DTensor(
-        n=n, ell=ell, n_basis=n_basis,
-        stencil=rule.vectors[:n_basis, :],
-        values=rule.values[:n_basis, :],
-        node_weight=rule.nodes ** (n * ell) * np.exp(-n * rule.nodes),
-    )
+    envelope = rule.nodes ** (0.5 * ell) * np.exp(-0.5 * rule.nodes)
+    values = np.concatenate([block.copy() for block in laguerre_upward(n_basis - 1, ell, rule.nodes, envelope)])
+    return DTensor(n=n, ell=ell, n_basis=n_basis, stencil=rule.vectors[:n_basis, :], values=values)

@@ -5,10 +5,10 @@ coefficients, stripped of the scale lam^2/2, form the Jacobi matrix of
 the normalized Laguerre family (`specfun.jacobi_coefficients`). Its
 eigenvalues are the Gauss nodes of the weight x^ell e^{-x} / ell!, which
 integrates to one, and the squared first components of its eigenvectors
-are the Gauss weights (Golub & Welsch 1969); eigenvector rows evaluate
-the basis polynomials at the nodes. numpy's dense `eigh` diagonalizes,
-O(Q^3) once per rule. Its eigenvectors are kept in Fortran order: the
-BLAS products of `potential_matrix` round differently on a C-ordered copy.
+are the Gauss weights (Golub & Welsch 1969). numpy's dense `eigh`
+diagonalizes, O(Q^3) once per rule. Its eigenvectors are kept in Fortran
+order: the BLAS products of `potential_matrix` round differently on a
+C-ordered copy.
 """
 
 from __future__ import annotations
@@ -34,14 +34,6 @@ class QuadratureRule:
         Sign-fixed orthonormal eigenvectors of the Jacobi matrix;
         vectors[k, l] = sqrt(weights[l]) L~_k^ell(nodes[l]) is the
         projection stencil, finite even where the weight underflows.
-    values : (Q, Q) ndarray
-        values[k, l] = L~_k^ell(nodes[l]) for degrees k = 0..Q-1, zeroed
-        on dead columns (see `live`).
-    live : (Q,) ndarray of bool
-        False where the weight underflowed to zero in the eigensolve.
-        Such nodes sit so deep in the exponential tail that their true
-        contribution to any weighted sum here is below double precision,
-        so consumers simply skip them.
     """
 
     ell: int
@@ -49,8 +41,6 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
     vectors: np.ndarray
-    values: np.ndarray
-    live: np.ndarray
 
 
 def build_rule(order: int, ell: int) -> QuadratureRule:
@@ -58,11 +48,10 @@ def build_rule(order: int, ell: int) -> QuadratureRule:
 
     The Jacobi matrix takes the Laguerre coefficients with the
     off-diagonal negated. That sign is a similarity convention: nodes and
-    weights do not depend on it, polynomial values at the nodes do. The
-    eigenvector matrix Lambda (columns = eigenvectors) gives
-    weights[l] = Lambda[0, l]**2 and values[k, l] = Lambda[k, l] / Lambda[0, l].
-    Eigenvector signs are fixed so Lambda[0, l] > 0; with the negative
-    off-diagonal the ratio then reproduces the normalized Laguerre values
+    weights do not depend on it, the stencil's signs do. The eigenvector
+    matrix Lambda (columns = eigenvectors) gives weights[l] = Lambda[0, l]**2.
+    Eigenvector signs are fixed so Lambda[0, l] >= 0; with the negative
+    off-diagonal the stencil then carries the normalized Laguerre values
     themselves, not an alternating-sign variant.
     """
     if order < 1:
@@ -74,19 +63,4 @@ def build_rule(order: int, ell: int) -> QuadratureRule:
     nodes, vecs = np.linalg.eigh(jacobi)
     vecs = np.asfortranarray(vecs)
     vecs *= np.where(vecs[0] < 0, -1.0, 1.0)
-    first = vecs[0]
-    live = first > 0
-    if not live.any():
-        raise ArithmeticError("all first eigenvector components vanished in Jacobi diagonalization")
-    weights = first**2
-    values = np.zeros_like(vecs)
-    values[:, live] = vecs[:, live] / first[live]
-    return QuadratureRule(
-        ell=ell,
-        order=order,
-        nodes=nodes,
-        weights=weights,
-        vectors=vecs,
-        values=values,
-        live=live,
-    )
+    return QuadratureRule(ell=ell, order=order, nodes=nodes, weights=vecs[0] ** 2, vectors=vecs)

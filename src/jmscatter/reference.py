@@ -217,8 +217,8 @@ def chi_reconstruct(coefficients, ell: int, lam: float, r, basis: str = "oscilla
     size = coefficients.shape[-1]
     rows = coefficients.reshape(-1, size) * np.exp(-36.0 * (np.arange(size) / size) ** 16)
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise ValueError("radii must be nonnegative")
+    if bad := [v for v in r.ravel().tolist() if not 0.0 <= v < math.inf]:
+        raise ValueError(f"radii must be finite and nonnegative, got {bad[0]!r}")
     # numpy would sum a lone column pairwise, not in order; a copy of it as a second column keeps the order.
     flat = np.repeat(r.ravel(), 2) if r.size == 1 else r.ravel()
     if basis == "oscillator":

@@ -99,18 +99,20 @@ def r_matrix(dten: DTensor, coefficients: np.ndarray, lam: float) -> np.ndarray:
 
         R = (2 lam^2 / ell!)^n Lambda diag(xi^{n ell} e^{-n xi} |psi|^{2n}) Lambda^T,
 
-    with psi = sum_k a_k L~_k at the Gauss nodes. The weight is never
-    negative, so R is the Gram product X X^T, X = Lambda diag(sqrt(weight)),
-    which numpy forms by BLAS syrk: R equals its transpose exactly. A
-    stack of coefficient rows (..., N+1) gives a stack of R (..., N, N),
-    each row's psi one vector-matrix product and its R one syrk.
+    with psi = sum_k a_k L~_k at the Gauss nodes; the D tensor's values
+    carry xi^{ell/2} e^{-xi/2}, so |psi|^{2n} of them is the whole bracket.
+    The weight is never negative, so R is the Gram product X X^T,
+    X = Lambda diag(sqrt(weight)), which numpy forms by BLAS syrk: R equals
+    its transpose exactly. A stack of coefficient rows (..., N+1) gives a
+    stack of R (..., N, N), each row's psi one vector-matrix product and
+    its R one syrk.
     """
     a = np.asarray(coefficients, dtype=complex)
     if a.shape[-1] < dten.n_basis:
         raise ValueError("coefficient vector shorter than the basis")
     psi = np.matmul(a[..., None, : dten.n_basis], dten.values)[..., 0, :]
     pref = (2.0 * lam**2 / factorial(dten.ell)) ** dten.n
-    weight = pref * dten.node_weight * (psi.real**2 + psi.imag**2) ** dten.n
+    weight = pref * (psi.real**2 + psi.imag**2) ** dten.n
     x = dten.stencil * np.sqrt(weight)[..., None, :]
     return x @ x.swapaxes(-1, -2)
 

@@ -21,7 +21,8 @@ small N.
 The other routes here are independent of the package's production
 paths: the full resolvent by direct inversion and its entries as
 determinant ratios, the closed-form nonlinear weight integrals, the
-associated Laguerre and Gegenbauer recursions, plain weighted
+associated Laguerre and Gegenbauer recursions, the bare basis values
+at a rule's nodes by one plain recursion step per degree, plain weighted
 quadrature sums, the Ei series and the oscillator reference seeds
 in scalar math, one term and one energy at a time, and the Gauss rule
 from LAPACK's tridiagonal eigensolver. `laguerre_normalized` is not
@@ -121,7 +122,7 @@ def c_tensor_quadrature(
     if qmax >= rule.order:
         raise ValueError("rule too small to carry the expansion degrees")
     tuples = _canonical_tuples(n + 1, n_basis)
-    vals = rule.values
+    vals = quadrature_values(rule, qmax)
     prod = np.ones((tuples.shape[0], rule.order))
     for a in range(n + 1):
         prod *= vals[tuples[:, a], :]
@@ -216,7 +217,7 @@ def d_tensor_expanded(
     _check_bound(n, n_basis, rule.order, override)
 
     tuples = _canonical_tuples(2 * n, n_basis)
-    vals = rule.values
+    vals = quadrature_values(rule, n_basis - 1)
     lam_n = rule.vectors[:n_basis, :]
     base = rule.nodes**(n * ell) * np.exp(-n * rule.nodes)
     znode = np.tile(base, (tuples.shape[0], 1))
@@ -557,13 +558,7 @@ def gauss_rule_tridiagonal(order: int, ell: int) -> QuadratureRule:
     diag, off = jacobi_coefficients(order - 1, ell)
     nodes, vecs = eigh_tridiagonal(diag, -off[:-1])
     vecs[:, vecs[0] < 0] *= -1.0
-    first = vecs[0]
-    live = first > 0
-    values = np.zeros_like(vecs)
-    values[:, live] = vecs[:, live] / first[live]
-    return QuadratureRule(
-        ell=ell, order=order, nodes=nodes, weights=first**2, vectors=vecs, values=values, live=live
-    )
+    return QuadratureRule(ell=ell, order=order, nodes=nodes, weights=vecs[0] ** 2, vectors=vecs)
 
 
 def integrate_weighted(rule: QuadratureRule, fvals: np.ndarray):
@@ -579,12 +574,10 @@ def integrate_weighted(rule: QuadratureRule, fvals: np.ndarray):
 
 
 def quadrature_values(rule: QuadratureRule, kmax: int) -> np.ndarray:
-    """Rows 0..kmax of the node-value table L~_k^ell(nodes).
+    """Rows 0..kmax of the bare node-value table L~_k^ell(nodes), no envelope.
 
-    Degrees up to order-1 come straight from the eigenvectors; the table
-    cannot be extended past that without a fresh recursion, so asking for
-    more is an error.
+    One plain recursion step per degree (`laguerre_streamed`), not the
+    package's blocked recursion. Bare values grow like nodes^k / k!, so
+    this serves the small rules of the tensor oracles, not deep tails.
     """
-    if not 0 <= kmax < rule.order:
-        raise ValueError("kmax must lie in [0, order)")
-    return rule.values[: kmax + 1, :]
+    return np.array([np.broadcast_to(p, rule.nodes.shape) for p in laguerre_streamed(kmax, rule.ell, rule.nodes)])

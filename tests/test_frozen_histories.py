@@ -1,14 +1,21 @@
 """Per-order S histories frozen to 1e-12.
 
 `frozen_histories.json` holds, per energy, the status, cycle period and
-every S_m (as [re, im]) that the package computed at commit 3808ab1:
-fig1 on both sides of its sharp resonance, the table3 energies, and the
-table4 period-2 cycle at E = 3 (run below the quadrature exactness
-bound, as the config asks). A change of route that moves any S_m by more
-than 1e-12, or changes how an iteration ends, fails here.
+every S_m (as [re, im]) that the package computed: fig1 on both sides of
+its sharp resonance (recorded at commit 3808ab1), the table3 energies,
+and the table4 period-2 cycle at E = 3 (run below the quadrature
+exactness bound, as the config asks; both recorded when the D tensor's
+basis values moved to the enveloped recursion). A change of route that
+moves any S_m by more than 1e-12, or changes how an iteration ends,
+fails here.
+
+Re-record the rows of the named configs (only for an intended change of
+their numbers) with
+`PYTHONPATH=src python tests/test_frozen_histories.py table3 table4`.
 """
 
 import json
+import sys
 from dataclasses import replace
 from importlib.resources import files
 from pathlib import Path
@@ -19,21 +26,35 @@ from jmscatter.cli import _build_problem, load_config
 from jmscatter.quadrature import build_rule
 from jmscatter.solver import scan
 
-FROZEN = json.loads((Path(__file__).parent / "frozen_histories.json").read_text(encoding="utf-8"))
+PINNED = Path(__file__).parent / "frozen_histories.json"
+FROZEN = json.loads(PINNED.read_text(encoding="utf-8"))
+
+
+def solve_rows(config: str, rows: list) -> list:
+    """The scan results of `config` at the energies of its frozen rows."""
+    cfg = load_config(str(files("jmscatter") / "configs" / f"{config}.yaml"))
+    cfg = replace(cfg, energies=tuple(row["energy"] for row in rows))
+    ham, dten = _build_problem(cfg, build_rule(cfg.quadrature_order, cfg.ell), override=True)
+    return scan(
+        list(cfg.energies), ham, dten, coupling=cfg.coupling_g, tolerance=cfg.tolerance,
+        bifurcation_tolerance=cfg.bifurcation_tolerance, max_iterations=cfg.max_iterations,
+    )
 
 
 @pytest.mark.parametrize("config", sorted({row["config"] for row in FROZEN}))
 def test_histories_match_frozen(config):
     rows = [row for row in FROZEN if row["config"] == config]
-    cfg = load_config(str(files("jmscatter") / "configs" / f"{config}.yaml"))
-    cfg = replace(cfg, energies=tuple(row["energy"] for row in rows))
-    ham, dten = _build_problem(cfg, build_rule(cfg.quadrature_order, cfg.ell), override=True)
-    results = scan(
-        list(cfg.energies), ham, dten, coupling=cfg.coupling_g, tolerance=cfg.tolerance,
-        bifurcation_tolerance=cfg.bifurcation_tolerance, max_iterations=cfg.max_iterations,
-    )
+    results = solve_rows(config, rows)
     for row, res in zip(rows, results):
         assert (res.energy, res.status, res.period) == (row["energy"], row["status"], row["period"])
         assert len(res.history) == len(row["history"])
         for s, (re, im) in zip(res.history, row["history"]):
             assert abs(s - complex(re, im)) <= 1e-12
+
+
+if __name__ == "__main__":
+    for config in sys.argv[1:]:
+        rows = [row for row in FROZEN if row["config"] == config]
+        for row, res in zip(rows, solve_rows(config, rows), strict=True):
+            row.update(status=res.status, period=res.period, history=[[s.real, s.imag] for s in res.history])
+    PINNED.write_text(json.dumps(FROZEN, indent=1), encoding="utf-8")

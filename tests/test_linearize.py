@@ -1,10 +1,12 @@
 """Linearization tensors: dual routes, symmetry, sparsity, factored form."""
 
 from itertools import combinations_with_replacement
+from math import factorial
 
 import numpy as np
 import pytest
 
+from jmscatter.hamiltonian import f_weight_quadrature
 from jmscatter.linearize import d_tensor, quadrature_bound
 from jmscatter.quadrature import build_rule
 from jmscatter.solver import r_matrix
@@ -12,6 +14,8 @@ from oracles import (
     c_tensor_matrix_poly,
     c_tensor_quadrature,
     d_tensor_expanded,
+    laguerre_streamed,
+    quadrature_values,
     r_matrix_expanded,
 )
 
@@ -38,7 +42,7 @@ class TestQuadratureBound:
         dten = d_tensor(2, 0, 8, rule, override=True)
         assert dten.stencil.shape == (8, 10)
         assert dten.values.shape == (8, 10)
-        assert dten.node_weight.shape == (10,)
+        assert np.all(np.isfinite(dten.values))
 
 
     def test_basis_beyond_the_rule_refused_under_override(self):
@@ -113,10 +117,11 @@ class TestDTensor:
         lam_stencil = rule.vectors[:n_basis, :]
         xi = rule.nodes
         znode = xi ** (n * ell) * np.exp(-n * xi)
+        vals = quadrature_values(rule, n_basis - 1)
         for t_idx, tup in enumerate(dten.tuples):
             prod = znode.copy()
             for k in tup:
-                prod = prod * rule.values[k, :]
+                prod = prod * vals[k, :]
             want = lam_stencil @ np.diag(prod) @ lam_stencil.T
             assert np.abs(dten.stack[t_idx] - want).max() < 1e-12
 
@@ -157,3 +162,25 @@ class TestNodeSpaceDualRoute:
         )
         got = r_matrix(d_tensor(n, ell, n_basis, rule, override=override), coeffs, lam)
         assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+
+
+class TestEnvelopedValues:
+    @pytest.mark.parametrize("ell", [0, 1, 3])
+    def test_values_are_the_enveloped_basis(self, ell):
+        # values[k, l] = xi_l^{ell/2} e^{-xi_l/2} L~_k(xi_l), from the plain recursion with the envelope inside
+        rule = build_rule(60, ell)
+        envelope = rule.nodes ** (0.5 * ell) * np.exp(-0.5 * rule.nodes)
+        want = np.array(list(laguerre_streamed(19, ell, rule.nodes, envelope)))
+        got = d_tensor(1, ell, 20, rule).values
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n,ell", [(1, 0), (1, 1), (2, 1)])
+    def test_r_of_the_first_basis_vector_is_f(self, n, ell):
+        # with a = e_0, psi is the envelope alone and R / pref is the integral
+        # int x^{(n+1) ell} e^{-(n+1) x} L~_i L~_j dx / ell!, the closed-form F
+        n_basis, lam = 20, 1.0
+        pref = (2.0 * lam**2 / factorial(ell)) ** n
+        e_0 = np.eye(n_basis + 1)[0]
+        got = r_matrix(d_tensor(n, ell, n_basis, build_rule(100, ell)), e_0, lam) / pref
+        want = f_weight_quadrature(n, ell, n_basis)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()

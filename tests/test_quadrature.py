@@ -1,5 +1,6 @@
 """Gauss rules from the Jacobi matrix: nodes, weights, stencil, exactness."""
 
+from dataclasses import replace
 from math import lgamma
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jmscatter.linearize import d_tensor
 from jmscatter.quadrature import build_rule
+from jmscatter.solver import r_matrix
 from jmscatter.specfun import jacobi_coefficients
 from oracles import (
     gauss_rule_tridiagonal,
@@ -61,16 +64,19 @@ class TestRuleBasics:
         assert np.abs(gram - np.eye(25)).max() < 1e-12
 
     def test_stencil_matches_recursion(self):
+        # vectors[k, l] = sqrt(weights[l]) L~_k(nodes[l]), with L~_k from the plain recursion
         rule = build_rule(12, 2)
         vals = quadrature_values(rule, 8)
-        for k in range(8):
-            expected = laguerre_normalized(k, 2, rule.nodes[rule.live])
-            assert vals[k, rule.live] == pytest.approx(expected, rel=1e-11)
+        for k in range(9):
+            expected = laguerre_normalized(k, 2, rule.nodes)
+            assert vals[k] == pytest.approx(expected, rel=1e-12)
+            assert rule.vectors[k] == pytest.approx(np.sqrt(rule.weights) * expected, rel=1e-11, abs=1e-14)
 
-    def test_values_request_beyond_order_rejected(self):
+    def test_nodes_are_the_zeros_of_degree_order(self):
+        # why the stencil stops at degree order-1: L~_Q vanishes at the Q nodes
         rule = build_rule(6, 0)
-        with pytest.raises(ValueError):
-            quadrature_values(rule, 7)
+        vals = quadrature_values(rule, 6)
+        assert np.all(np.abs(vals[6]) < 1e-12 * np.abs(vals[:6]).max(axis=0))
 
 
 class TestExactness:
@@ -116,16 +122,21 @@ class TestExactness:
 class TestDeepTailNodes:
     def test_large_order_rule_keeps_finite_stencil(self):
         rule = build_rule(100, 0)
-        assert rule.live.sum() < 100  # far-tail weights underflow to zero
-        assert np.all(rule.weights[~rule.live] == 0.0)
-        assert np.all(rule.values[:, ~rule.live] == 0.0)
+        assert np.any(rule.weights == 0.0)  # far-tail weights underflow to zero
         assert np.all(np.isfinite(rule.vectors))
         assert rule.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        # the enveloped recursion keeps the basis values finite out there too
+        assert np.all(np.isfinite(d_tensor(2, 0, 20, rule).values))
 
     def test_dead_nodes_carry_no_weight_in_projection(self):
         rule = build_rule(100, 0)
-        fvals = np.where(rule.live, 0.0, 1.0)
-        assert integrate_weighted(rule, fvals) == 0.0
+        dead = rule.weights == 0.0
+        assert integrate_weighted(rule, np.where(dead, 1.0, 0.0)) == 0.0
+        # nor in the interaction: R is the same with their basis values zeroed
+        dten = d_tensor(2, 0, 20, rule)
+        coeffs = np.linspace(1.0, 2.0, 21) + 0.5j
+        cut = replace(dten, values=np.where(dead, 0.0, dten.values))
+        assert np.array_equal(r_matrix(dten, coeffs, 1.0), r_matrix(cut, coeffs, 1.0))
 
     def test_eigendecompose_consistent_with_jacobi(self):
         diag, off = jacobi_coefficients(14, 1)
@@ -141,7 +152,7 @@ class TestDenseEigensolve:
     def test_matches_tridiagonal_solver(self, order, ell):
         rule = build_rule(order, ell)
         want = gauss_rule_tridiagonal(order, ell)
-        np.testing.assert_array_equal(rule.live, want.live)
+        np.testing.assert_array_equal(rule.weights == 0.0, want.weights == 0.0)
         for name in ("nodes", "weights", "vectors"):
             got, ref = getattr(rule, name), getattr(want, name)
             assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max(), name

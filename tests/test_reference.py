@@ -306,6 +306,12 @@ class TestBlockedSum:
         assert same_bits(chi_reconstruct(ref.c, 0, 1.0, grid), chi_reconstruct(ref.c, 0, 1.0, grid.ravel()).reshape(3, 4))
 
     @pytest.mark.parametrize("basis", ["oscillator", "laguerre"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -1.0])
+    def test_radius_not_finite_and_nonnegative_refused_by_value(self, basis, bad):
+        with pytest.raises(ValueError, match=f"finite and nonnegative, got {bad!r}"):
+            chi_reconstruct(np.ones(5), 0, 1.0, [0.5, bad, 1.0], basis=basis)
+
+    @pytest.mark.parametrize("basis", ["oscillator", "laguerre"])
     def test_peak_allocation_at_benchmark_size(self, basis):
         # the block buffers, not N-sized tables: the two reconstructions of one basis-check block
         r = np.linspace(0.05, 25.0, 500)

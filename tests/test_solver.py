@@ -187,7 +187,7 @@ def contraction():
 
 class TestRMatrix:
 
-    # Q = 300 and 400 have dead nodes (zero weight under the square root);
+    # Q = 300 and 400 have nodes whose Gauss weight underflows to zero;
     # (3, 0, 20, 61) sits below the exactness bound
     @pytest.mark.parametrize(
         "n,ell,n_basis,order", [(1, 1, 6, 40), (2, 1, 20, 300), (3, 0, 20, 61), (1, 3, 30, 400)]
@@ -339,7 +339,7 @@ class TestSolveEnergy:
         assert longer.iterations < 200
 
     @pytest.mark.parametrize(
-        "energy,values", [(2.77, ("1.902051", "1.615889")), (3.0, ("1.729838", "0.074315"))]
+        "energy,values", [(2.77, ("1.902050", "1.615889")), (3.0, ("1.729838", "0.074315"))]
     )
     def test_genuine_cycles_keep_their_values(self, trapezoid_setup, energy, values):
         ham, dten = trapezoid_setup
@@ -456,6 +456,22 @@ def _config_problem(name):
         bifurcation_tolerance=cfg.bifurcation_tolerance, max_iterations=cfg.max_iterations,
     )
     return cfg, ham, dten, options
+
+
+class TestQuadratureConvergence:
+    """With H held at the config's rule, S converges in the D tensor's
+    rule order: the basis values at the Gauss nodes come from the
+    enveloped recursion, accurate where the Gauss weight is tiny."""
+
+    @pytest.mark.parametrize("name,atol", [("table3", 1e-12), ("table4", 1e-7)])
+    def test_s_settles_in_the_rule_order(self, name, atol):
+        cfg, ham, _, options = _config_problem(name)
+        s = [
+            solve_energy(1.0, ham, d_tensor(cfg.nonlinearity_n, cfg.ell, cfg.basis_size_n, build_rule(order, cfg.ell)),
+                         **options).s_matrix
+            for order in (120, 320)
+        ]
+        assert abs(s[0] - s[1]) <= atol
 
 
 class TestGridIsItsOneEnergySolves:
