@@ -221,13 +221,13 @@ def _problem_rule(cfg: RunConfig) -> QuadratureRule:
 
 
 def _build_problem(
-    cfg: RunConfig, rule: QuadratureRule, override: bool
+    cfg: RunConfig, rule: QuadratureRule, override: bool, dten: DTensor | None = None
 ) -> tuple[ham.LinearHamiltonian, DTensor | None]:
+    """The config's Hamiltonian and D tensor; a `dten` built for its rule and basis is reused (it is scale-free)."""
     h = ham.assemble_linear(
         cfg.potential, n_basis=cfg.basis_size_n, ell=cfg.ell, lam=cfg.lam, rule=rule
     )
-    dten = None
-    if cfg.coupling_g != 0.0:
+    if cfg.coupling_g != 0.0 and dten is None:
         try:
             dten = d_tensor(cfg.nonlinearity_n, cfg.ell, cfg.basis_size_n, rule, override=override)
         except ValueError as exc:
@@ -344,12 +344,12 @@ def stability_rows(
     rule = _problem_rule(cfg)
     rows = []
     for n_basis in n_values:
-        features = []
+        features, dten = [], None
         # F depends on the basis size only, not on its scale.
         f_edge = ham.f_weight_quadrature(cfg.nonlinearity_n, cfg.ell, int(n_basis))[-1, -1]
         for lam in lambdas:
             sub = replace(cfg, lam=float(lam), basis_size_n=int(n_basis))
-            h, dten = _build_problem(sub, rule, override)
+            h, dten = _build_problem(sub, rule, override, dten)
             res = solve_energy(
                 energy, h, dten, coupling=sub.coupling_g, tolerance=sub.tolerance,
                 bifurcation_tolerance=sub.bifurcation_tolerance,

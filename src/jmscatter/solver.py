@@ -38,8 +38,10 @@ from .specfun import finite_positive
 _COND_LIMIT = 1e12
 _ENERGY_NUDGE = 1e-6
 # Order 0 of a scan runs on this many energies at a time, bounding its memory;
-# each later order advances at most _STACK of them together, which bounds the
-# (B, N, Q) node array of R (about 1 MB at N = 20, Q = 100).
+# each later order advances at most _STACK of them together, for speed: the
+# stack's (B, N, N) and (B, 2, Q) arrays then stay in cache (one order of 1024
+# table1 energies took 12.6 ms in 64-row stacks against 19.7 ms in one stack,
+# on a 2-core x86-64 VM with one BLAS thread).
 _BLOCK = 1024
 _STACK = 64
 # Cycle certification: this many consecutive orders must look periodic,
@@ -97,24 +99,27 @@ def r_matrix(dten: DTensor, coefficients: np.ndarray, lam: float) -> np.ndarray:
     The D tensor contracted with n coefficient vectors and n conjugated
     ones is a node sum, so it is assembled in node space:
 
-        R = (2 lam^2 / ell!)^n Lambda diag(xi^{n ell} e^{-n xi} |psi|^{2n}) Lambda^T,
+        R_ij = (2 lam^2 / ell!)^n sum_l xi_l^{n ell} e^{-n xi_l} |psi_l|^{2n} Lambda_il Lambda_jl,
 
     with psi = sum_k a_k L~_k at the Gauss nodes; the D tensor's values
-    carry xi^{ell/2} e^{-xi/2}, so |psi|^{2n} of them is the whole bracket.
-    The weight is never negative, so R is the Gram product X X^T,
-    X = Lambda diag(sqrt(weight)), which numpy forms by BLAS syrk: R equals
-    its transpose exactly. A stack of coefficient rows (..., N+1) gives a
-    stack of R (..., N, N), each row's psi one vector-matrix product and
-    its R one syrk.
+    carry xi^{ell/2} e^{-xi/2}, so |psi|^{2n} of them is the whole
+    weight. Re psi and Im psi come from one real (2, N) @ (N, Q) product
+    and the packed R from one (1, Q) @ (Q, N(N+1)/2) product with the
+    D tensor's pair table; both triangles of R read the same packed
+    entry, so R equals its transpose exactly. A stack of coefficient
+    rows (..., N+1) gives a stack of R (..., N, N), each row its own two
+    products. The weight is never negative, so R is positive
+    semidefinite up to rounding.
     """
     a = np.asarray(coefficients, dtype=complex)
     if a.shape[-1] < dten.n_basis:
         raise ValueError("coefficient vector shorter than the basis")
-    psi = np.matmul(a[..., None, : dten.n_basis], dten.values)[..., 0, :]
+    a = a[..., : dten.n_basis]
+    psi = np.stack((a.real, a.imag), axis=-2) @ dten.values
     pref = (2.0 * lam**2 / factorial(dten.ell)) ** dten.n
-    weight = pref * (psi.real**2 + psi.imag**2) ** dten.n
-    x = dten.stencil * np.sqrt(weight)[..., None, :]
-    return x @ x.swapaxes(-1, -2)
+    weight = pref * (psi[..., 0, :] ** 2 + psi[..., 1, :] ** 2) ** dten.n
+    packed = (weight[..., None, :] @ dten.pairs)[..., 0, :]
+    return packed[..., dten.pair_index]
 
 
 def _conditioned(gaps: np.ndarray) -> np.ndarray:
@@ -158,34 +163,34 @@ def greens_spectral(
     """Edge columns G[:, N-1] of the interior resolvent (H - E)^{-1}, one per energy.
 
     With H = V diag(e) V^T, G[:, N-1] = V (V[N-1, :] / (e - E)), one
-    product per energy. Returns the (B, N) columns for the (B,) energies
-    and the mask of energies whose H - E passes the condition test; a
-    refused row is never divided by and stays zero.
+    matrix-vector product per energy: the stacked matmul runs one per
+    slice, so a column never depends on the other energies. Returns the
+    (B, N) columns for the (B,) energies and the mask of energies whose
+    H - E passes the condition test; a refused row is never divided by
+    and stays zero.
     """
     gaps = eigenvalues - np.asarray(energies, dtype=float)[:, None]
     conditioned = _conditioned(gaps)
     columns = np.zeros(gaps.shape)
-    for j in np.flatnonzero(conditioned):
-        columns[j] = eigenvectors @ (eigenvectors[-1] / gaps[j])
+    columns[conditioned] = np.matmul(eigenvectors, (eigenvectors[-1] / gaps[conditioned])[..., None])[..., 0]
     return columns, conditioned
 
 
 def greens_matrix(
-    h_eff: np.ndarray, energies: np.ndarray, levels: np.ndarray, spread: np.ndarray
+    shifted: np.ndarray, energies: np.ndarray, levels: np.ndarray, spread: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Edge columns of the resolvents of a (B, N, N) stack of symmetric H_eff, one energy each.
+    """Edge columns of the resolvents of a (B, N, N) stack of symmetric H_eff - E, one energy each.
 
-    Each H_eff is H + c R with R positive semidefinite; levels are the
-    eigenvalues of H and spread is c ||R||_F per row. A row that
-    `_certified` vouches for is conditioned; the condition test of the
-    others runs on the eigenvalues of their H_eff - E, in one stacked
-    eigvalsh, and the two decide every row alike (see `_certified`). The
-    column of each conditioned row is one LU solve of (H_eff - E) g = e_{N-1}.
-    Returns the (B, N) columns and the (B,) mask; a refused row never
-    reaches the solve and stays zero.
+    Each H_eff is H + c R with R positive semidefinite, and the stack
+    holds H_eff - E for the row's energy; levels are the eigenvalues of
+    H and spread is c ||R||_F per row. A row that `_certified` vouches
+    for is conditioned; the condition test of the others runs on the
+    eigenvalues of their H_eff - E, in one stacked eigvalsh, and the two
+    decide every row alike (see `_certified`). The column of each
+    conditioned row is one LU solve of (H_eff - E) g = e_{N-1}, read
+    from the stack as given. Returns the (B, N) columns and the (B,)
+    mask; a refused row never reaches the solve and stays zero.
     """
-    shifted = np.array(h_eff, dtype=float)
-    np.einsum("...ii->...i", shifted)[...] -= np.asarray(energies, dtype=float)[:, None]
     conditioned = _certified(levels, energies, spread)
     doubtful = np.flatnonzero(~conditioned)
     if doubtful.size:
@@ -203,20 +208,34 @@ def greens_matrix(
     return columns, conditioned
 
 
-def phase_shift(h_plus: np.ndarray, h_minus: np.ndarray, g_corner: float, b_edge: float) -> complex:
-    """Scattering matrix from the basis-edge matching relation.
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b for complex arrays in separate float64 operations, rounded as the scalar product.
 
-    h_plus and h_minus are the outgoing c + i s and incoming c - i s
-    reference combinations at k = N-1, N. S = T (1 + b G_corner Rm) /
-    (1 + b G_corner Rp), with T = h^-/h^+ at k = N-1 and Rpm the h^{+-}
-    ratios across the edge. With a real symmetric interior operator the
-    numerator is the conjugate of the denominator, so |S| = 1 up to
-    roundoff.
+    numpy's complex multiply ufunc can differ from the scalar product in the last bit.
     """
-    t_edge = h_minus[0] / h_plus[0]
-    r_plus = h_plus[1] / h_plus[0]
-    r_minus = h_minus[1] / h_minus[0]
-    return t_edge * (1.0 + b_edge * g_corner * r_minus) / (1.0 + b_edge * g_corner * r_plus)
+    real = a.real * b.real - a.imag * b.imag
+    product = np.empty(real.shape, dtype=complex)
+    product.real = real
+    product.imag = a.real * b.imag + a.imag * b.real
+    return product
+
+
+def phase_shift(h_plus: np.ndarray, h_minus: np.ndarray, g_corner: np.ndarray, b_edge: float) -> np.ndarray:
+    """Scattering matrix from the basis-edge matching relation, one per row of a stack.
+
+    h_plus and h_minus are the (B, 2) outgoing c + i s and incoming
+    c - i s reference combinations at k = N-1, N, and g_corner the (B,)
+    corner entries G[N-1, N-1]. S = T (1 + b G_corner Rm) / (1 + b
+    G_corner Rp), with T = h^-/h^+ at k = N-1 and Rpm the h^{+-} ratios
+    across the edge. With a real symmetric interior operator the
+    numerator is the conjugate of the denominator, so |S| = 1 up to
+    roundoff. Each entry equals the scalar formula on its own row.
+    """
+    t_edge = h_minus[:, 0] / h_plus[:, 0]
+    r_plus = h_plus[:, 1] / h_plus[:, 0]
+    r_minus = h_minus[:, 1] / h_minus[:, 0]
+    b_g = b_edge * g_corner
+    return _times(t_edge, 1.0 + b_g * r_minus) / (1.0 + b_g * r_plus)
 
 
 def interior_coefficients(
@@ -226,15 +245,13 @@ def interior_coefficients(
 
     s holds the B values of S, h_plus and h_minus are (B, 2) and
     greens_columns (B, N). The two edge entries come from the tail
-    solution A_k = h^-_k - S h^+_k (k = N-1, N), row by row in scalar
-    complex arithmetic (numpy's vectorised complex product can differ
-    from it in the last bit); the interior follows from the Green's
-    function edge column acting on the edge coupling.
+    solution A_k = h^-_k - S h^+_k (k = N-1, N), with the complex
+    product written out in float64 (`_times`); the interior follows from
+    the Green's function edge column acting on the edge coupling.
     """
     rows, size = greens_columns.shape
     a = np.empty((rows, size + 1), dtype=complex)
-    a[:, -2:] = [[hm[0] - s_row * hp[0], hm[1] - s_row * hp[1]]
-                 for s_row, hp, hm in zip(s, h_plus.tolist(), h_minus.tolist())]
+    a[:, -2:] = h_minus - _times(np.asarray(s, dtype=complex)[:, None], h_plus)
     a[:, :-2] = -b_edge * greens_columns[:, :-1] * a[:, -1:]
     return a
 
@@ -340,9 +357,8 @@ def scan(
         h_minus = (ref.c[n - 1 :] - 1j * ref.s[n - 1 :]).T
         g, conditioned = greens_spectral(hamiltonian.eigenvalues, hamiltonian.eigenvectors, block)
         runs = [
-            _Iteration(phase_shift(h_plus[j], h_minus[j], g[j, -1], b_edge), orders, tolerance, bifurcation_tolerance)
-            if ok else None
-            for j, ok in enumerate(conditioned.tolist())
+            _Iteration(s0, orders, tolerance, bifurcation_tolerance) if ok else None
+            for s0, ok in zip(phase_shift(h_plus, h_minus, g[:, -1], b_edge), conditioned.tolist())
         ]
         # The unsettled energies' block indices, their g, E and h+- packed in the same order.
         stack, energies, h_plus_s, h_minus_s = np.arange(block.size), block, h_plus, h_minus
@@ -355,9 +371,10 @@ def scan(
                 rows = stack[part].tolist()
                 g[part], ok = _order_map(g[part], [runs[j].history[-1] for j in rows], energies[part],
                                          h_plus_s[part], h_minus_s[part], b_edge, hamiltonian, dten, coupling)
-                for j, row_ok, hp, hm, corner in zip(rows, ok.tolist(), h_plus_s[part], h_minus_s[part], g[part, -1]):
+                s_part = phase_shift(h_plus_s[part], h_minus_s[part], g[part, -1], b_edge)
+                for j, row_ok, s in zip(rows, ok.tolist(), s_part):
                     if row_ok:
-                        runs[j].add(phase_shift(hp, hm, corner, b_edge))
+                        runs[j].add(s)
                     else:
                         runs[j] = None
             going = [runs[j] is not None and runs[j].status is None for j in stack.tolist()]
@@ -390,8 +407,12 @@ def _order_map(
     """
     a = interior_coefficients(s, h_plus, h_minus, g, b_edge)
     r = r_matrix(dten, a, hamiltonian.lam)
-    norm = np.sqrt(np.einsum("...ij,...ij->...", r, r))
-    return greens_matrix(hamiltonian.matrix + coupling * r, energies, hamiltonian.eigenvalues, coupling * norm)
+    spread = coupling * np.sqrt(np.einsum("...ij,...ij->...", r, r))
+    # R's own buffer becomes H + c R - E.
+    r *= coupling
+    r += hamiltonian.matrix
+    np.einsum("...ii->...i", r)[...] -= energies[:, None]
+    return greens_matrix(r, energies, hamiltonian.eigenvalues, spread)
 
 
 def resonance_energy(

@@ -19,7 +19,9 @@ these routes enumerate the combinatorics and so cross-check it at
 small N.
 
 The other routes here are independent of the package's production
-paths: the full resolvent by direct inversion and its entries as
+paths: the effective interaction as the Gram product of the weighted
+stencil, the edge matching one energy at a time in scalar complex
+arithmetic, the full resolvent by direct inversion and its entries as
 determinant ratios, the closed-form nonlinear weight integrals, the
 associated Laguerre and Gegenbauer recursions, the bare basis values
 at a rule's nodes by one plain recursion step per degree, plain weighted
@@ -260,6 +262,40 @@ def r_matrix_expanded(dten: ExpandedDTensor, coefficients: np.ndarray, lam: floa
     pref = (2.0 * lam**2 / factorial(dten.ell)) ** dten.n
     raw = pref * np.tensordot(weights, dten.stack, axes=(0, 0))
     return (0.5 * (raw + raw.conj().T)).real
+
+
+def r_matrix_gram(dten, stencil: np.ndarray, coefficients: np.ndarray, lam: float) -> np.ndarray:
+    """Effective interaction of one coefficient row as the node-space Gram product X X^T.
+
+    X = Lambda diag(sqrt(weight)), with the projection stencil Lambda
+    (the rule's vectors[:N]) and the node weight of `solver.r_matrix`
+    formed from the complex psi; numpy forms X X^T by BLAS syrk.
+    """
+    psi = np.asarray(coefficients, dtype=complex)[: dten.n_basis] @ dten.values
+    pref = (2.0 * lam**2 / factorial(dten.ell)) ** dten.n
+    x = stencil * np.sqrt(pref * (psi.real**2 + psi.imag**2) ** dten.n)
+    return x @ x.T
+
+
+def phase_shift_scalar(h_plus, h_minus, g_corner, b_edge) -> complex:
+    """S of one energy from the basis-edge matching relation, in numpy scalar complex arithmetic.
+
+    h_plus and h_minus are the two edge entries k = N-1, N of c + i s
+    and c - i s, and g_corner the real G[N-1, N-1]; the formula is the
+    one `solver.phase_shift` evaluates on a stack.
+    """
+    hp0, hp1 = (np.complex128(x) for x in h_plus)
+    hm0, hm1 = (np.complex128(x) for x in h_minus)
+    t_edge = hm0 / hp0
+    r_plus = hp1 / hp0
+    r_minus = hm1 / hm0
+    coupling = np.float64(b_edge) * np.float64(g_corner)
+    return t_edge * (1.0 + coupling * r_minus) / (1.0 + coupling * r_plus)
+
+
+def edge_coefficients_scalar(s, h_plus, h_minus) -> list:
+    """The edge entries A_k = h^-_k - S h^+_k (k = N-1, N) of one energy, in scalar complex arithmetic."""
+    return [complex(hm) - np.complex128(s) * complex(hp) for hp, hm in zip(h_plus, h_minus)]
 
 
 def greens_inverse(h_eff: np.ndarray, energy: float) -> np.ndarray:

@@ -1,23 +1,27 @@
 """Configuration loading, command output formats, and exit codes."""
 
+from dataclasses import replace
 from importlib.resources import files
 
 import numpy as np
 import pytest
 import yaml
 
-from jmscatter import hamiltonian
+from jmscatter import cli, hamiltonian
 from jmscatter.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
     ConfigError,
+    _build_problem,
     load_config,
     main,
     stability_rows,
 )
 from jmscatter.hamiltonian import PiecewiseLinearPotential
 from jmscatter.linearize import quadrature_bound
+from jmscatter.quadrature import build_rule
+from jmscatter.solver import solve_energy
 
 CONFIG_DIR = files("jmscatter") / "configs"
 
@@ -365,6 +369,27 @@ class TestMain:
         rows = stability_rows(cfg, lambdas=(0.8, 1.0, 1.2), n_values=(6, 8))
         assert len(rows) == 6
         assert len(calls) == 6
+
+    def test_stability_scan_builds_one_d_tensor_per_basis_size(self, tmp_path, monkeypatch):
+        # the D tensor does not depend on lambda: one build per N serves every lambda
+        sizes, original = [], cli.d_tensor
+
+        def counted(n, ell, n_basis, *rest, **kwargs):
+            sizes.append(n_basis)
+            return original(n, ell, n_basis, *rest, **kwargs)
+
+        cfg = load_config(write_config(tmp_path, minimal(coupling_g=0.001, nonlinearity_n=1)))
+        want = stability_rows(cfg, lambdas=(0.8, 1.0, 1.2), n_values=(6, 8))
+        monkeypatch.setattr(cli, "d_tensor", counted)
+        assert stability_rows(cfg, lambdas=(0.8, 1.0, 1.2), n_values=(6, 8)) == want
+        assert sizes == [6, 8]
+        # each row is the solve of its own (lambda, N) point with a fresh D tensor
+        for row in want:
+            sub = replace(cfg, lam=row["lam"], basis_size_n=row["N"])
+            h, dten = _build_problem(sub, build_rule(cfg.quadrature_order, cfg.ell), False)
+            res = solve_energy(cfg.energies[0], h, dten, coupling=cfg.coupling_g, tolerance=cfg.tolerance,
+                               bifurcation_tolerance=cfg.bifurcation_tolerance, max_iterations=cfg.max_iterations)
+            assert res.abs_one_minus_s == row["abs_one_minus_S"]
 
     def test_table_footnote(self, tmp_path):
         path = write_config(tmp_path, minimal(energy_grid={"list": [1.0]}))

@@ -4,9 +4,10 @@
 the sha256 of stdout without its `# max_dev*` lines, and those lines'
 values. The runs go through `cli.main` in-process, with
 `--override-quadrature-bound` where the verb takes it. stdout, stderr
-and exit code must match exactly, except the `max_dev` values: for the
-fig3b and fig5 reconstructions they sit at roundoff, so they are
-compared within 1e-10 absolute.
+and exit code must match exactly, except the `max_dev` values: the
+fig3b and fig5 reconstructions sit at roundoff, so each value is
+compared within its printed digits plus platform noise,
+max(1e-6 |pin|, 1e-14), and never more loosely than 1e-10 absolute.
 
 Re-record (only for an intended output change) with
 `PYTHONPATH=src python tests/test_cli_outputs.py`.
@@ -27,7 +28,6 @@ PINNED = Path(__file__).parent / "cli_outputs.json"
 CONFIG_DIR = files("jmscatter") / "configs"
 CONFIGS = ("fig1", "fig2", "fig3b", "fig5", "table1", "table2", "table3", "table4")
 VERBS = ("scan", "table", "basis-check", "stability-scan")
-MAX_DEV_ATOL = 1e-10
 
 
 def run(config: str, verb: str) -> dict:
@@ -63,7 +63,7 @@ def test_cli_output_pinned(row):
     )
     assert [name for name, _ in got["max_dev"]] == [name for name, _ in row["max_dev"]]
     for (_, value), (_, want) in zip(got["max_dev"], row["max_dev"]):
-        assert abs(value - want) <= MAX_DEV_ATOL
+        assert abs(value - want) <= min(max(1e-6 * abs(want), 1e-14), 1e-10)
 
 
 def test_pins_cover_every_config_and_verb():

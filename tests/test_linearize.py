@@ -40,7 +40,7 @@ class TestQuadratureBound:
     def test_override_accepts_below_bound(self):
         rule = build_rule(10, 0)
         dten = d_tensor(2, 0, 8, rule, override=True)
-        assert dten.stencil.shape == (8, 10)
+        assert dten.values.shape == (8, 10) and dten.pairs.shape == (10, 36)
         assert dten.values.shape == (8, 10)
         assert np.all(np.isfinite(dten.values))
 

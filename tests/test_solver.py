@@ -35,9 +35,12 @@ from jmscatter.solver import (
 )
 from oracles import (
     c_tensor_quadrature,
+    edge_coefficients_scalar,
     greens_diagonal_minor,
     greens_inverse,
     greens_offdiag_minor,
+    phase_shift_scalar,
+    r_matrix_gram,
 )
 
 
@@ -45,6 +48,11 @@ def random_symmetric(size, seed):
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(size, size))
     return 0.5 * (m + m.T)
+
+
+def shifted(h, energies):
+    """The (B, N, N) stack h - E, one energy per matrix, which `greens_matrix` takes."""
+    return h - np.asarray(energies, dtype=float)[:, None, None] * np.eye(h.shape[-1])
 
 
 @pytest.fixture(scope="module")
@@ -81,14 +89,14 @@ def septic_setup(request):
 
 class TestGreens:
     def test_scalar_case(self):
-        out, conditioned = greens_matrix(np.array([[[2.0]]]), [1.0], levels=np.array([2.0]), spread=[0.0])
+        out, conditioned = greens_matrix(shifted(np.array([[[2.0]]]), [1.0]), [1.0], np.array([2.0]), [0.0])
         assert out.shape == (1, 1) and conditioned.tolist() == [True]
         assert out[0, 0] == pytest.approx(1.0, rel=1e-14)
 
     def test_inverse_residual(self):
         # the edge column solves (H - E) g = e_{N-1}
         h = random_symmetric(6, seed=11)
-        (g,), _ = greens_matrix(h[None], [0.37], levels=np.linalg.eigvalsh(h), spread=[0.0])
+        (g,), _ = greens_matrix(shifted(h[None], [0.37]), [0.37], levels=np.linalg.eigvalsh(h), spread=[0.0])
         residual = (h - 0.37 * np.eye(6)) @ g - np.eye(6)[:, -1]
         assert np.abs(residual).max() < 1e-9
 
@@ -97,7 +105,7 @@ class TestGreens:
         evals, evecs = np.linalg.eigh(h)
         for energy in (-1.3, 0.2, 0.9, 2.7):
             direct = greens_inverse(h, energy)[:, -1]
-            column = greens_matrix(h[None], [energy], levels=np.linalg.eigvalsh(h), spread=[0.0])[0][0]
+            column = greens_matrix(shifted(h[None], [energy]), [energy], np.linalg.eigvalsh(h), [0.0])[0][0]
             assert np.abs(column - direct).max() < 1e-10
             assert np.abs(greens_spectral(evals, evecs, [energy])[0][0] - direct).max() < 1e-10
 
@@ -134,7 +142,8 @@ class TestGreens:
         h = random_symmetric(5, seed=15)
         evals, evecs = np.linalg.eigh(h)
         # a refusal is a False in the mask, and the refused column stays zero
-        for columns, conditioned in (greens_matrix(h[None], [evals[2]], levels=np.linalg.eigvalsh(h), spread=[0.0]),
+        levels = np.linalg.eigvalsh(h)
+        for columns, conditioned in (greens_matrix(shifted(h[None], [evals[2]]), [evals[2]], levels, spread=[0.0]),
                                      greens_spectral(evals, evecs, [evals[2]])):
             assert conditioned.tolist() == [False]
             assert not columns.any()
@@ -147,7 +156,7 @@ class TestGreens:
             assert cond == pytest.approx(target, rel=0.1)
             assert (cond > 1e12) == refused
             for columns, conditioned in (greens_spectral(evals, evecs, [energy]),
-                                         greens_matrix(h[None], [energy], levels=np.linalg.eigvalsh(h), spread=[0.0])):
+                                         greens_matrix(shifted(h[None], [energy]), [energy], levels, spread=[0.0])):
                 assert conditioned.tolist() == [not refused]
                 assert np.isfinite(columns).all()
 
@@ -165,7 +174,7 @@ class TestGreens:
 
         monkeypatch.setattr(np.linalg, "solve", recording_solve)
         for energies in ([0.3, 0.4, 0.5], [0.3, level, 0.5]):
-            columns, conditioned = greens_matrix(h, energies, levels=np.linalg.eigvalsh(h), spread=[0.0] * 3)
+            columns, conditioned = greens_matrix(shifted(h, energies), energies, np.linalg.eigvalsh(h), [0.0] * 3)
             for row, energy, ok in zip(range(3), energies, conditioned.tolist()):
                 if ok:
                     assert np.abs(columns[row] - greens_inverse(h[row], energy)[:, -1]).max() < 1e-10
@@ -240,6 +249,73 @@ class TestRMatrix:
         dten, _, _ = contraction
         with pytest.raises(ValueError):
             r_matrix(dten, np.ones(3), 1.0)
+
+    # the Gram route rounds each of its Q-term sums differently: a bound
+    # of 4 Q eps max|R| per entry, fixed from the dtype, and N times that
+    # for the eigenvalues (||E||_2 <= N max|E_ij|)
+    @pytest.mark.parametrize(
+        "n,ell,n_basis,order", [(1, 0, 20, 100), (1, 1, 6, 40), (2, 1, 20, 30), (2, 1, 20, 300), (3, 0, 20, 61)]
+    )
+    def test_matches_gram_product_and_is_positive_semidefinite(self, n, ell, n_basis, order):
+        rule = build_rule(order, ell)
+        dten = d_tensor(n, ell, n_basis, rule, override=order < quadrature_bound(n, n_basis))
+        rng = np.random.default_rng(7 * order + n)
+        rows = rng.normal(size=(5, n_basis + 1)) + 1j * rng.normal(size=(5, n_basis + 1))
+        entry_bound = 4 * order * np.finfo(float).eps
+        for row, got in zip(rows, r_matrix(dten, rows, 1.1)):
+            want = r_matrix_gram(dten, rule.vectors[:n_basis], row, 1.1)
+            scale = np.abs(want).max()
+            assert scale > 0.0
+            assert np.abs(got - want).max() <= entry_bound * scale
+            assert np.linalg.eigvalsh(got).min() >= -n_basis * entry_bound * scale
+
+    def test_pair_table_is_every_basis_pair_once(self, contraction):
+        dten, rule, _ = contraction
+        n_basis = dten.n_basis
+        assert dten.pairs.shape == (rule.order, n_basis * (n_basis + 1) // 2)
+        assert np.array_equal(dten.pair_index, dten.pair_index.T)
+        assert sorted(set(dten.pair_index.ravel().tolist())) == list(range(dten.pairs.shape[1]))
+        stencil = rule.vectors[:n_basis]
+        for i, j in itertools.combinations_with_replacement(range(n_basis), 2):
+            assert np.array_equal(dten.pairs[:, dten.pair_index[i, j]], stencil[i] * stencil[j])
+
+
+class TestEdgeMatching:
+    """The stacked edge matching equals the scalar formulas of one energy
+    bit for bit, and order 0's edge columns their per-energy products."""
+
+    @pytest.fixture(scope="class")
+    def edges(self):
+        cfg, ham, _, _ = _config_problem("table1")
+        n = ham.n_basis
+        energies = np.linspace(0.5, 6.0, 1024)
+        ref = oscillator_reference(energies, ham.lam, ham.ell, ham.coeffs)
+        h_plus, h_minus = (ref.c[n - 1 :] + 1j * ref.s[n - 1 :]).T, (ref.c[n - 1 :] - 1j * ref.s[n - 1 :]).T
+        g, conditioned = greens_spectral(ham.eigenvalues, ham.eigenvectors, energies)
+        assert conditioned.all()
+        return ham, energies, h_plus, h_minus, g, ham.coeffs[1][n - 1]
+
+    def test_phase_shift_equals_the_scalar_formula(self, edges):
+        _, _, h_plus, h_minus, g, b_edge = edges
+        rng = np.random.default_rng(5)
+        # order 0's corners, then corners of every magnitude a later order can give
+        for corners in (g[:, -1], rng.normal(size=len(g)) * 10.0 ** rng.uniform(-6, 3, size=len(g))):
+            got = phase_shift(h_plus, h_minus, corners, b_edge)
+            want = np.array([phase_shift_scalar(hp, hm, c, b_edge) for hp, hm, c in zip(h_plus, h_minus, corners)])
+            assert got.tobytes() == want.tobytes()
+
+    def test_edge_coefficients_equal_the_scalar_formula(self, edges):
+        _, _, h_plus, h_minus, g, b_edge = edges
+        s = np.exp(1j * np.random.default_rng(6).uniform(0.0, 2 * np.pi, size=len(g)))
+        got = solver.interior_coefficients(s, h_plus, h_minus, g, b_edge)[:, -2:]
+        want = np.array([edge_coefficients_scalar(*row) for row in zip(s, h_plus, h_minus)])
+        assert got.tobytes() == want.tobytes()
+
+    def test_spectral_columns_are_per_energy_products(self, edges):
+        ham, energies, _, _, g, _ = edges
+        vectors = ham.eigenvectors
+        want = np.array([vectors @ (vectors[-1] / (ham.eigenvalues - energy)) for energy in energies])
+        assert g.tobytes() == want.tobytes()
 
 
 class TestSolveEnergy:
@@ -361,7 +437,7 @@ class TestSolveEnergy:
         # phase_shift returns S_m = s_of_order(m); R, the resolvent and the
         # coefficients of every order are still computed for real
         orders = itertools.count()
-        monkeypatch.setattr(solver, "phase_shift", lambda *args: s_of_order(next(orders)))
+        monkeypatch.setattr(solver, "phase_shift", lambda h_plus, *args: np.full(len(h_plus), s_of_order(next(orders))))
 
     def test_period_three_cycle_detected(self, gauss_setup, monkeypatch):
         cycle = [complex(np.exp(2j * phi)) for phi in (0.3, 1.1, 2.0)]
@@ -526,7 +602,7 @@ class TestOrderMap:
         h_plus, h_minus = ref.c[n - 1 :] + 1j * ref.s[n - 1 :], ref.c[n - 1 :] - 1j * ref.s[n - 1 :]
         b_edge = ham.coeffs[1][n - 1]
         (g,), _ = greens_spectral(ham.eigenvalues, ham.eigenvectors, [energy])
-        s = phase_shift(h_plus, h_minus, g[n - 1], b_edge)
+        (s,) = phase_shift(h_plus[None], h_minus[None], g[None, n - 1], b_edge)
         assert s == res.history[0]
         for expected in res.history[1:]:
             args = (g[None], np.array([s]), np.array([energy]), h_plus[None], h_minus[None], b_edge, ham, dten,
@@ -534,7 +610,7 @@ class TestOrderMap:
             (g,), _ = solver._order_map(*args)
             assert g.dtype == np.float64 and g.shape == (n,)
             assert solver._order_map(*args)[0][0].tobytes() == g.tobytes()
-            s = phase_shift(h_plus, h_minus, g[n - 1], b_edge)
+            (s,) = phase_shift(h_plus[None], h_minus[None], g[None, n - 1], b_edge)
             assert s == expected
 
     def test_refused_row_leaves_the_others_alone(self, monkeypatch):
@@ -548,7 +624,7 @@ class TestOrderMap:
         h_plus, h_minus = (ref.c[n - 1 :] + 1j * ref.s[n - 1 :]).T, (ref.c[n - 1 :] - 1j * ref.s[n - 1 :]).T
         b_edge = ham.coeffs[1][n - 1]
         g, _ = greens_spectral(ham.eigenvalues, ham.eigenvectors, energies)
-        s = np.array([phase_shift(h_plus[j], h_minus[j], g[j, -1], b_edge) for j in range(3)])
+        s = phase_shift(h_plus, h_minus, g[:, -1], b_edge)
         a = solver.interior_coefficients(s, h_plus, h_minus, g, b_edge)
         levels = np.linalg.eigvalsh(ham.matrix + c * r_matrix(dten, a[1], ham.lam))
         energies[1] = levels[np.argmin(np.abs(levels - 2.0))]
@@ -562,8 +638,8 @@ class TestOrderMap:
         columns, conditioned = solver._order_map(g, s, energies, h_plus, h_minus, b_edge, ham, dten, c)
         assert conditioned.tolist() == [True, False, True]
         # the refused row was not certified: the eigenvalue test refused it
-        shifted = ham.matrix + c * r_matrix(dten, a[1], ham.lam) - energies[1] * np.eye(n)
-        assert len(stacks) == 1 and any(np.abs(m - shifted).max() < 1e-12 for m in stacks[0])
+        singular = ham.matrix + c * r_matrix(dten, a[1], ham.lam) - energies[1] * np.eye(n)
+        assert len(stacks) == 1 and any(np.abs(m - singular).max() < 1e-12 for m in stacks[0])
         assert not columns[1].any()
         for j in (0, 2):
             one = slice(j, j + 1)
