@@ -364,18 +364,12 @@ def stability_rows(
                 "nearest_eig": float(near[0]),
                 "pot_edge": abs(h.potential_matrix[-1, -1]), "f_edge": f_edge,
             })
-        for i in range(len(lambdas)):
-            drifts = [0.0]
-            for j in (i - 1, i + 1):
-                if 0 <= j < len(lambdas):
-                    a, b = features[i], features[j]
-                    rel = np.abs(a[:, None] - b[None, :]) / np.maximum(
-                        np.abs(a[:, None]), 1.0
-                    )
-                    drifts.append(float(rel.min()))
-            rows[len(rows) - len(lambdas) + i]["plateau"] = int(
-                max(drifts) < drift_threshold
-            )
+        for i, row in enumerate(rows[-len(lambdas):]):
+            # Scaled by the point's own features: the drift to a neighbour is not symmetric.
+            a = features[i][:, None]
+            drifts = [(np.abs(a - features[j]) / np.maximum(np.abs(a), 1.0)).min()
+                      for j in (i - 1, i + 1) if 0 <= j < len(lambdas)]
+            row["plateau"] = int(all(d < drift_threshold for d in drifts))
     return rows
 
 

@@ -2,8 +2,9 @@
 
 One energy point is a fixed-point iteration g <- Phi(g) on the real
 edge column g = G[:, N-1] of the interior resolvent. Each order's S is
-matched from g[N-1] to the reference solutions at the basis edge
-k = N-1, N; the result is S_0, S_1, ... and how the iteration ended.
+matched from g[N-1] to the outgoing reference h = c + i s at the basis
+edge k = N-1, N and to the incoming one, its conjugate; the result is
+S_0, S_1, ... and how the iteration ended.
 Order 0 is the linear problem, solved for a block of grid energies at
 once from the eigendecomposition of H; a linear energy runs no later
 order. Phi (`_order_map`) advances a stack of the block's unsettled
@@ -220,38 +221,32 @@ def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return product
 
 
-def phase_shift(h_plus: np.ndarray, h_minus: np.ndarray, g_corner: np.ndarray, b_edge: float) -> np.ndarray:
+def phase_shift(edge: np.ndarray, g_corner: np.ndarray, b_edge: float) -> np.ndarray:
     """Scattering matrix from the basis-edge matching relation, one per row of a stack.
 
-    h_plus and h_minus are the (B, 2) outgoing c + i s and incoming
-    c - i s reference combinations at k = N-1, N, and g_corner the (B,)
-    corner entries G[N-1, N-1]. S = T (1 + b G_corner Rm) / (1 + b
-    G_corner Rp), with T = h^-/h^+ at k = N-1 and Rpm the h^{+-} ratios
-    across the edge. With a real symmetric interior operator the
-    numerator is the conjugate of the denominator, so |S| = 1 up to
+    edge holds the (B, 2) outgoing references h = c + i s at k = N-1, N,
+    and g_corner the (B,) corner entries G[N-1, N-1]. The incoming
+    reference c - i s is conj(h) at a real energy, so with
+    D = 1 + b G_corner h_N / h_{N-1} and T = conj(h_{N-1}) / h_{N-1},
+    S = T conj(D) / D: |T| = 1 and |conj(D) / D| = 1, so |S| = 1 up to
     roundoff. Each entry equals the scalar formula on its own row.
     """
-    t_edge = h_minus[:, 0] / h_plus[:, 0]
-    r_plus = h_plus[:, 1] / h_plus[:, 0]
-    r_minus = h_minus[:, 1] / h_minus[:, 0]
-    b_g = b_edge * g_corner
-    return _times(t_edge, 1.0 + b_g * r_minus) / (1.0 + b_g * r_plus)
+    d = 1.0 + (b_edge * g_corner) * (edge[:, 1] / edge[:, 0])
+    return _times(np.conj(edge[:, 0]) / edge[:, 0], np.conj(d)) / d
 
 
-def interior_coefficients(
-    s: np.ndarray, h_plus: np.ndarray, h_minus: np.ndarray, greens_columns: np.ndarray, b_edge: float
-) -> np.ndarray:
+def interior_coefficients(s: np.ndarray, edge: np.ndarray, greens_columns: np.ndarray, b_edge: float) -> np.ndarray:
     """Expansion coefficients A_0..A_N at one order, one row per energy of a stack.
 
-    s holds the B values of S, h_plus and h_minus are (B, 2) and
+    s holds the B values of S, edge the (B, 2) outgoing references h and
     greens_columns (B, N). The two edge entries come from the tail
-    solution A_k = h^-_k - S h^+_k (k = N-1, N), with the complex
+    solution A_k = conj(h_k) - S h_k (k = N-1, N), with the complex
     product written out in float64 (`_times`); the interior follows from
     the Green's function edge column acting on the edge coupling.
     """
     rows, size = greens_columns.shape
     a = np.empty((rows, size + 1), dtype=complex)
-    a[:, -2:] = h_minus - _times(np.asarray(s, dtype=complex)[:, None], h_plus)
+    a[:, -2:] = np.conj(edge) - _times(np.asarray(s, dtype=complex)[:, None], edge)
     a[:, :-2] = -b_edge * greens_columns[:, :-1] * a[:, -1:]
     return a
 
@@ -353,25 +348,24 @@ def scan(
     def solve(block: np.ndarray, nudge: bool = True) -> list[ScatteringResult]:
         # Order 0 of the block together, then its unsettled energies in stacks; a refusal re-solves one nudged.
         ref = oscillator_reference(block, hamiltonian.lam, hamiltonian.ell, hamiltonian.coeffs)
-        h_plus = (ref.c[n - 1 :] + 1j * ref.s[n - 1 :]).T
-        h_minus = (ref.c[n - 1 :] - 1j * ref.s[n - 1 :]).T
+        edge = (ref.c[n - 1 :] + 1j * ref.s[n - 1 :]).T
         g, conditioned = greens_spectral(hamiltonian.eigenvalues, hamiltonian.eigenvectors, block)
         runs = [
             _Iteration(s0, orders, tolerance, bifurcation_tolerance) if ok else None
-            for s0, ok in zip(phase_shift(h_plus, h_minus, g[:, -1], b_edge), conditioned.tolist())
+            for s0, ok in zip(phase_shift(edge, g[:, -1], b_edge), conditioned.tolist())
         ]
-        # The unsettled energies' block indices, their g, E and h+- packed in the same order.
-        stack, energies, h_plus_s, h_minus_s = np.arange(block.size), block, h_plus, h_minus
+        # The unsettled energies' block indices, their g, E and outgoing edge references, packed in one order.
+        stack, energies = np.arange(block.size), block
         going = [run is not None and run.status is None for run in runs]
         while any(going):
             if not all(going):
                 keep = np.flatnonzero(going)
-                stack, g, energies, h_plus_s, h_minus_s = (x[keep] for x in (stack, g, energies, h_plus_s, h_minus_s))
+                stack, g, energies, edge = (x[keep] for x in (stack, g, energies, edge))
             for part in (slice(i, i + _STACK) for i in range(0, stack.size, _STACK)):
                 rows = stack[part].tolist()
-                g[part], ok = _order_map(g[part], [runs[j].history[-1] for j in rows], energies[part],
-                                         h_plus_s[part], h_minus_s[part], b_edge, hamiltonian, dten, coupling)
-                s_part = phase_shift(h_plus_s[part], h_minus_s[part], g[part, -1], b_edge)
+                g[part], ok = _order_map(g[part], [runs[j].history[-1] for j in rows], energies[part], edge[part],
+                                         b_edge, hamiltonian, dten, coupling)
+                s_part = phase_shift(edge[part], g[part, -1], b_edge)
                 for j, row_ok, s in zip(rows, ok.tolist(), s_part):
                     if row_ok:
                         runs[j].add(s)
@@ -393,19 +387,20 @@ def scan(
 
 
 def _order_map(
-    g: np.ndarray, s: np.ndarray, energies: np.ndarray, h_plus: np.ndarray, h_minus: np.ndarray, b_edge: float,
+    g: np.ndarray, s: np.ndarray, energies: np.ndarray, edge: np.ndarray, b_edge: float,
     hamiltonian: LinearHamiltonian, dten: DTensor, coupling: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One order for a stack of B energies, g <- Phi(g) row by row.
 
-    g is (B, N), s the B values of S, energies (B,), h_plus and h_minus
-    (B, 2). Each row's coefficients of g and S give its effective
-    interaction R(a); returns the (B, N) edge columns of
-    (H + c R(a) - E)^{-1} and the (B,) mask of rows that passed the
-    condition test (`greens_matrix`, given the eigenvalues of H and each
-    row's c ||R||_F). A row's output depends on that row's inputs alone.
+    g is (B, N), s the B values of S (the caller's `phase_shift` of g's
+    corners), energies (B,) and edge the (B, 2) outgoing references.
+    Each row's coefficients of g and S give its effective interaction
+    R(a); returns the (B, N) edge columns of (H + c R(a) - E)^{-1} and
+    the (B,) mask of rows that passed the condition test
+    (`greens_matrix`, given the eigenvalues of H and each row's
+    c ||R||_F). A row's output depends on that row's inputs alone.
     """
-    a = interior_coefficients(s, h_plus, h_minus, g, b_edge)
+    a = interior_coefficients(s, edge, g, b_edge)
     r = r_matrix(dten, a, hamiltonian.lam)
     spread = coupling * np.sqrt(np.einsum("...ij,...ij->...", r, r))
     # R's own buffer becomes H + c R - E.

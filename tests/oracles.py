@@ -281,8 +281,10 @@ def phase_shift_scalar(h_plus, h_minus, g_corner, b_edge) -> complex:
     """S of one energy from the basis-edge matching relation, in numpy scalar complex arithmetic.
 
     h_plus and h_minus are the two edge entries k = N-1, N of c + i s
-    and c - i s, and g_corner the real G[N-1, N-1]; the formula is the
-    one `solver.phase_shift` evaluates on a stack.
+    and c - i s, and g_corner the real G[N-1, N-1]. `solver.phase_shift`
+    evaluates the same formula on a stack with h_minus taken as
+    conj(h_plus), so equality with this oracle, which is given c - i s
+    as built, also pins those conjugate identities bit for bit.
     """
     hp0, hp1 = (np.complex128(x) for x in h_plus)
     hm0, hm1 = (np.complex128(x) for x in h_minus)

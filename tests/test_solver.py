@@ -284,9 +284,10 @@ class TestEdgeMatching:
     """The stacked edge matching equals the scalar formulas of one energy
     bit for bit, and order 0's edge columns their per-energy products."""
 
-    @pytest.fixture(scope="class")
-    def edges(self):
-        cfg, ham, _, _ = _config_problem("table1")
+    @pytest.fixture(scope="class", params=["table1", "table3", "table4"])
+    def edges(self, request):
+        # ell 0 and 1, cubic and quintic
+        cfg, ham, _, _ = _config_problem(request.param)
         n = ham.n_basis
         energies = np.linspace(0.5, 6.0, 1024)
         ref = oscillator_reference(energies, ham.lam, ham.ell, ham.coeffs)
@@ -300,14 +301,14 @@ class TestEdgeMatching:
         rng = np.random.default_rng(5)
         # order 0's corners, then corners of every magnitude a later order can give
         for corners in (g[:, -1], rng.normal(size=len(g)) * 10.0 ** rng.uniform(-6, 3, size=len(g))):
-            got = phase_shift(h_plus, h_minus, corners, b_edge)
+            got = phase_shift(h_plus, corners, b_edge)
             want = np.array([phase_shift_scalar(hp, hm, c, b_edge) for hp, hm, c in zip(h_plus, h_minus, corners)])
             assert got.tobytes() == want.tobytes()
 
     def test_edge_coefficients_equal_the_scalar_formula(self, edges):
         _, _, h_plus, h_minus, g, b_edge = edges
         s = np.exp(1j * np.random.default_rng(6).uniform(0.0, 2 * np.pi, size=len(g)))
-        got = solver.interior_coefficients(s, h_plus, h_minus, g, b_edge)[:, -2:]
+        got = solver.interior_coefficients(s, h_plus, g, b_edge)[:, -2:]
         want = np.array([edge_coefficients_scalar(*row) for row in zip(s, h_plus, h_minus)])
         assert got.tobytes() == want.tobytes()
 
@@ -437,7 +438,7 @@ class TestSolveEnergy:
         # phase_shift returns S_m = s_of_order(m); R, the resolvent and the
         # coefficients of every order are still computed for real
         orders = itertools.count()
-        monkeypatch.setattr(solver, "phase_shift", lambda h_plus, *args: np.full(len(h_plus), s_of_order(next(orders))))
+        monkeypatch.setattr(solver, "phase_shift", lambda edge, *args: np.full(len(edge), s_of_order(next(orders))))
 
     def test_period_three_cycle_detected(self, gauss_setup, monkeypatch):
         cycle = [complex(np.exp(2j * phi)) for phi in (0.3, 1.1, 2.0)]
@@ -588,8 +589,9 @@ class TestGridIsItsOneEnergySolves:
 
 
 class TestOrderMap:
-    """Each order m >= 1 is one pure step g <- _order_map(g) on the real edge
-    column; S_m is phase_shift of its corner entry."""
+    """Each order m >= 1 is one pure step g <- _order_map(g, S) on the real
+    edge column, where the carried S is phase_shift of the previous g's
+    corner entry; S_m is phase_shift of the new corner entry."""
 
     @pytest.mark.parametrize("name,energy", [("table3", 1.0), ("table4", 3.0)])
     def test_iterates_reproduce_the_history(self, name, energy):
@@ -599,18 +601,17 @@ class TestOrderMap:
         assert res.iterations >= 5
         n = ham.n_basis
         ref = oscillator_reference(energy, ham.lam, ham.ell, ham.coeffs)
-        h_plus, h_minus = ref.c[n - 1 :] + 1j * ref.s[n - 1 :], ref.c[n - 1 :] - 1j * ref.s[n - 1 :]
+        h_plus = ref.c[n - 1 :] + 1j * ref.s[n - 1 :]
         b_edge = ham.coeffs[1][n - 1]
         (g,), _ = greens_spectral(ham.eigenvalues, ham.eigenvectors, [energy])
-        (s,) = phase_shift(h_plus[None], h_minus[None], g[None, n - 1], b_edge)
+        (s,) = phase_shift(h_plus[None], g[None, n - 1], b_edge)
         assert s == res.history[0]
         for expected in res.history[1:]:
-            args = (g[None], np.array([s]), np.array([energy]), h_plus[None], h_minus[None], b_edge, ham, dten,
-                    cfg.coupling_g)
+            args = (g[None], np.array([s]), np.array([energy]), h_plus[None], b_edge, ham, dten, cfg.coupling_g)
             (g,), _ = solver._order_map(*args)
             assert g.dtype == np.float64 and g.shape == (n,)
             assert solver._order_map(*args)[0][0].tobytes() == g.tobytes()
-            (s,) = phase_shift(h_plus[None], h_minus[None], g[None, n - 1], b_edge)
+            (s,) = phase_shift(h_plus[None], g[None, n - 1], b_edge)
             assert s == expected
 
     def test_refused_row_leaves_the_others_alone(self, monkeypatch):
@@ -621,11 +622,11 @@ class TestOrderMap:
         n, c = ham.n_basis, cfg.coupling_g
         energies = np.array([1.0, 2.0, 3.0])
         ref = oscillator_reference(energies, ham.lam, ham.ell, ham.coeffs)
-        h_plus, h_minus = (ref.c[n - 1 :] + 1j * ref.s[n - 1 :]).T, (ref.c[n - 1 :] - 1j * ref.s[n - 1 :]).T
+        h_plus = (ref.c[n - 1 :] + 1j * ref.s[n - 1 :]).T
         b_edge = ham.coeffs[1][n - 1]
         g, _ = greens_spectral(ham.eigenvalues, ham.eigenvectors, energies)
-        s = phase_shift(h_plus, h_minus, g[:, -1], b_edge)
-        a = solver.interior_coefficients(s, h_plus, h_minus, g, b_edge)
+        s = phase_shift(h_plus, g[:, -1], b_edge)
+        a = solver.interior_coefficients(s, h_plus, g, b_edge)
         levels = np.linalg.eigvalsh(ham.matrix + c * r_matrix(dten, a[1], ham.lam))
         energies[1] = levels[np.argmin(np.abs(levels - 2.0))]
         eigvalsh, stacks = np.linalg.eigvalsh, []
@@ -635,7 +636,7 @@ class TestOrderMap:
             return eigvalsh(a)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
-        columns, conditioned = solver._order_map(g, s, energies, h_plus, h_minus, b_edge, ham, dten, c)
+        columns, conditioned = solver._order_map(g, s, energies, h_plus, b_edge, ham, dten, c)
         assert conditioned.tolist() == [True, False, True]
         # the refused row was not certified: the eigenvalue test refused it
         singular = ham.matrix + c * r_matrix(dten, a[1], ham.lam) - energies[1] * np.eye(n)
@@ -643,8 +644,7 @@ class TestOrderMap:
         assert not columns[1].any()
         for j in (0, 2):
             one = slice(j, j + 1)
-            alone, ok = solver._order_map(g[one], s[one], energies[one], h_plus[one], h_minus[one], b_edge,
-                                          ham, dten, c)
+            alone, ok = solver._order_map(g[one], s[one], energies[one], h_plus[one], b_edge, ham, dten, c)
             assert ok.tolist() == [True]
             assert alone[0].tobytes() == columns[j].tobytes()
 
