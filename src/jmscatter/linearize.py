@@ -12,10 +12,11 @@ is a node sum, and contracting it with the coefficient vector only
 rebuilds xi_l^{n ell} e^{-n xi_l} |psi(xi_l)|^{2n}, psi = sum_k a_k L~_k,
 at the nodes. So it is stored factored: the basis values at the nodes,
 which carry the envelope xi^{ell/2} e^{-xi/2}, so |psi|^{2n} formed
-from them is that whole factor, and the products Lambda_il Lambda_jl of
-the projection stencil for every basis pair i <= j. The effective
-interaction is then one node-weighted sum of those products per order
-(`solver.r_matrix`), at O(N Q + N^2 Q) with no tuple enumeration.
+from them is that whole factor, and the projection stencil Lambda. The
+effective interaction is then the node sum Lambda W Lambda^T with the
+node weight W, formed per order as the Gram product X X^T of
+X = Lambda sqrt(W) (`solver.r_matrix`), at O(N Q + N^2 Q) time and
+O(N Q) memory with no tuple enumeration.
 
 `quadrature_bound` is the exactness bound of the C tensor, not of D:
 e^{-n xi} is not a polynomial, so D converges in the rule order rather
@@ -37,17 +38,15 @@ class DTensor:
     """The D tensor in factored node-space form.
 
     values[k, l] = xi_l^{ell/2} e^{-xi_l/2} L~_k(xi_l) for k < N, and
-    pairs[l, p] = Lambda_il Lambda_jl, with Lambda_il = sqrt(w_l) L~_i(xi_l),
-    for the N(N+1)/2 basis pairs i <= j in row-major order; pair_index[i, j]
-    is the column p of the pair (min(i, j), max(i, j)).
+    stencil[i, l] = Lambda_il = sqrt(w_l) L~_i(xi_l), a C-ordered copy of
+    the rule's vectors[:N]; its rows are orthonormal (Lambda Lambda^T = I_N).
     """
 
     n: int
     ell: int
     n_basis: int
     values: np.ndarray
-    pairs: np.ndarray
-    pair_index: np.ndarray
+    stencil: np.ndarray
 
 
 def quadrature_bound(n: int, n_basis: int) -> int:
@@ -86,10 +85,4 @@ def d_tensor(
     _check_bound(n, n_basis, rule.order, override)
     envelope = rule.nodes ** (0.5 * ell) * np.exp(-0.5 * rule.nodes)
     values = np.concatenate([block.copy() for block in laguerre_upward(n_basis - 1, ell, rule.nodes, envelope)])
-    first, second = np.triu_indices(n_basis)
-    stencil = rule.vectors[:n_basis, :].T
-    pairs = stencil.take(first, axis=1)
-    pairs *= stencil[:, second]
-    pair_index = np.empty((n_basis, n_basis), dtype=np.intp)
-    pair_index[first, second] = pair_index[second, first] = np.arange(first.size)
-    return DTensor(n=n, ell=ell, n_basis=n_basis, values=values, pairs=pairs, pair_index=pair_index)
+    return DTensor(n=n, ell=ell, n_basis=n_basis, values=values, stencil=np.ascontiguousarray(rule.vectors[:n_basis]))

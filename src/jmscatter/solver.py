@@ -12,13 +12,14 @@ energies together: it contracts each row's coefficients of g and S into
 its effective interaction R, refuses a row whose H + c R - E is too
 ill-conditioned and solves the others' edge columns of
 (H + c R - E)^{-1} by LU. Most rows' condition is certified from the
-eigenvalues of H and ||R||_F alone; only the rest take the eigenvalues
-of H + c R - E. An energy leaves the stack when its iteration ends, and
-every row's g equals bit for bit its one-energy solve. Termination is
-convergence of S, a certified cycle of period 2 or 3 (checked in that
-order, after convergence), or the iteration cap. A certification is
-revoked when its cycle values merge to within the bifurcation
-tolerance: that is a fixed point approached with alternating sign.
+eigenvalues of H and R's node-weight bound ||R||_2 <= max W alone; only
+the rest take the eigenvalues of H + c R - E. An energy leaves the stack
+when its iteration ends, and every row's g equals bit for bit its
+one-energy solve. Termination is convergence of S, a certified cycle of
+period 2 or 3 (checked in that order, after convergence), or the
+iteration cap. A certification is revoked when its cycle values merge
+to within the bifurcation tolerance: that is a fixed point approached
+with alternating sign.
 """
 
 from __future__ import annotations
@@ -40,9 +41,10 @@ _COND_LIMIT = 1e12
 _ENERGY_NUDGE = 1e-6
 # Order 0 of a scan runs on this many energies at a time, bounding its memory;
 # each later order advances at most _STACK of them together, for speed: the
-# stack's (B, N, N) and (B, 2, Q) arrays then stay in cache (one order of 1024
-# table1 energies took 12.6 ms in 64-row stacks against 19.7 ms in one stack,
-# on a 2-core x86-64 VM with one BLAS thread).
+# stack's (B, N, N) and (B, N, Q) arrays then stay in cache (one order of 1024
+# table1 energies took 17.2 ms in 64-row stacks against 20.1, 17.5 and 17.8 ms
+# in stacks of 16, 32 and 128 and 18.8 ms in one stack, medians of 21 runs on
+# a 2-core x86-64 VM with one BLAS thread).
 _BLOCK = 1024
 _STACK = 64
 # Cycle certification: this many consecutive orders must look periodic,
@@ -94,23 +96,23 @@ class ScatteringResult:
         return abs(1.0 - self.s_matrix)
 
 
-def r_matrix(dten: DTensor, coefficients: np.ndarray, lam: float) -> np.ndarray:
-    """Contract interior coefficients into the effective interaction.
+def r_matrix(dten: DTensor, coefficients: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Contract interior coefficients into the effective interaction and its norm bound.
 
     The D tensor contracted with n coefficient vectors and n conjugated
     ones is a node sum, so it is assembled in node space:
 
-        R_ij = (2 lam^2 / ell!)^n sum_l xi_l^{n ell} e^{-n xi_l} |psi_l|^{2n} Lambda_il Lambda_jl,
+        R_ij = sum_l Lambda_il W_l Lambda_jl,
+        W_l = (2 lam^2 / ell!)^n xi_l^{n ell} e^{-n xi_l} |psi_l|^{2n},
 
     with psi = sum_k a_k L~_k at the Gauss nodes; the D tensor's values
     carry xi^{ell/2} e^{-xi/2}, so |psi|^{2n} of them is the whole
-    weight. Re psi and Im psi come from one real (2, N) @ (N, Q) product
-    and the packed R from one (1, Q) @ (Q, N(N+1)/2) product with the
-    D tensor's pair table; both triangles of R read the same packed
-    entry, so R equals its transpose exactly. A stack of coefficient
-    rows (..., N+1) gives a stack of R (..., N, N), each row its own two
-    products. The weight is never negative, so R is positive
-    semidefinite up to rounding.
+    weight. Re psi and Im psi come from one real (2, N) @ (N, Q)
+    product, and R = X X^T with X = Lambda sqrt(W) from one BLAS syrk,
+    which mirrors one triangle, so R equals its transpose exactly. A
+    stack of coefficient rows (..., N+1) gives a stack of R (..., N, N),
+    each row its own two products. Since W >= 0 and Lambda's rows are
+    orthonormal, 0 <= R <= max W; returns R and max W per row.
     """
     a = np.asarray(coefficients, dtype=complex)
     if a.shape[-1] < dten.n_basis:
@@ -119,8 +121,8 @@ def r_matrix(dten: DTensor, coefficients: np.ndarray, lam: float) -> np.ndarray:
     psi = np.stack((a.real, a.imag), axis=-2) @ dten.values
     pref = (2.0 * lam**2 / factorial(dten.ell)) ** dten.n
     weight = pref * (psi[..., 0, :] ** 2 + psi[..., 1, :] ** 2) ** dten.n
-    packed = (weight[..., None, :] @ dten.pairs)[..., 0, :]
-    return packed[..., dten.pair_index]
+    x = dten.stencil * np.sqrt(weight)[..., None, :]
+    return x @ np.swapaxes(x, -1, -2), weight.max(axis=-1)
 
 
 def _conditioned(gaps: np.ndarray) -> np.ndarray:
@@ -136,19 +138,22 @@ def _certified(levels: np.ndarray, energies: np.ndarray, spread: np.ndarray) -> 
     """Whether H + c R - E is certainly conditioned, per row, without its eigenvalues.
 
     levels are the eigenvalues e of H, shared (N,) or one row each, and
-    spread is c ||R||_F per row, R positive semidefinite. Since
-    0 <= R <= ||R||_2 <= ||R||_F, Weyl's inequality puts the i-th
-    eigenvalue of H + c R - E in [e_i - E + min(0, spread),
-    e_i - E + max(0, spread)]. With `near` the least distance from 0 to
-    these intervals and `far` their largest endpoint magnitude, a row is
-    certified when far <= 1e-4 * _COND_LIMIT * near. That margin is what
-    makes the certificate agree with `_conditioned` on the eigenvalues
-    that `eigvalsh` would compute: the rounding of eigh(H), of forming
-    H + c R - E and of eigvalsh itself is about N eps far (4e-15 far at
-    N = 20), while a certified row has near >= 1e-8 far, so its computed
-    condition number is at most 1e8 (1 + 1e-6) and eigvalsh would accept
-    it too. A row with a NaN or infinite level, energy or spread is never
-    certified.
+    spread is c max W per row (`r_matrix`). R = Lambda W Lambda^T with
+    W >= 0 and Lambda Lambda^T = I_N gives 0 <= R <= max W, so Weyl's
+    inequality puts the i-th eigenvalue of H + c R - E in
+    [e_i - E + min(0, spread), e_i - E + max(0, spread)]. With `near` the
+    least distance from 0 to these intervals and `far` their largest
+    endpoint magnitude, a row is certified when
+    far <= 1e-4 * _COND_LIMIT * near. That margin is what makes the
+    certificate agree with `_conditioned` on the eigenvalues that
+    `eigvalsh` would compute. The computed c R leaves c [0, max W] by
+    about 3 Q eps |spread| per entry (its Q-term sums and Lambda's rounded
+    orthonormality), so by at most 6 N Q eps far in norm, as
+    |spread| <= 2 far (1e-10 far at N = 160, Q = 480); eigh(H), forming
+    H + c R - E and eigvalsh itself add about N eps far. A certified row
+    has near >= 1e-8 far, so its computed condition number is at most
+    1e8 (1 + 1e-6) and eigvalsh would accept it too. A row with a NaN or
+    infinite level, energy or spread is never certified.
     """
     gaps = levels - np.asarray(energies, dtype=float)[:, None]
     spread = np.asarray(spread, dtype=float)[:, None]
@@ -182,15 +187,16 @@ def greens_matrix(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Edge columns of the resolvents of a (B, N, N) stack of symmetric H_eff - E, one energy each.
 
-    Each H_eff is H + c R with R positive semidefinite, and the stack
-    holds H_eff - E for the row's energy; levels are the eigenvalues of
-    H and spread is c ||R||_F per row. A row that `_certified` vouches
-    for is conditioned; the condition test of the others runs on the
-    eigenvalues of their H_eff - E, in one stacked eigvalsh, and the two
-    decide every row alike (see `_certified`). The column of each
-    conditioned row is one LU solve of (H_eff - E) g = e_{N-1}, read
-    from the stack as given. Returns the (B, N) columns and the (B,)
-    mask; a refused row never reaches the solve and stays zero.
+    Each H_eff is H + c R with R positive semidefinite, and the stack holds
+    H_eff - E for the row's energy; levels are the eigenvalues of H and
+    spread is c max W per row, which bounds c ||R||_2. A row that
+    `_certified` vouches for is conditioned; the condition test of the
+    others runs on the eigenvalues of their H_eff - E, in one stacked
+    eigvalsh, and the two decide every row alike (see `_certified`). The
+    column of each conditioned row is one LU solve of
+    (H_eff - E) g = e_{N-1}, read from the stack as given. Returns the
+    (B, N) columns and the (B,) mask; a refused row never reaches the
+    solve and stays zero.
     """
     conditioned = _certified(levels, energies, spread)
     doubtful = np.flatnonzero(~conditioned)
@@ -398,16 +404,16 @@ def _order_map(
     R(a); returns the (B, N) edge columns of (H + c R(a) - E)^{-1} and
     the (B,) mask of rows that passed the condition test
     (`greens_matrix`, given the eigenvalues of H and each row's
-    c ||R||_F). A row's output depends on that row's inputs alone.
+    c max W >= c ||R||_2). A row's output depends on that row alone.
     """
     a = interior_coefficients(s, edge, g, b_edge)
-    r = r_matrix(dten, a, hamiltonian.lam)
-    spread = coupling * np.sqrt(np.einsum("...ij,...ij->...", r, r))
+    r, top = r_matrix(dten, a, hamiltonian.lam)
     # R's own buffer becomes H + c R - E.
     r *= coupling
     r += hamiltonian.matrix
-    np.einsum("...ii->...i", r)[...] -= energies[:, None]
-    return greens_matrix(r, energies, hamiltonian.eigenvalues, spread)
+    diagonal = np.arange(r.shape[-1])
+    r[:, diagonal, diagonal] -= energies[:, None]
+    return greens_matrix(r, energies, hamiltonian.eigenvalues, coupling * top)
 
 
 def resonance_energy(

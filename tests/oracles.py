@@ -18,19 +18,19 @@ The package assembles the effective interaction in node space instead;
 these routes enumerate the combinatorics and so cross-check it at
 small N.
 
-The other routes here are independent of the package's production
-paths: the effective interaction as the Gram product of the weighted
-stencil, the edge matching one energy at a time in scalar complex
+The other routes here are independent of the package's production paths:
+the effective interaction from a packed table of basis-pair products at
+the nodes, the edge matching one energy at a time in scalar complex
 arithmetic, the full resolvent by direct inversion and its entries as
 determinant ratios, the closed-form nonlinear weight integrals, the
-associated Laguerre and Gegenbauer recursions, the bare basis values
-at a rule's nodes by one plain recursion step per degree, plain weighted
-quadrature sums, the Ei series and the oscillator reference seeds
-in scalar math, one term and one energy at a time, and the Gauss rule
-from LAPACK's tridiagonal eigensolver. `laguerre_normalized` is not
+associated Laguerre and Gegenbauer recursions, the bare basis values at
+a rule's nodes by one plain recursion step per degree, plain weighted
+quadrature sums, the Ei series and the oscillator reference seeds in
+scalar math, one term and one energy at a time, and the Gauss rule from
+LAPACK's tridiagonal eigensolver. `laguerre_normalized` is not
 independent: it reads one degree off the package's own upward recursion
-for tests that want a single polynomial value; the sine-like closed
-form reads it per degree.
+for tests that want a single polynomial value; the sine-like closed form
+reads it per degree.
 """
 
 from __future__ import annotations
@@ -264,17 +264,23 @@ def r_matrix_expanded(dten: ExpandedDTensor, coefficients: np.ndarray, lam: floa
     return (0.5 * (raw + raw.conj().T)).real
 
 
-def r_matrix_gram(dten, stencil: np.ndarray, coefficients: np.ndarray, lam: float) -> np.ndarray:
-    """Effective interaction of one coefficient row as the node-space Gram product X X^T.
+def r_matrix_pairs(dten, coefficients: np.ndarray, lam: float) -> np.ndarray:
+    """Effective interaction of one coefficient row from a packed table of basis-pair products.
 
-    X = Lambda diag(sqrt(weight)), with the projection stencil Lambda
-    (the rule's vectors[:N]) and the node weight of `solver.r_matrix`
-    formed from the complex psi; numpy forms X X^T by BLAS syrk.
+    pairs[l, p] = Lambda_il Lambda_jl for every basis pair i <= j, with
+    the projection stencil Lambda of the D tensor; the node weight of
+    `solver.r_matrix`, formed from the complex psi, is summed against
+    each column by one (Q,) @ (Q, N(N+1)/2) product, and both triangles
+    read the same packed entry.
     """
+    first, second = np.triu_indices(dten.n_basis)
+    pairs = dten.stencil[first].T * dten.stencil[second].T
     psi = np.asarray(coefficients, dtype=complex)[: dten.n_basis] @ dten.values
     pref = (2.0 * lam**2 / factorial(dten.ell)) ** dten.n
-    x = stencil * np.sqrt(pref * (psi.real**2 + psi.imag**2) ** dten.n)
-    return x @ x.T
+    packed = (pref * (psi.real**2 + psi.imag**2) ** dten.n) @ pairs
+    r = np.empty((dten.n_basis, dten.n_basis))
+    r[first, second] = r[second, first] = packed
+    return r
 
 
 def phase_shift_scalar(h_plus, h_minus, g_corner, b_edge) -> complex:

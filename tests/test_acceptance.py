@@ -186,7 +186,7 @@ def test_criterion_6_property_suite(rule100_l0):
     dten = d_tensor(1, 0, 8, build_rule(40, 0))
     rng = np.random.default_rng(5)
     coeffs = rng.normal(size=8) + 1j * rng.normal(size=8)
-    rm = r_matrix(dten, coeffs, 1.0)
+    rm, _ = r_matrix(dten, coeffs, 1.0)
     assert np.array_equal(rm, rm.T)
 
     # resolvent: three routes agree entry by entry (the spectral route

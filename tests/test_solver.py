@@ -40,7 +40,7 @@ from oracles import (
     greens_inverse,
     greens_offdiag_minor,
     phase_shift_scalar,
-    r_matrix_gram,
+    r_matrix_pairs,
 )
 
 
@@ -197,28 +197,39 @@ def contraction():
 class TestRMatrix:
 
     # Q = 300 and 400 have nodes whose Gauss weight underflows to zero;
-    # (3, 0, 20, 61) sits below the exactness bound
+    # (3, 0, 20, 61) sits below the exactness bound; (2, 1, 80, 240) takes
+    # the per-row syrk above the paper's basis size
     @pytest.mark.parametrize(
-        "n,ell,n_basis,order", [(1, 1, 6, 40), (2, 1, 20, 300), (3, 0, 20, 61), (1, 3, 30, 400)]
+        "n,ell,n_basis,order",
+        [(1, 1, 6, 40), (2, 1, 20, 300), (3, 0, 20, 61), (1, 3, 30, 400), (2, 1, 80, 240)],
     )
     def test_output_symmetric_real(self, n, ell, n_basis, order):
         rule = build_rule(order, ell)
         dten = d_tensor(n, ell, n_basis, rule, override=order < quadrature_bound(n, n_basis))
         rng = np.random.default_rng(order)
         coeffs = rng.normal(size=n_basis) + 1j * rng.normal(size=n_basis)
-        rm = r_matrix(dten, coeffs, 1.3)
+        rm, top = r_matrix(dten, coeffs, 1.3)
         assert rm.dtype == np.float64
         assert np.all(np.isfinite(rm))
         assert np.array_equal(rm, rm.T)
+        # top is the largest node weight W = pref |psi|^(2n), psi carrying
+        # the envelope; R = Lambda W Lambda^T with orthonormal stencil rows
+        # gives ||R||_2 <= max W, up to the rounding of the Q-term sums
+        psi = coeffs @ dten.values
+        weight = (2.0 * 1.3**2 / math.factorial(ell)) ** n * np.abs(psi) ** (2 * n)
+        assert top == pytest.approx(weight.max(), rel=1e-12)
+        assert np.linalg.eigvalsh(rm).max() <= top * (1 + 4 * order * np.finfo(float).eps)
         # a stack of coefficient rows: one R per row, each exactly
         # symmetric and equal to its one-row call
         rows = np.stack([coeffs, coeffs.conj(), 2.0 * coeffs[::-1]])
-        stack = r_matrix(dten, rows, 1.3)
-        assert stack.shape == (3, n_basis, n_basis)
+        stack, tops = r_matrix(dten, rows, 1.3)
+        assert stack.shape == (3, n_basis, n_basis) and tops.shape == (3,)
         assert np.array_equal(stack, stack.swapaxes(-1, -2))
-        assert np.array_equal(stack[0], rm)
-        for row, one in zip(rows, stack):
-            assert np.array_equal(one, r_matrix(dten, row, 1.3))
+        assert np.array_equal(stack[0], rm) and tops[0] == top
+        for row, one, one_top in zip(rows, stack, tops):
+            alone, alone_top = r_matrix(dten, row, 1.3)
+            assert np.array_equal(one, alone) and one_top == alone_top
+            assert np.linalg.eigvalsh(one).max() <= one_top * (1 + 4 * order * np.finfo(float).eps)
 
     def test_dual_route_against_product_expansion(self, contraction):
         # reroute the contraction through the product-expansion tensor and
@@ -241,7 +252,7 @@ class TestRMatrix:
         pref = (2.0 * lam**2 / math.factorial(ell)) ** n
         raw = pref * g @ fblock @ hc.T
         expected = (0.5 * (raw + raw.conj().T)).real
-        rm = r_matrix(dten, coeffs, lam)
+        rm, _ = r_matrix(dten, coeffs, lam)
         scale = np.abs(expected).max()
         assert np.abs(rm - expected).max() < 1e-8 * scale
 
@@ -250,34 +261,25 @@ class TestRMatrix:
         with pytest.raises(ValueError):
             r_matrix(dten, np.ones(3), 1.0)
 
-    # the Gram route rounds each of its Q-term sums differently: a bound
-    # of 4 Q eps max|R| per entry, fixed from the dtype, and N times that
-    # for the eigenvalues (||E||_2 <= N max|E_ij|)
+    # the pair-table route rounds each of its Q-term sums differently: a
+    # bound of 4 Q eps max|R| per entry, fixed from the dtype, and N times
+    # that for the eigenvalues (||E||_2 <= N max|E_ij|)
     @pytest.mark.parametrize(
         "n,ell,n_basis,order", [(1, 0, 20, 100), (1, 1, 6, 40), (2, 1, 20, 30), (2, 1, 20, 300), (3, 0, 20, 61)]
     )
-    def test_matches_gram_product_and_is_positive_semidefinite(self, n, ell, n_basis, order):
+    def test_matches_pair_table_and_is_positive_semidefinite(self, n, ell, n_basis, order):
         rule = build_rule(order, ell)
         dten = d_tensor(n, ell, n_basis, rule, override=order < quadrature_bound(n, n_basis))
         rng = np.random.default_rng(7 * order + n)
         rows = rng.normal(size=(5, n_basis + 1)) + 1j * rng.normal(size=(5, n_basis + 1))
         entry_bound = 4 * order * np.finfo(float).eps
-        for row, got in zip(rows, r_matrix(dten, rows, 1.1)):
-            want = r_matrix_gram(dten, rule.vectors[:n_basis], row, 1.1)
+        stack, _ = r_matrix(dten, rows, 1.1)
+        for row, got in zip(rows, stack):
+            want = r_matrix_pairs(dten, row, 1.1)
             scale = np.abs(want).max()
             assert scale > 0.0
             assert np.abs(got - want).max() <= entry_bound * scale
             assert np.linalg.eigvalsh(got).min() >= -n_basis * entry_bound * scale
-
-    def test_pair_table_is_every_basis_pair_once(self, contraction):
-        dten, rule, _ = contraction
-        n_basis = dten.n_basis
-        assert dten.pairs.shape == (rule.order, n_basis * (n_basis + 1) // 2)
-        assert np.array_equal(dten.pair_index, dten.pair_index.T)
-        assert sorted(set(dten.pair_index.ravel().tolist())) == list(range(dten.pairs.shape[1]))
-        stencil = rule.vectors[:n_basis]
-        for i, j in itertools.combinations_with_replacement(range(n_basis), 2):
-            assert np.array_equal(dten.pairs[:, dten.pair_index[i, j]], stencil[i] * stencil[j])
 
 
 class TestEdgeMatching:
@@ -627,7 +629,8 @@ class TestOrderMap:
         g, _ = greens_spectral(ham.eigenvalues, ham.eigenvectors, energies)
         s = phase_shift(h_plus, g[:, -1], b_edge)
         a = solver.interior_coefficients(s, h_plus, g, b_edge)
-        levels = np.linalg.eigvalsh(ham.matrix + c * r_matrix(dten, a[1], ham.lam))
+        r, _ = r_matrix(dten, a[1], ham.lam)
+        levels = np.linalg.eigvalsh(ham.matrix + c * r)
         energies[1] = levels[np.argmin(np.abs(levels - 2.0))]
         eigvalsh, stacks = np.linalg.eigvalsh, []
 
@@ -639,7 +642,7 @@ class TestOrderMap:
         columns, conditioned = solver._order_map(g, s, energies, h_plus, b_edge, ham, dten, c)
         assert conditioned.tolist() == [True, False, True]
         # the refused row was not certified: the eigenvalue test refused it
-        singular = ham.matrix + c * r_matrix(dten, a[1], ham.lam) - energies[1] * np.eye(n)
+        singular = ham.matrix + c * r - energies[1] * np.eye(n)
         assert len(stacks) == 1 and any(np.abs(m - singular).max() < 1e-12 for m in stacks[0])
         assert not columns[1].any()
         for j in (0, 2):
@@ -651,16 +654,28 @@ class TestOrderMap:
 
 class TestConditionCertificate:
     """greens_matrix vouches for a row's condition from the eigenvalues of H
-    and c ||R||_F; only the rows it cannot vouch for run eigvalsh, and a
-    vouched row is always one that eigvalsh would accept."""
+    and a bound c max W of c ||R||_2; only the rows it cannot vouch for run
+    eigvalsh, and a vouched row is always one that eigvalsh would accept.
+    Any upper bound of ||R||_2 must keep that: the cases take R either as
+    the node sum Lambda W Lambda^T of `r_matrix` with its max W, or as a
+    low-rank X X^T with its Frobenius norm."""
 
     @staticmethod
-    def case(size, seed, rank, coupling):
+    def case(size, seed, rank, coupling, gram=False):
         rng = np.random.default_rng(seed)
         m = rng.normal(size=(size, size))
-        x = rng.normal(size=(size, rank))
-        h, r = 0.5 * (m + m.T), x @ x.T
-        return np.linalg.eigh(h)[0], h + coupling * r, coupling * np.sqrt(np.einsum("ij,ij->", r, r))
+        h = 0.5 * (m + m.T)
+        if gram:
+            # Lambda: the first N rows of a random orthogonal (Q, Q) matrix, Q = N + rank
+            nodes = size + rank
+            stencil = np.linalg.qr(rng.normal(size=(nodes, nodes)))[0][:size]
+            weight = rng.exponential(size=nodes)
+            r, bound = (stencil * weight) @ stencil.T, weight.max()
+        else:
+            x = rng.normal(size=(size, rank))
+            r = x @ x.T
+            bound = np.sqrt(np.einsum("ij,ij->", r, r))
+        return np.linalg.eigh(h)[0], h + coupling * r, coupling * bound
 
     @staticmethod
     def eigenvalue_test(h_eff, energy):
@@ -675,13 +690,16 @@ class TestConditionCertificate:
         level=st.integers(min_value=0, max_value=19),
         log_distance=st.floats(min_value=-15.0, max_value=0.0),
         side=st.sampled_from([-1.0, 1.0]),
+        gram=st.booleans(),
+        shifted_level=st.booleans(),
     )
     @settings(max_examples=300, deadline=None)
     def test_certified_rows_pass_the_eigenvalue_test(
-        self, size, seed, rank, log_coupling, coupling_sign, level, log_distance, side
+        self, size, seed, rank, log_coupling, coupling_sign, level, log_distance, side, gram, shifted_level
     ):
-        levels, h_eff, spread = self.case(size, seed, rank, coupling_sign * 10.0**log_coupling)
-        near = levels[level % size]
+        levels, h_eff, spread = self.case(size, seed, rank, coupling_sign * 10.0**log_coupling, gram)
+        # energies near a level of H + c R probe the bound where it binds
+        near = (np.linalg.eigvalsh(h_eff) if shifted_level else levels)[level % size]
         energy = near + side * 10.0**log_distance * max(abs(near), np.ptp(levels))
         if solver._certified(levels, [energy], [spread])[0]:
             assert self.eigenvalue_test(h_eff, energy)
@@ -691,8 +709,8 @@ class TestConditionCertificate:
         # either sign: some rows are certified, some are not, and every
         # certified one passes the eigenvalue test
         decided = []
-        for seed, coupling in itertools.product(range(4), (-1e-6, 1e-15, 1e-9, 1e-3)):
-            levels, h_eff, spread = self.case(12, seed, 5, coupling)
+        for seed, coupling, gram in itertools.product(range(4), (-1e-6, 1e-15, 1e-9, 1e-3), (False, True)):
+            levels, h_eff, spread = self.case(12, seed, 5, coupling, gram)
             for k, exponent in itertools.product((0, 5, 11), range(-15, 1)):
                 energy = levels[k] + 10.0**exponent * max(abs(levels[k]), np.ptp(levels))
                 certified = bool(solver._certified(levels, [energy], [spread])[0])
