@@ -26,7 +26,7 @@ import yaml
 from . import hamiltonian as ham
 from .linearize import DTensor, d_tensor, quadrature_bound
 from .quadrature import QuadratureRule, build_rule
-from .reference import chi_reconstruct, energy_point, free_targets, reference_coefficients
+from .reference import chi_reconstruct, free_targets, reference_coefficients
 from .solver import ScatteringResult, SingularMatrixError, scan, solve_energy
 
 EXIT_OK = 0
@@ -284,10 +284,10 @@ def cmd_table(cfg: RunConfig, out, override: bool = False) -> None:
             out.write("\n")
 
 
-def _basis_block(cfg: RunConfig, basis: str, point, r: np.ndarray, reg: np.ndarray, irr: np.ndarray, out) -> None:
-    ref = reference_coefficients(point, cfg.ell, cfg.basis_size_n, basis=basis)
-    chi_sin, chi_cos = chi_reconstruct([ref.s, ref.c], cfg.ell, cfg.lam, r, basis=basis)
-    out.write(f"# basis = {basis}, ell = {cfg.ell}, E = {point.energy:g}, "
+def _basis_block(cfg: RunConfig, basis: str, energy: float, r: np.ndarray, reg: np.ndarray, irr: np.ndarray, out) -> None:
+    s, c = reference_coefficients(energy, cfg.lam, cfg.ell, cfg.basis_size_n, basis=basis)
+    chi_sin, chi_cos = chi_reconstruct([s, c], cfg.ell, cfg.lam, r, basis=basis)
+    out.write(f"# basis = {basis}, ell = {cfg.ell}, E = {energy:g}, "
               f"lambda = {cfg.lam:g}, N = {cfg.basis_size_n}\n")
     out.write("r,chi_sin,chi_reg_target,chi_cos,chi_irr_target\n")
     columns = (r.tolist(), chi_sin.tolist(), reg.tolist(), chi_cos.tolist(), irr.tolist())
@@ -308,11 +308,11 @@ def cmd_basis_check(cfg: RunConfig, out) -> None:
     serves both bases.
     """
     bases = ("oscillator", "laguerre") if cfg.basis_check == "both" else (cfg.basis_check,)
-    point = energy_point(cfg.energies[0], cfg.lam)
+    energy = cfg.energies[0]
     r = np.linspace(*cfg.r_grid)
-    reg, irr = free_targets(point, cfg.ell, r)
+    reg, irr = free_targets(energy, cfg.ell, r)
     for basis in bases:
-        _basis_block(cfg, basis, point, r, reg, irr, out)
+        _basis_block(cfg, basis, energy, r, reg, irr, out)
 
 
 def stability_rows(
@@ -355,8 +355,7 @@ def stability_rows(
                 bifurcation_tolerance=sub.bifurcation_tolerance,
                 max_iterations=sub.max_iterations,
             )
-            spectrum = np.sort(h.eigenvalues)
-            near = spectrum[np.argsort(np.abs(spectrum - energy))[:5]]
+            near = h.eigenvalues[np.argsort(np.abs(h.eigenvalues - energy))[:5]]
             features.append(np.sort(near))
             rows.append({
                 "lam": float(lam), "N": int(n_basis),

@@ -26,42 +26,12 @@ Every recursion here reads its three-term coefficients from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import lgamma
 
 import numpy as np
 
 from .hamiltonian import free_matrix_coeffs
 from .specfun import LAGUERRE_BLOCK, bessel_jy, finite_positive, jacobi_coefficients, laguerre_upward, re_upper_gamma_neg
-
-
-@dataclass(frozen=True)
-class EnergyPoint:
-    """Scattering energy with its derived kinematic scales.
-
-    kappa = sqrt(2E) is the wavenumber; mu = kappa / lam is the
-    dimensionless wavenumber seen by a basis of scale lam.
-    """
-
-    energy: float
-    lam: float
-    kappa: float
-    mu: float
-
-
-def energy_point(energy: float, lam: float) -> EnergyPoint:
-    finite_positive(energy, "scattering energy")
-    finite_positive(lam, "basis scale lam")
-    kappa = math.sqrt(2.0 * energy)
-    return EnergyPoint(energy=energy, lam=lam, kappa=kappa, mu=kappa / lam)
-
-
-@dataclass(frozen=True)
-class ReferenceCoefficients:
-    """Sine-like and cosine-like coefficient arrays, indices 0..kmax."""
-
-    s: np.ndarray
-    c: np.ndarray
 
 
 def _upward(first, second, mult: np.ndarray, off: np.ndarray, kmax: int) -> np.ndarray:
@@ -85,7 +55,9 @@ def _each(func, values: np.ndarray) -> np.ndarray:
     return np.array([func(v) for v in values.tolist()])
 
 
-def oscillator_reference(energy, lam: float, ell: int, coeffs: tuple[np.ndarray, np.ndarray]) -> ReferenceCoefficients:
+def oscillator_reference(
+    energy, lam: float, ell: int, coeffs: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
     """Sine-like and cosine-like coefficients in the oscillator basis.
 
     `coeffs` is the free operator's (a, b) for k = 0..kmax, as
@@ -115,7 +87,7 @@ def oscillator_reference(energy, lam: float, ell: int, coeffs: tuple[np.ndarray,
     if energies.size == 1:
         mult, seeds = mult[:, 0], tuple((x0[0], x1[0]) for x0, x1 in seeds)
     s, c = (_upward(x0, x1, mult, b, a.size - 1).reshape(a.size, *np.shape(energy)) for x0, x1 in seeds)
-    return ReferenceCoefficients(s=s, c=c)
+    return s, c
 
 
 def _hyp2f1_seed(ell: int, ct: float, st: float) -> float:
@@ -134,7 +106,7 @@ def _hyp2f1_seed(ell: int, ct: float, st: float) -> float:
     return hyp
 
 
-def laguerre_basis_reference(point: EnergyPoint, ell: int, kmax: int) -> ReferenceCoefficients:
+def laguerre_basis_reference(energy: float, lam: float, ell: int, kmax: int) -> tuple[np.ndarray, np.ndarray]:
     """Sine-like and cosine-like coefficients in the Laguerre basis.
 
     Both families satisfy the same Gegenbauer-type recursion in k, with
@@ -146,18 +118,20 @@ def laguerre_basis_reference(point: EnergyPoint, ell: int, kmax: int) -> Referen
     The cosine-like seeds read 2F1(1/2, ell+1; 3/2; cos^2(theta)) from
     `_hyp2f1_seed`, which diverges as cos^2(theta) -> 1, that is as E -> 0
     or E -> infinity at fixed lam; energies with cos^2(theta) >= 1 - 1e-8
-    are refused.
+    are refused. The dimensionless wavenumber mu = sqrt(2E) / lam sets
+    cos(theta) = (mu^2 - 1/4) / (mu^2 + 1/4).
     """
-    mu2 = point.mu**2
+    finite_positive(energy, "scattering energy")
+    finite_positive(lam, "basis scale lam")
+    mu = math.sqrt(2.0 * energy) / lam
+    mu2 = mu**2
     den = mu2 + 0.25
-    ct, st = (mu2 - 0.25) / den, point.mu / den
+    ct, st = (mu2 - 0.25) / den, mu / den
     if ct * ct >= 1 - 1e-8:
-        raise ValueError(f"Laguerre reference refused at E = {point.energy:g}: cos(theta)^2 >= 1 - 1e-8")
+        raise ValueError(f"Laguerre reference refused at E = {energy:g}: cos(theta)^2 >= 1 - 1e-8")
     nu = ell + 0.5
-    pref_s = (
-        2.0**ell / math.sqrt(math.pi * point.lam) * math.exp(lgamma(nu)) * st**nu
-    )
-    pref_c = 2.0 ** (ell + 1) * math.exp(lgamma(ell + 1)) / (math.pi * math.sqrt(point.lam)) * st**nu
+    pref_s = 2.0**ell / math.sqrt(math.pi * lam) * math.exp(lgamma(nu)) * st**nu
+    pref_c = 2.0 ** (ell + 1) * math.exp(lgamma(ell + 1)) / (math.pi * math.sqrt(lam)) * st**nu
     hyp = _hyp2f1_seed(ell, ct, st)
     norm0 = math.exp(-0.5 * lgamma(2 * ell + 1))
     norm1 = math.exp(-0.5 * lgamma(2 * ell + 2))
@@ -165,19 +139,20 @@ def laguerre_basis_reference(point: EnergyPoint, ell: int, kmax: int) -> Referen
     mult = diag * ct
     s = _upward(pref_s * norm0, pref_s * (2.0 * nu * ct) * norm1, mult, off, kmax)
     c1 = pref_c * (ct * hyp * (2.0 * nu * ct) - st ** (-2.0 * ell)) * norm1
-    return ReferenceCoefficients(s=s, c=_upward(pref_c * ct * hyp * norm0, c1, mult, off, kmax))
+    return s, _upward(pref_c * ct * hyp * norm0, c1, mult, off, kmax)
 
 
 def reference_coefficients(
-    point: EnergyPoint, ell: int, kmax: int, basis: str = "oscillator"
-) -> ReferenceCoefficients:
-    """Reference coefficient pair for the requested basis, k = 0..kmax."""
+    energy: float, lam: float, ell: int, kmax: int, basis: str = "oscillator"
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reference coefficient pair (s, c) for the requested basis, k = 0..kmax."""
     if ell < 0 or kmax < 0:
         raise ValueError("ell and kmax must be nonnegative")
     if basis == "oscillator":
-        return oscillator_reference(point.energy, point.lam, ell, free_matrix_coeffs(kmax, ell, point.lam))
+        finite_positive(energy, "scattering energy")  # and `free_matrix_coeffs` refuses a bad lam
+        return oscillator_reference(energy, lam, ell, free_matrix_coeffs(kmax, ell, lam))
     if basis == "laguerre":
-        return laguerre_basis_reference(point, ell, kmax)
+        return laguerre_basis_reference(energy, lam, ell, kmax)
     raise ValueError(f"unknown basis {basis!r}")
 
 
@@ -245,16 +220,16 @@ def chi_reconstruct(coefficients, ell: int, lam: float, r, basis: str = "oscilla
     return totals[:, : r.size].reshape(coefficients.shape[:-1] + r.shape)
 
 
-def free_targets(point: EnergyPoint, ell: int, r) -> tuple[np.ndarray, np.ndarray]:
+def free_targets(energy: float, ell: int, r) -> tuple[np.ndarray, np.ndarray]:
     """Targets of the sine-like and cosine-like reconstructions from one Bessel pass.
 
-    The regular target is sqrt(kappa r) J_ell(kappa r), 0 at r = 0; the
-    irregular one is sqrt(kappa r) Y_ell(kappa r). Its sign convention
-    follows the coefficients themselves: the reconstructed cosine-like
-    function approaches +sqrt(kappa r) Y_ell, as direct comparison
-    confirms. It diverges at r = 0; entries there are NaN and callers
-    restrict to r > 0. Both depend on the energy, ell and r only, not on
-    the basis.
+    With kappa = sqrt(2E), the regular target is sqrt(kappa r) J_ell(kappa r),
+    0 at r = 0; the irregular one is sqrt(kappa r) Y_ell(kappa r). Its sign
+    convention follows the coefficients themselves: the reconstructed
+    cosine-like function approaches +sqrt(kappa r) Y_ell, as direct
+    comparison confirms. It diverges at r = 0; entries there are NaN and
+    callers restrict to r > 0. Both depend on the energy, ell and r only,
+    not on the basis.
 
     In the Laguerre basis the cosine-like function is regular at the
     origin and reaches this target only outside a regularization layer
@@ -264,7 +239,8 @@ def free_targets(point: EnergyPoint, ell: int, r) -> tuple[np.ndarray, np.ndarra
     and does not shrink with N. At lam = 1 it is about 2.5e-4 (ell = 0) to
     0.4 (ell = 3) at r = 12.5, and 1.5e-10 to 7.6e-6 at r = 40.
     """
-    kr = point.kappa * np.asarray(r, dtype=float)
+    finite_positive(energy, "scattering energy")
+    kr = math.sqrt(2.0 * energy) * np.asarray(r, dtype=float)
     j, y = bessel_jy(ell, kr)
     with np.errstate(invalid="ignore"):  # 0 * Y_ell(0) = 0 * -inf
         return np.sqrt(kr) * j, np.sqrt(kr) * y

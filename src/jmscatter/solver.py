@@ -121,7 +121,7 @@ def r_matrix(dten: DTensor, coefficients: np.ndarray, lam: float) -> tuple[np.nd
     psi = np.stack((a.real, a.imag), axis=-2) @ dten.values
     pref = (2.0 * lam**2 / factorial(dten.ell)) ** dten.n
     weight = pref * (psi[..., 0, :] ** 2 + psi[..., 1, :] ** 2) ** dten.n
-    x = dten.stencil * np.sqrt(weight)[..., None, :]
+    x = np.einsum("il,...l->...il", dten.stencil, np.sqrt(weight))
     return x @ np.swapaxes(x, -1, -2), weight.max(axis=-1)
 
 
@@ -353,8 +353,8 @@ def scan(
 
     def solve(block: np.ndarray, nudge: bool = True) -> list[ScatteringResult]:
         # Order 0 of the block together, then its unsettled energies in stacks; a refusal re-solves one nudged.
-        ref = oscillator_reference(block, hamiltonian.lam, hamiltonian.ell, hamiltonian.coeffs)
-        edge = (ref.c[n - 1 :] + 1j * ref.s[n - 1 :]).T
+        ref_s, ref_c = oscillator_reference(block, hamiltonian.lam, hamiltonian.ell, hamiltonian.coeffs)
+        edge = (ref_c[n - 1 :] + 1j * ref_s[n - 1 :]).T
         g, conditioned = greens_spectral(hamiltonian.eigenvalues, hamiltonian.eigenvectors, block)
         runs = [
             _Iteration(s0, orders, tolerance, bifurcation_tolerance) if ok else None

@@ -445,7 +445,7 @@ def chi_reconstruct_streamed(coefficients, ell: int, lam: float, r, basis: str =
     return total
 
 
-def sine_like_closed_form(point, ell: int, degrees) -> np.ndarray:
+def sine_like_closed_form(energy: float, lam: float, ell: int, degrees) -> np.ndarray:
     """Oscillator-basis sine-like coefficients alpha (-1)^k L~_k^ell(mu^2) at the given degrees.
 
     alpha = sqrt(2/(lam ell!)) mu^{ell+1/2} e^{-mu^2/2}; the sign flip
@@ -453,8 +453,9 @@ def sine_like_closed_form(point, ell: int, degrees) -> np.ndarray:
     Jacobi convention. The package runs the free recursion from s_0 =
     alpha instead.
     """
-    mu2 = point.mu**2
-    alpha = math.sqrt(2.0 / (point.lam * factorial(ell))) * point.mu ** (ell + 0.5) * math.exp(-0.5 * mu2)
+    mu = math.sqrt(2.0 * energy) / lam
+    mu2 = mu**2
+    alpha = math.sqrt(2.0 / (lam * factorial(ell))) * mu ** (ell + 0.5) * math.exp(-0.5 * mu2)
     return np.array([alpha * (-1) ** k * laguerre_normalized(k, ell, mu2) for k in degrees])
 
 

@@ -21,7 +21,6 @@ from jmscatter.linearize import d_tensor, quadrature_bound
 from jmscatter.quadrature import build_rule
 from jmscatter.reference import (
     chi_reconstruct,
-    energy_point,
     free_targets,
     reference_coefficients,
 )
@@ -134,15 +133,14 @@ def test_criterion_5_reference_reconstruction():
     sin_failures, cos_failures = [], []
     for basis in ("oscillator", "laguerre"):
         for ell, energy in ((0, 1.5), (1, 1.0), (2, 1.5), (3, 2.5)):
-            point = energy_point(energy, 1.0)
-            ref = reference_coefficients(point, ell, 1000, basis=basis)
-            chi_sin = chi_reconstruct(ref.s, ell, 1.0, r, basis=basis)
-            dev_sin = float(np.abs(chi_sin - free_targets(point, ell, r)[0]).max())
+            s, c = reference_coefficients(energy, 1.0, ell, 1000, basis=basis)
+            chi_sin = chi_reconstruct(s, ell, 1.0, r, basis=basis)
+            dev_sin = float(np.abs(chi_sin - free_targets(energy, ell, r)[0]).max())
             if dev_sin >= 1e-6:
                 sin_failures.append(f"{basis} ell={ell} E={energy}: {dev_sin:.3e}")
             r_cos = r[outer] if basis == "oscillator" else r_far
-            chi_cos = chi_reconstruct(ref.c, ell, 1.0, r_cos, basis=basis)
-            target = free_targets(point, ell, r_cos)[1]
+            chi_cos = chi_reconstruct(c, ell, 1.0, r_cos, basis=basis)
+            target = free_targets(energy, ell, r_cos)[1]
             dev_cos = float(np.abs(chi_cos - target).max())
             if dev_cos >= 1e-3:
                 cos_failures.append(f"{basis} ell={ell} E={energy}: {dev_cos:.3e}")

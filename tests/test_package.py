@@ -8,18 +8,23 @@ inside a function, so a module's dependencies can be read off its head.
 At run time the package needs only numpy and PyYAML: no module imports
 scipy, importing the CLI loads no scipy module, and every CLI verb runs
 where importing scipy fails. scipy is a test dependency, the oracle of
-the special functions.
+the special functions. Every source file parses under the oldest Python
+grammar that `requires-python` admits.
 """
 
 import ast
+import re
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import jmscatter
 
 PACKAGE = Path(jmscatter.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
 # The console script's entry point is run from outside the package.
 ENTRY_POINTS = {"cli.main"}
 
@@ -137,3 +142,22 @@ def test_every_verb_runs_with_scipy_blocked():
         [sys.executable, "-c", BLOCKED_SCIPY_RUN, str(PACKAGE.parent)], capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[0, 0, 0, 0, 0]"
+
+
+def oldest_python() -> tuple[int, int]:
+    """The (major, minor) floor of `requires-python` in pyproject.toml."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    major, minor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', text, re.MULTILINE).groups()
+    return int(major), int(minor)
+
+
+def test_sources_parse_under_the_oldest_supported_grammar():
+    # ast.parse with feature_version checks the grammar only: no interpreter starts and no bytecode is written
+    version = oldest_python()
+    folders = (PACKAGE, ROOT / "tests", ROOT / "perfbench")
+    sources = [path for folder in folders for path in sorted(folder.rglob("*.py"))]
+    assert PACKAGE / "reference.py" in sources and Path(__file__).resolve() in sources
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=version)
+    with pytest.raises(SyntaxError):  # a 3.11 construct, so the version is enforced, not ignored
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))

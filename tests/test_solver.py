@@ -21,7 +21,7 @@ from jmscatter.cli import _build_problem, load_config
 from jmscatter.linearize import d_tensor, quadrature_bound
 from jmscatter import solver, specfun
 from jmscatter.quadrature import build_rule
-from jmscatter.reference import energy_point, oscillator_reference, reference_coefficients
+from jmscatter.reference import oscillator_reference, reference_coefficients
 from jmscatter.solver import (
     ScatteringResult,
     SingularMatrixError,
@@ -292,8 +292,8 @@ class TestEdgeMatching:
         cfg, ham, _, _ = _config_problem(request.param)
         n = ham.n_basis
         energies = np.linspace(0.5, 6.0, 1024)
-        ref = oscillator_reference(energies, ham.lam, ham.ell, ham.coeffs)
-        h_plus, h_minus = (ref.c[n - 1 :] + 1j * ref.s[n - 1 :]).T, (ref.c[n - 1 :] - 1j * ref.s[n - 1 :]).T
+        ref_s, ref_c = oscillator_reference(energies, ham.lam, ham.ell, ham.coeffs)
+        h_plus, h_minus = (ref_c[n - 1 :] + 1j * ref_s[n - 1 :]).T, (ref_c[n - 1 :] - 1j * ref_s[n - 1 :]).T
         g, conditioned = greens_spectral(ham.eigenvalues, ham.eigenvectors, energies)
         assert conditioned.all()
         return ham, energies, h_plus, h_minus, g, ham.coeffs[1][n - 1]
@@ -518,7 +518,7 @@ class TestSolveEnergy:
         ham, _ = gauss_setup
         assert len(scan(np.linspace(0.5, 6.0, 50), ham)) == 50
         assert calls == []
-        reference_coefficients(energy_point(1.0, 1.0), 0, 20)
+        reference_coefficients(1.0, 1.0, 0, 20)
         assert len(calls) == 1
 
     def test_iteration_cap_requires_work(self, gauss_setup):
@@ -602,8 +602,8 @@ class TestOrderMap:
         res = solve_energy(energy, ham, dten, **options)
         assert res.iterations >= 5
         n = ham.n_basis
-        ref = oscillator_reference(energy, ham.lam, ham.ell, ham.coeffs)
-        h_plus = ref.c[n - 1 :] + 1j * ref.s[n - 1 :]
+        ref_s, ref_c = oscillator_reference(energy, ham.lam, ham.ell, ham.coeffs)
+        h_plus = ref_c[n - 1 :] + 1j * ref_s[n - 1 :]
         b_edge = ham.coeffs[1][n - 1]
         (g,), _ = greens_spectral(ham.eigenvalues, ham.eigenvectors, [energy])
         (s,) = phase_shift(h_plus[None], g[None, n - 1], b_edge)
@@ -623,8 +623,8 @@ class TestOrderMap:
         cfg, ham, dten, _ = _config_problem("table3")
         n, c = ham.n_basis, cfg.coupling_g
         energies = np.array([1.0, 2.0, 3.0])
-        ref = oscillator_reference(energies, ham.lam, ham.ell, ham.coeffs)
-        h_plus = (ref.c[n - 1 :] + 1j * ref.s[n - 1 :]).T
+        ref_s, ref_c = oscillator_reference(energies, ham.lam, ham.ell, ham.coeffs)
+        h_plus = (ref_c[n - 1 :] + 1j * ref_s[n - 1 :]).T
         b_edge = ham.coeffs[1][n - 1]
         g, _ = greens_spectral(ham.eigenvalues, ham.eigenvectors, energies)
         s = phase_shift(h_plus, g[:, -1], b_edge)
