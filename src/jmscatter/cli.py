@@ -75,12 +75,18 @@ def _is_number(v) -> bool:
 # Value kinds: (what a value must be, its test, its conversion).
 _INTEGER = ("an integer", lambda v: _is_number(v) and isinstance(v, int), int)
 _NUMBER = ("a finite number", _is_number, float)
+_POSITIVE = ("a positive finite number", lambda v: _is_number(v) and v > 0, float)
 _NUMBERS = (
     "a non-empty list of finite numbers",
     lambda v: isinstance(v, list) and len(v) > 0 and all(map(_is_number, v)),
     lambda v: tuple(map(float, v)),
 )
 _ANY = ("anything", lambda v: True, lambda v: v)
+
+
+def _at_least(low: int) -> tuple:
+    """Value kind of an integer >= low."""
+    return (f"an integer >= {low}", lambda v: _is_number(v) and isinstance(v, int) and v >= low, int)
 
 
 def _mapping(parse) -> tuple:
@@ -159,21 +165,22 @@ def _parse_r_grid(raw: dict) -> tuple:
 
 
 _BASES = ("oscillator", "laguerre", "both")
-# Top-level keys: value kind and default; quadrature_order defaults to the exactness bound.
+# Top-level keys: the RunConfig field, the value kind with its bound, and the
+# default; quadrature_order defaults to the exactness bound.
 _TOP_KEYS = {
-    "nonlinearity_n": (_INTEGER, 1),
-    "coupling_g": (_NUMBER, 0.0),
-    "ell": (_INTEGER, 0),
-    "potential": (_mapping(_parse_potential), None),
-    "lambda": (_NUMBER, _REQUIRED),
-    "basis_size_N": (_INTEGER, _REQUIRED),
-    "quadrature_order": (_INTEGER, None),
-    "energy_grid": (_mapping(_parse_energy_grid), _REQUIRED),
-    "tolerance": (_NUMBER, 1e-8),
-    "bifurcation_tolerance": (_NUMBER, 1e-3),
-    "max_iterations": (_INTEGER, 50),
-    "basis_check": (_ANY, "oscillator"),
-    "r_grid": (_mapping(_parse_r_grid), (0.05, 25.0, 500)),
+    "nonlinearity_n": ("nonlinearity_n", _at_least(1), 1),
+    "coupling_g": ("coupling_g", _NUMBER, 0.0),
+    "ell": ("ell", _at_least(0), 0),
+    "potential": ("potential", _mapping(_parse_potential), None),
+    "lambda": ("lam", _POSITIVE, _REQUIRED),
+    "basis_size_N": ("basis_size_n", _at_least(2), _REQUIRED),
+    "quadrature_order": ("quadrature_order", _INTEGER, None),
+    "energy_grid": ("energies", _mapping(_parse_energy_grid), _REQUIRED),
+    "tolerance": ("tolerance", _POSITIVE, 1e-8),
+    "bifurcation_tolerance": ("bifurcation_tolerance", _POSITIVE, 1e-3),
+    "max_iterations": ("max_iterations", _at_least(1), 50),
+    "basis_check": ("basis_check", (f"one of {', '.join(_BASES)}", _BASES.__contains__, str), "oscillator"),
+    "r_grid": ("r_grid", _mapping(_parse_r_grid), (0.05, 25.0, 500)),
 }
 
 
@@ -188,29 +195,13 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
-    v = _read(raw, "config", _TOP_KEYS)
-    n, n_basis, order = v["nonlinearity_n"], v["basis_size_N"], v["quadrature_order"]
-    for failed, message in (
-        (n < 1, "nonlinearity_n must be an integer >= 1"),
-        (v["ell"] < 0, "ell must be a nonnegative integer"),
-        (n_basis < 2, "basis_size_N must be an integer >= 2"),
-        (v["lambda"] <= 0, "lambda must be positive"),
-        (order is not None and order < n_basis, "quadrature_order must be an integer >= basis_size_N"),
-        (v["max_iterations"] < 1, "max_iterations must be an integer >= 1"),
-        (v["tolerance"] <= 0, "tolerance must be positive"),
-        (v["bifurcation_tolerance"] <= 0, "bifurcation_tolerance must be positive"),
-        (v["basis_check"] not in _BASES, "basis_check must be oscillator, laguerre, or both"),
-    ):
-        if failed:
-            raise ConfigError(message)
-    return RunConfig(
-        nonlinearity_n=n, coupling_g=v["coupling_g"], ell=v["ell"], potential=v["potential"],
-        lam=v["lambda"], basis_size_n=n_basis,
-        quadrature_order=quadrature_bound(n, n_basis) if order is None else order,
-        energies=v["energy_grid"], tolerance=v["tolerance"],
-        bifurcation_tolerance=v["bifurcation_tolerance"], max_iterations=v["max_iterations"],
-        basis_check=v["basis_check"], r_grid=v["r_grid"],
-    )
+    values = _read(raw, "config", {key: entry[1:] for key, entry in _TOP_KEYS.items()})
+    fields = {field: values[key] for key, (field, _, _) in _TOP_KEYS.items()}
+    if fields["quadrature_order"] is None:
+        fields["quadrature_order"] = quadrature_bound(fields["nonlinearity_n"], fields["basis_size_n"])
+    elif fields["quadrature_order"] < fields["basis_size_n"]:
+        raise ConfigError("key 'quadrature_order' in config must be an integer >= basis_size_N")
+    return RunConfig(**fields)
 
 
 def _problem_rule(cfg: RunConfig) -> QuadratureRule:

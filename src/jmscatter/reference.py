@@ -68,11 +68,12 @@ def oscillator_reference(
     negative argument, and c_1 follows from the inhomogeneous k = 0
     relation (E - a_0) c_0 + tau = b_0 c_1.
 
-    `energy` is one energy or a 1-d array of B; then s and c are
-    (kmax+1, B), one recursion on (B,) vectors, and every column equals
-    its one-energy call bit for bit.
+    `energy` is one energy or a 1-d array of B, each refused by value
+    unless finite and positive; for B energies s and c are (kmax+1, B),
+    one recursion on (B,) vectors, and every column equals its one-energy
+    call bit for bit.
     """
-    energies = np.atleast_1d(np.asarray(energy, dtype=float))
+    energies = finite_positive(energy, "scattering energy")
     mu = np.sqrt(2.0 * energies) / lam
     mu2, log_mu, lg = _each(lambda m: m**2, mu), _each(math.log, mu), lgamma(ell + 1)
     rise, half = (ell + 0.5) * log_mu, 0.5 * mu2
@@ -149,7 +150,6 @@ def reference_coefficients(
     if ell < 0 or kmax < 0:
         raise ValueError("ell and kmax must be nonnegative")
     if basis == "oscillator":
-        finite_positive(energy, "scattering energy")  # and `free_matrix_coeffs` refuses a bad lam
         return oscillator_reference(energy, lam, ell, free_matrix_coeffs(kmax, ell, lam))
     if basis == "laguerre":
         return laguerre_basis_reference(energy, lam, ell, kmax)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from jmscatter import cli, hamiltonian
+from jmscatter import cli, hamiltonian, solver
 from jmscatter.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -167,28 +167,30 @@ class TestLoadConfig:
         assert loaded.quadrature_order == quadrature_bound(2, 8)
 
     @pytest.mark.parametrize(
-        "bad",
+        "bad,message",
         [
-            {"nonlinearity_n": 0},
-            {"ell": -1},
-            {"basis_size_N": 1},
-            {"lambda": 0.0},
-            {"quadrature_order": 4},
-            {"max_iterations": 0},
-            {"tolerance": 0.0},
-            {"basis_check": "chebyshev"},
-            {"nonlinearity_n": 1.5},
-            {"nonlinearity_n": True},
-            {"quadrature_order": 20.0},
-            {"basis_size_N": "8"},
-            {"lambda": float("nan")},
-            {"coupling_g": float("inf")},
-            {"tolerance": float("nan")},
-            {"bifurcation_tolerance": float("-inf")},
+            ({"nonlinearity_n": 0}, "'nonlinearity_n' in config must be an integer >= 1"),
+            ({"ell": -1}, "'ell' in config must be an integer >= 0"),
+            ({"basis_size_N": 1}, "'basis_size_N' in config must be an integer >= 2"),
+            ({"lambda": 0.0}, "'lambda' in config must be a positive finite number"),
+            ({"quadrature_order": 4}, "'quadrature_order' in config must be an integer >= basis_size_N"),
+            ({"basis_size_N": 30, "quadrature_order": 29}, "'quadrature_order' in config must be an integer >= basis_size_N"),
+            ({"max_iterations": 0}, "'max_iterations' in config must be an integer >= 1"),
+            ({"tolerance": 0.0}, "'tolerance' in config must be a positive finite number"),
+            ({"basis_check": "chebyshev"}, "'basis_check' in config must be one of oscillator, laguerre, both"),
+            ({"nonlinearity_n": 1.5}, "'nonlinearity_n' in config must be an integer >= 1"),
+            ({"nonlinearity_n": True}, "'nonlinearity_n' in config must be an integer >= 1"),
+            ({"quadrature_order": 20.0}, "'quadrature_order' in config must be an integer$"),
+            ({"basis_size_N": "8"}, "'basis_size_N' in config must be an integer >= 2"),
+            ({"lambda": float("nan")}, "'lambda' in config must be a positive finite number"),
+            ({"coupling_g": float("inf")}, "'coupling_g' in config must be a finite number"),
+            ({"tolerance": float("nan")}, "'tolerance' in config must be a positive finite number"),
+            ({"bifurcation_tolerance": float("-inf")}, "'bifurcation_tolerance' in config must be a positive finite number"),
         ],
     )
-    def test_bad_scalars(self, tmp_path, bad):
-        with pytest.raises(ConfigError, match=next(iter(bad))):
+    def test_bad_scalars(self, tmp_path, bad, message):
+        # each refusal names its key and the bound it broke
+        with pytest.raises(ConfigError, match=f"^key {message}"):
             load_config(write_config(tmp_path, minimal(**bad)))
 
     @pytest.mark.parametrize(
@@ -284,6 +286,33 @@ class TestMain:
         out.write_bytes(b"earlier result\n")
         assert main([*argv, "--output", str(out)]) == EXIT_CONFIG
         assert out.read_bytes() == b"earlier result\n"
+
+    @pytest.mark.parametrize("verb", ["scan", "table", "stability-scan"])
+    def test_solves_enter_through_the_cli_solver_names(self, tmp_path, monkeypatch, verb):
+        # perfbench/onepass.py ends a command's set-up at its first call of cli.scan or
+        # cli.solve_energy: a verb that solved around both would time its solves as set-up
+        entered, inside, outside = [], [0], []
+
+        def counted(name, func):
+            def entry(*args, **kwargs):
+                entered.append(name)
+                inside[0] += 1
+                try:
+                    return func(*args, **kwargs)
+                finally:
+                    inside[0] -= 1
+            return entry
+
+        for name in ("scan", "solve_energy"):
+            monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+        reference = solver.oscillator_reference
+        monkeypatch.setattr(solver, "oscillator_reference", lambda *a: outside.append(not inside[0]) or reference(*a))
+        argv = [verb, "--config", write_config(tmp_path, minimal(coupling_g=0.001)), "--output", str(tmp_path / "out")]
+        if verb == "stability-scan":
+            argv += ["--lambda-grid", "0.8,1.0", "--n-grid", "8"]
+        assert main(argv) == EXIT_OK
+        # every solve's reference coefficients are formed inside one of the two calls
+        assert entered and outside and not any(outside)
 
     def test_unwritable_output_is_a_config_error(self, tmp_path, capsys):
         out = tmp_path / "missing" / "out.csv"

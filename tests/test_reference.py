@@ -100,7 +100,14 @@ WITH_SCALE = {
     "oscillator": lambda energy, lam: reference_coefficients(energy, lam, 0, 5),
     "laguerre": lambda energy, lam: reference_coefficients(energy, lam, 0, 5, basis="laguerre"),
 }
-WITH_ENERGY = {**WITH_SCALE, "free_targets": lambda energy, lam: free_targets(energy, 0, np.array([1.0]))}
+WITH_ENERGY = {
+    **WITH_SCALE,
+    "free_targets": lambda energy, lam: free_targets(energy, 0, np.array([1.0])),
+    "oscillator_reference": lambda energy, lam: oscillator_reference(energy, lam, 0, free_matrix_coeffs(5, 0, lam)),
+    "oscillator_reference stacked": lambda energy, lam: oscillator_reference(
+        np.array([1.0, energy]), lam, 0, free_matrix_coeffs(5, 0, lam)
+    ),
+}
 BAD_VALUES = [0.0, -1.0, float("nan"), float("inf")]
 
 
