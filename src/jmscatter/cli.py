@@ -18,7 +18,7 @@ import argparse
 import io
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import make_dataclass, replace
 
 import numpy as np
 import yaml
@@ -41,25 +41,6 @@ _MAX_GRID_POINTS = 1_000_000
 
 class ConfigError(Exception):
     """Invalid or inconsistent run configuration."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters; one YAML mapping, unknown keys rejected."""
-
-    nonlinearity_n: int
-    coupling_g: float
-    ell: int
-    potential: ham.Potential | None
-    lam: float
-    basis_size_n: int
-    quadrature_order: int
-    energies: tuple
-    tolerance: float
-    bifurcation_tolerance: float
-    max_iterations: int
-    basis_check: str
-    r_grid: tuple
 
 
 _REQUIRED = object()
@@ -164,7 +145,8 @@ def _parse_r_grid(raw: dict) -> tuple:
     return (start, stop, count)
 
 
-_BASES = ("oscillator", "laguerre", "both")
+# basis_check values: the bases each one reconstructs, in output order.
+_BASES = {"oscillator": ("oscillator",), "laguerre": ("laguerre",), "both": ("oscillator", "laguerre")}
 # Top-level keys: the RunConfig field, the value kind with its bound, and the
 # default; quadrature_order defaults to the exactness bound.
 _TOP_KEYS = {
@@ -182,6 +164,10 @@ _TOP_KEYS = {
     "basis_check": ("basis_check", (f"one of {', '.join(_BASES)}", _BASES.__contains__, str), "oscillator"),
     "r_grid": ("r_grid", _mapping(_parse_r_grid), (0.05, 25.0, 500)),
 }
+RunConfig = make_dataclass(
+    "RunConfig", [field for field, _, _ in _TOP_KEYS.values()], frozen=True,
+    namespace={"__module__": __name__, "__doc__": "Validated run parameters, one field per entry of _TOP_KEYS."},
+)
 
 
 def load_config(path: str) -> RunConfig:
@@ -298,11 +284,10 @@ def cmd_basis_check(cfg: RunConfig, out) -> None:
     The Bessel targets depend on the energy, ell and r only, so one pass
     serves both bases.
     """
-    bases = ("oscillator", "laguerre") if cfg.basis_check == "both" else (cfg.basis_check,)
     energy = cfg.energies[0]
     r = np.linspace(*cfg.r_grid)
     reg, irr = free_targets(energy, cfg.ell, r)
-    for basis in bases:
+    for basis in _BASES[cfg.basis_check]:
         _basis_block(cfg, basis, energy, r, reg, irr, out)
 
 
@@ -419,9 +404,9 @@ def main(argv=None) -> int:
             p.add_argument("--override-quadrature-bound", action="store_true",
                            help="proceed below the tensor exactness bound")
         if name == "stability-scan":
-            p.add_argument("--lambda-grid", default=None,
+            p.add_argument("--lambda-grid", default=",".join(map(str, _DEFAULT_LAMBDA_GRID)),
                            help="comma-separated basis scales")
-            p.add_argument("--n-grid", default=None, help="comma-separated basis sizes")
+            p.add_argument("--n-grid", default=",".join(map(str, _DEFAULT_N_GRID)), help="comma-separated basis sizes")
             p.add_argument("--drift-threshold", type=float, default=1e-3)
 
     args = parser.parse_args(argv)
@@ -435,10 +420,10 @@ def main(argv=None) -> int:
         elif args.command == "basis-check":
             cmd_basis_check(cfg, sink)
         else:
-            lambdas = _csv(args.lambda_grid, float, "--lambda-grid", 0, math.inf) if args.lambda_grid else _DEFAULT_LAMBDA_GRID
-            ns = _csv(args.n_grid, int, "--n-grid", 1, cfg.quadrature_order) if args.n_grid else _DEFAULT_N_GRID
             if not (math.isfinite(args.drift_threshold) and args.drift_threshold > 0):
                 raise ConfigError("--drift-threshold must be a positive finite number")
+            lambdas = _csv(args.lambda_grid, float, "--lambda-grid", 0, math.inf)
+            ns = _csv(args.n_grid, int, "--n-grid", 1, cfg.quadrature_order)
             cmd_stability_scan(cfg, sink, lambdas, ns, args.drift_threshold,
                                override=args.override_quadrature_bound)
         _write_output(args.output, sink.getvalue())

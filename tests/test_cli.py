@@ -1,6 +1,7 @@
 """Configuration loading, command output formats, and exit codes."""
 
-from dataclasses import replace
+import pickle
+from dataclasses import FrozenInstanceError, fields, replace
 from importlib.resources import files
 
 import numpy as np
@@ -81,6 +82,18 @@ class TestLoadConfig:
         assert cfg.coupling_g == pytest.approx(0.02)
         assert cfg.energies == tuple(float(e) for e in range(1, 8))
         assert isinstance(cfg.potential, PiecewiseLinearPotential)
+
+    def test_run_config_is_generated_from_the_top_keys(self):
+        # RunConfig's fields are _TOP_KEYS' field column, in order, and the record
+        # stays a frozen, picklable dataclass of this module
+        cfg = load_config(str(CONFIG_DIR / "table3.yaml"))
+        assert [f.name for f in fields(cfg)] == [field for field, _, _ in cli._TOP_KEYS.values()]
+        with pytest.raises(FrozenInstanceError):
+            cfg.lam = 0.8
+        moved = replace(cfg, lam=0.8)
+        assert moved.lam == 0.8 and moved != cfg and replace(moved, lam=cfg.lam) == cfg
+        assert cli.RunConfig.__module__ == "jmscatter.cli"
+        assert pickle.loads(pickle.dumps(cfg)) == cfg
 
     def test_unknown_top_key(self, tmp_path):
         path = write_config(tmp_path, minimal(turbo=True))
@@ -228,7 +241,9 @@ class TestMain:
     def test_missing_potential_is_a_config_error(self, tmp_path, capsys, verb):
         mapping = minimal()
         del mapping["potential"]
-        assert main([verb, "--config", write_config(tmp_path, mapping)]) == EXIT_CONFIG
+        # the default --n-grid (10, 20, 30) exceeds minimal()'s quadrature_order 20
+        argv = [verb, "--config", write_config(tmp_path, mapping)] + (["--n-grid", "8"] if verb == "stability-scan" else [])
+        assert main(argv) == EXIT_CONFIG
         assert "requires a 'potential'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("verb,flag", [
@@ -261,6 +276,8 @@ class TestMain:
         ("--n-grid", "200"),
         ("--lambda-grid", "0"),
         ("--lambda-grid", "1.0,-0.5"),
+        ("--n-grid", ""),
+        ("--lambda-grid", ""),
         ("--drift-threshold", "-1"),
         ("--drift-threshold", "0"),
     ])
@@ -271,6 +288,17 @@ class TestMain:
         assert main([*argv, f"{flag}={value}"]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "configuration error" in err and flag in err
+
+    @pytest.mark.parametrize("override", [[], ["--override-quadrature-bound"]])
+    def test_default_n_grid_is_bounded_before_any_solve(self, tmp_path, capsys, monkeypatch, override):
+        # the default --n-grid (10, 20, 30) meets the quadrature_order bound like a given grid
+        calls, original = [], cli.solve_energy
+        monkeypatch.setattr(cli, "solve_energy", lambda *a, **k: calls.append(a) or original(*a, **k))
+        path = write_config(tmp_path, minimal())
+        assert main(["stability-scan", "--config", path, *override]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "configuration error: bad --n-grid list '10,20,30': values must be finite, above 1 and at most 20\n"
+        assert calls == []
 
     def test_stability_flag_range_ends_are_accepted(self, tmp_path):
         path = write_config(tmp_path, minimal())
