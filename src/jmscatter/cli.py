@@ -27,14 +27,12 @@ from . import hamiltonian as ham
 from .linearize import DTensor, d_tensor, quadrature_bound
 from .quadrature import QuadratureRule, build_rule
 from .reference import chi_reconstruct, free_targets, reference_coefficients
-from .solver import ScatteringResult, SingularMatrixError, scan, solve_energy
+from .solver import ScatteringResult, scan, solve_energy
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-_DEFAULT_LAMBDA_GRID = (0.6, 0.8, 1.0, 1.2, 1.4)
-_DEFAULT_N_GRID = (10, 20, 30)
 # Largest energy or r grid a config may ask for, refused before it is built.
 _MAX_GRID_POINTS = 1_000_000
 
@@ -223,9 +221,9 @@ def _scan_results(cfg: RunConfig, override: bool) -> list[ScatteringResult]:
     )
 
 
-def cmd_scan(cfg: RunConfig, out, override: bool = False) -> None:
+def cmd_scan(cfg: RunConfig, args, out) -> None:
     """CSV: one row per energy with status and final scattering matrix."""
-    results = _scan_results(cfg, override)
+    results = _scan_results(cfg, args.override_quadrature_bound)
     out.write("E,status,iterations,abs_one_minus_S,re_S,im_S,bif_value_a,bif_value_b\n")
     for res in results:
         bif_a = bif_b = ""
@@ -239,9 +237,9 @@ def cmd_scan(cfg: RunConfig, out, override: bool = False) -> None:
         )
 
 
-def cmd_table(cfg: RunConfig, out, override: bool = False) -> None:
+def cmd_table(cfg: RunConfig, args, out) -> None:
     """Text table of |1 - S_m| per perturbation order m, energies as columns."""
-    results = _scan_results(cfg, override)
+    results = _scan_results(cfg, args.override_quadrature_bound)
     header = ["m"] + [f"E={e:g}" for e in cfg.energies]
     out.write("\t".join(header) + "\n")
     depth = max(len(res.history) for res in results)
@@ -261,24 +259,7 @@ def cmd_table(cfg: RunConfig, out, override: bool = False) -> None:
             out.write("\n")
 
 
-def _basis_block(cfg: RunConfig, basis: str, energy: float, r: np.ndarray, reg: np.ndarray, irr: np.ndarray, out) -> None:
-    s, c = reference_coefficients(energy, cfg.lam, cfg.ell, cfg.basis_size_n, basis=basis)
-    chi_sin, chi_cos = chi_reconstruct([s, c], cfg.ell, cfg.lam, r, basis=basis)
-    out.write(f"# basis = {basis}, ell = {cfg.ell}, E = {energy:g}, "
-              f"lambda = {cfg.lam:g}, N = {cfg.basis_size_n}\n")
-    out.write("r,chi_sin,chi_reg_target,chi_cos,chi_irr_target\n")
-    columns = (r.tolist(), chi_sin.tolist(), reg.tolist(), chi_cos.tolist(), irr.tolist())
-    out.write("".join(f"{a:.6f},{b:.6f},{c:.6f},{d:.6f},{e:.6f}\n" for a, b, c, d, e in zip(*columns)))
-    finite = np.isfinite(irr)
-    start, stop, _ = cfg.r_grid
-    outer = finite & (r >= 0.5 * (start + stop))
-    dev_sin = float(np.abs(chi_sin - reg).max())
-    dev_cos = float(np.abs(chi_cos[outer] - irr[outer]).max())
-    out.write(f"# max_dev_sin = {dev_sin:.6e}\n")
-    out.write(f"# max_dev_cos_outer_half = {dev_cos:.6e}\n")
-
-
-def cmd_basis_check(cfg: RunConfig, out) -> None:
+def cmd_basis_check(cfg: RunConfig, args, out) -> None:
     """Reconstruction CSV at the first grid energy, plus deviation summaries.
 
     The Bessel targets depend on the energy, ell and r only, so one pass
@@ -287,16 +268,26 @@ def cmd_basis_check(cfg: RunConfig, out) -> None:
     energy = cfg.energies[0]
     r = np.linspace(*cfg.r_grid)
     reg, irr = free_targets(energy, cfg.ell, r)
+    start, stop, _ = cfg.r_grid
+    outer = np.isfinite(irr) & (r >= 0.5 * (start + stop))
+    if not outer.any():
+        raise ConfigError("r_grid has no radius in its outer half where the irregular target is finite")
     for basis in _BASES[cfg.basis_check]:
-        _basis_block(cfg, basis, energy, r, reg, irr, out)
+        s, c = reference_coefficients(energy, cfg.lam, cfg.ell, cfg.basis_size_n, basis=basis)
+        chi_sin, chi_cos = chi_reconstruct([s, c], cfg.ell, cfg.lam, r, basis=basis)
+        out.write(f"# basis = {basis}, ell = {cfg.ell}, E = {energy:g}, "
+                  f"lambda = {cfg.lam:g}, N = {cfg.basis_size_n}\n")
+        out.write("r,chi_sin,chi_reg_target,chi_cos,chi_irr_target\n")
+        columns = (r.tolist(), chi_sin.tolist(), reg.tolist(), chi_cos.tolist(), irr.tolist())
+        out.write("".join(f"{a:.6f},{b:.6f},{c:.6f},{d:.6f},{e:.6f}\n" for a, b, c, d, e in zip(*columns)))
+        dev_sin = float(np.abs(chi_sin - reg).max())
+        dev_cos = float(np.abs(chi_cos[outer] - irr[outer]).max())
+        out.write(f"# max_dev_sin = {dev_sin:.6e}\n")
+        out.write(f"# max_dev_cos_outer_half = {dev_cos:.6e}\n")
 
 
 def stability_rows(
-    cfg: RunConfig,
-    lambdas=_DEFAULT_LAMBDA_GRID,
-    n_values=_DEFAULT_N_GRID,
-    drift_threshold: float = 1e-3,
-    override: bool = False,
+    cfg: RunConfig, lambdas, n_values, drift_threshold: float = 1e-3, override: bool = False
 ) -> list[dict]:
     """Sweep (lambda, N), report basis-edge diagnostics, flag the plateau.
 
@@ -348,11 +339,13 @@ def stability_rows(
     return rows
 
 
-def cmd_stability_scan(
-    cfg: RunConfig, out, lambdas, n_values, drift_threshold: float, override: bool = False
-) -> None:
-    """CSV of the (lambda, N) sweep from `stability_rows`."""
-    rows = stability_rows(cfg, lambdas, n_values, drift_threshold, override)
+def cmd_stability_scan(cfg: RunConfig, args, out) -> None:
+    """CSV of the (lambda, N) sweep from `stability_rows`, its flags checked first."""
+    if not (math.isfinite(args.drift_threshold) and args.drift_threshold > 0):
+        raise ConfigError("--drift-threshold must be a positive finite number")
+    lambdas = _csv(args.lambda_grid, float, "--lambda-grid", 0, math.inf)
+    n_values = _csv(args.n_grid, int, "--n-grid", 1, cfg.quadrature_order)
+    rows = stability_rows(cfg, lambdas, n_values, args.drift_threshold, args.override_quadrature_bound)
     out.write("lam,N,abs_one_minus_S,nearest_eig,pot_edge,f_edge,plateau\n")
     for row in rows:
         out.write(
@@ -385,18 +378,22 @@ def _write_output(path: str, text: str) -> None:
         raise ConfigError(f"cannot write output {path}: {exc}") from exc
 
 
+# CLI verbs: help text and command, each command called as command(cfg, args, out).
+_VERBS = {
+    "scan": ("per-energy scattering results as CSV", cmd_scan),
+    "table": ("per-order |1-S| progression as text", cmd_table),
+    "basis-check": ("reference reconstruction against Bessel targets", cmd_basis_check),
+    "stability-scan": ("basis-parameter sweep with plateau flags", cmd_stability_scan),
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="jmscatter",
         description="Elastic scattering of the planar nonlinear Schrodinger equation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("scan", "per-energy scattering results as CSV"),
-        ("table", "per-order |1-S| progression as text"),
-        ("basis-check", "reference reconstruction against Bessel targets"),
-        ("stability-scan", "basis-parameter sweep with plateau flags"),
-    ]:
+    for name, (helptext, _) in _VERBS.items():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="YAML run configuration")
         p.add_argument("--output", default="-", help="output path, '-' for stdout")
@@ -404,31 +401,18 @@ def main(argv=None) -> int:
             p.add_argument("--override-quadrature-bound", action="store_true",
                            help="proceed below the tensor exactness bound")
         if name == "stability-scan":
-            p.add_argument("--lambda-grid", default=",".join(map(str, _DEFAULT_LAMBDA_GRID)),
-                           help="comma-separated basis scales")
-            p.add_argument("--n-grid", default=",".join(map(str, _DEFAULT_N_GRID)), help="comma-separated basis sizes")
+            p.add_argument("--lambda-grid", default="0.6,0.8,1.0,1.2,1.4", help="comma-separated basis scales")
+            p.add_argument("--n-grid", default="10,20,30", help="comma-separated basis sizes")
             p.add_argument("--drift-threshold", type=float, default=1e-3)
 
     args = parser.parse_args(argv)
     sink = io.StringIO()
     try:
-        cfg = load_config(args.config)
-        if args.command == "scan":
-            cmd_scan(cfg, sink, override=args.override_quadrature_bound)
-        elif args.command == "table":
-            cmd_table(cfg, sink, override=args.override_quadrature_bound)
-        elif args.command == "basis-check":
-            cmd_basis_check(cfg, sink)
-        else:
-            if not (math.isfinite(args.drift_threshold) and args.drift_threshold > 0):
-                raise ConfigError("--drift-threshold must be a positive finite number")
-            lambdas = _csv(args.lambda_grid, float, "--lambda-grid", 0, math.inf)
-            ns = _csv(args.n_grid, int, "--n-grid", 1, cfg.quadrature_order)
-            cmd_stability_scan(cfg, sink, lambdas, ns, args.drift_threshold,
-                               override=args.override_quadrature_bound)
+        _VERBS[args.command][1](load_config(args.config), args, sink)
         _write_output(args.output, sink.getvalue())
-    # LinAlgError subclasses ValueError, so the numerical clause comes first.
-    except (SingularMatrixError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    # LinAlgError subclasses ValueError, so the numerical clause comes first;
+    # the solver's SingularMatrixError is an ArithmeticError.
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ConfigError, ValueError) as exc:

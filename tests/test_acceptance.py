@@ -11,7 +11,7 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
-from jmscatter.cli import _build_problem, load_config, stability_rows
+from jmscatter.cli import _scan_results, load_config, stability_rows
 from jmscatter.hamiltonian import (
     PowerExponentialPotential,
     assemble_linear,
@@ -54,13 +54,7 @@ GAUSS_L1_CONVERGED = (0.193032, 0.324751, 0.868347, 1.962627, 0.778133, 0.123286
 
 def run_config(name, override=False):
     cfg = load_config(str(CONFIG_DIR / name))
-    ham, dten = _build_problem(cfg, build_rule(cfg.quadrature_order, cfg.ell), override)
-    results = scan(
-        list(cfg.energies), ham, dten, coupling=cfg.coupling_g,
-        tolerance=cfg.tolerance, bifurcation_tolerance=cfg.bifurcation_tolerance,
-        max_iterations=cfg.max_iterations,
-    )
-    return cfg, results
+    return cfg, _scan_results(cfg, override)
 
 
 def test_criterion_1_trapezoid_cubic_table():

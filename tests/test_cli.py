@@ -1,6 +1,7 @@
 """Configuration loading, command output formats, and exit codes."""
 
 import pickle
+import re
 from dataclasses import FrozenInstanceError, fields, replace
 from importlib.resources import files
 
@@ -493,6 +494,20 @@ class TestMain:
             texts[basis] = out.read_bytes()
         assert texts["both"] == texts["oscillator"] + texts["laguerre"]
 
+    def test_basis_check_refuses_an_r_grid_without_a_finite_outer_target(self, tmp_path, capsys, monkeypatch):
+        # at r <= 1e-110 the ell = 3 irregular target overflows, so no cosine deviation can be taken
+        calls = []
+        monkeypatch.setattr(cli, "reference_coefficients", lambda *a, **k: calls.append(a))
+        path = write_config(tmp_path, {
+            "basis_size_N": 20, "lambda": 1.0, "ell": 3, "energy_grid": {"list": [1.0]},
+            "r_grid": {"start": 1e-120, "stop": 1e-110, "count": 5},
+        })
+        assert main(["basis-check", "--config", path]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "configuration error: r_grid has no radius in its outer half where the irregular target is finite\n"
+        )
+        assert calls == []
+
     def test_stability_scan_single_point(self, tmp_path):
         path = write_config(tmp_path, minimal())
         out = tmp_path / "stab.csv"
@@ -507,3 +522,39 @@ class TestMain:
         fields = lines[1].split(",")
         # a lone scale has nothing to drift against: trivially in-plateau
         assert fields[-1] == "1"
+
+
+# Every verb, its help text and its flags, in the order `--help` lists them.
+VERBS = {
+    "scan": ("per-energy scattering results as CSV", ["--help", "--config", "--output", "--override-quadrature-bound"]),
+    "table": ("per-order |1-S| progression as text", ["--help", "--config", "--output", "--override-quadrature-bound"]),
+    "basis-check": ("reference reconstruction against Bessel targets", ["--help", "--config", "--output"]),
+    "stability-scan": ("basis-parameter sweep with plateau flags", [
+        "--help", "--config", "--output", "--override-quadrature-bound", "--lambda-grid", "--n-grid", "--drift-threshold",
+    ]),
+}
+
+
+class TestVerbTable:
+    @pytest.fixture(autouse=True)
+    def wide_terminal(self, monkeypatch):
+        # argparse wraps help at the terminal width it reads from COLUMNS
+        monkeypatch.setenv("COLUMNS", "200")
+
+    @staticmethod
+    def help_text(capsys, *verb):
+        with pytest.raises(SystemExit) as exc:
+            main([*verb, "--help"])
+        assert exc.value.code == EXIT_OK
+        return capsys.readouterr().out
+
+    def test_top_level_help_lists_every_verb_in_order(self, capsys):
+        listed = [line.split(None, 1) for line in self.help_text(capsys).splitlines() if line.startswith("    ")]
+        assert listed == [[verb, helptext] for verb, (helptext, _) in VERBS.items()]
+
+    @pytest.mark.parametrize("verb", VERBS)
+    def test_each_verb_shows_exactly_its_flags(self, capsys, verb):
+        text = self.help_text(capsys, verb)
+        assert re.findall(r"^  (?:-h, )?(--[\w-]+)", text, re.MULTILINE) == VERBS[verb][1]
+        if verb == "basis-check":
+            assert "--override-quadrature-bound" not in text

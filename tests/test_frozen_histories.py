@@ -22,9 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from jmscatter.cli import _build_problem, load_config
-from jmscatter.quadrature import build_rule
-from jmscatter.solver import scan
+from jmscatter.cli import _scan_results, load_config
 
 PINNED = Path(__file__).parent / "frozen_histories.json"
 FROZEN = json.loads(PINNED.read_text(encoding="utf-8"))
@@ -33,12 +31,7 @@ FROZEN = json.loads(PINNED.read_text(encoding="utf-8"))
 def solve_rows(config: str, rows: list) -> list:
     """The scan results of `config` at the energies of its frozen rows."""
     cfg = load_config(str(files("jmscatter") / "configs" / f"{config}.yaml"))
-    cfg = replace(cfg, energies=tuple(row["energy"] for row in rows))
-    ham, dten = _build_problem(cfg, build_rule(cfg.quadrature_order, cfg.ell), override=True)
-    return scan(
-        list(cfg.energies), ham, dten, coupling=cfg.coupling_g, tolerance=cfg.tolerance,
-        bifurcation_tolerance=cfg.bifurcation_tolerance, max_iterations=cfg.max_iterations,
-    )
+    return _scan_results(replace(cfg, energies=tuple(row["energy"] for row in rows)), override=True)
 
 
 @pytest.mark.parametrize("config", sorted({row["config"] for row in FROZEN}))

@@ -13,6 +13,7 @@ grammar that `requires-python` admits.
 """
 
 import ast
+import importlib
 import re
 import subprocess
 import sys
@@ -25,8 +26,20 @@ import jmscatter
 
 PACKAGE = Path(jmscatter.__file__).parent
 ROOT = Path(__file__).resolve().parent.parent
-# The console script's entry point is run from outside the package.
-ENTRY_POINTS = {"cli.main"}
+
+
+def console_scripts() -> dict[str, str]:
+    """The `[project.scripts]` table of pyproject.toml: script name -> "module:function"."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    table = re.search(r"^\[project\.scripts\]\n(.*?)(?:^\[|\Z)", text, re.MULTILINE | re.DOTALL).group(1)
+    return dict(re.findall(r'^([\w-]+) = "([\w.]+:\w+)"$', table, re.MULTILINE))
+
+
+# The console scripts' entry points are run from outside the package, as "<module stem>.<function>".
+ENTRY_POINTS = {
+    f"{module.rpartition('.')[2]}.{function}"
+    for module, function in (target.split(":") for target in console_scripts().values())
+}
 
 
 def _names(tree) -> Counter:
@@ -60,6 +73,15 @@ def unreferenced() -> list[str]:
             if everywhere[name] == _names(definition)[name]:
                 found.append(f"{stem}.{name}")
     return found
+
+
+def test_console_scripts_resolve_to_package_callables():
+    scripts = console_scripts()
+    assert "jmscatter" in scripts
+    for target in scripts.values():
+        module, function = target.split(":")
+        assert module.startswith("jmscatter.")
+        assert callable(getattr(importlib.import_module(module), function))
 
 
 def test_every_top_level_definition_is_used_or_exported():

@@ -11,14 +11,13 @@ Re-record (only for an intended change of the numbers) with
 """
 
 import json
+from dataclasses import replace
 from importlib.resources import files
 from pathlib import Path
 
 import pytest
 
-from jmscatter.cli import _build_problem, load_config
-from jmscatter.quadrature import build_rule
-from jmscatter.solver import scan
+from jmscatter.cli import _scan_results, load_config
 
 PINNED = Path(__file__).parent / "pinned_grids.json"
 CONFIGS = ("table3", "table4")
@@ -28,11 +27,7 @@ S_ATOL = 1e-12
 
 def solve_grid(config: str) -> list:
     cfg = load_config(str(files("jmscatter") / "configs" / f"{config}.yaml"))
-    ham, dten = _build_problem(cfg, build_rule(cfg.quadrature_order, cfg.ell), override=True)
-    return scan(
-        ENERGIES, ham, dten, coupling=cfg.coupling_g, tolerance=cfg.tolerance,
-        bifurcation_tolerance=cfg.bifurcation_tolerance, max_iterations=cfg.max_iterations,
-    )
+    return _scan_results(replace(cfg, energies=tuple(ENERGIES)), override=True)
 
 
 @pytest.mark.parametrize("config", CONFIGS)
