@@ -7,8 +7,8 @@ iterating the cubic-or-higher coupling perturbatively from the linear
 solution.
 """
 
-from .solver import ScatteringResult, resonance_energy, scan, solve_energy
+from .solver import ScatteringResult, scan
 
-__all__ = ["ScatteringResult", "resonance_energy", "scan", "solve_energy"]
+__all__ = ["ScatteringResult", "scan"]
 
 __version__ = "0.1.0"

@@ -27,7 +27,7 @@ from . import hamiltonian as ham
 from .linearize import DTensor, d_tensor, quadrature_bound
 from .quadrature import QuadratureRule, build_rule
 from .reference import chi_reconstruct, free_targets, reference_coefficients
-from .solver import ScatteringResult, scan, solve_energy
+from .solver import ScatteringResult, scan
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -317,8 +317,8 @@ def stability_rows(
         for lam in lambdas:
             sub = replace(cfg, lam=float(lam), basis_size_n=int(n_basis))
             h, dten = _build_problem(sub, rule, override, dten)
-            res = solve_energy(
-                energy, h, dten, coupling=sub.coupling_g, tolerance=sub.tolerance,
+            [res] = scan(
+                [energy], h, dten, coupling=sub.coupling_g, tolerance=sub.tolerance,
                 bifurcation_tolerance=sub.bifurcation_tolerance,
                 max_iterations=sub.max_iterations,
             )
@@ -403,7 +403,8 @@ def main(argv=None) -> int:
         if name == "stability-scan":
             p.add_argument("--lambda-grid", default="0.6,0.8,1.0,1.2,1.4", help="comma-separated basis scales")
             p.add_argument("--n-grid", default="10,20,30", help="comma-separated basis sizes")
-            p.add_argument("--drift-threshold", type=float, default=1e-3)
+            p.add_argument("--drift-threshold", type=float, default=1e-3,
+                           help="relative eigenvalue drift below which a point is in-plateau")
 
     args = parser.parse_args(argv)
     sink = io.StringIO()

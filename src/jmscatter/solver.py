@@ -303,7 +303,7 @@ class _Iteration:
 def solve_energy(
     energy: float, hamiltonian: LinearHamiltonian, dten: DTensor | None = None, **options
 ) -> ScatteringResult:
-    """Run the perturbative iteration at one energy: the one-energy `scan`, same options."""
+    """The one-energy `scan`, same options. No package path calls it; the benchmark's layer tracer names it."""
     return scan([energy], hamiltonian, dten, **options)[0]
 
 
@@ -414,25 +414,3 @@ def _order_map(
     diagonal = np.arange(r.shape[-1])
     r[:, diagonal, diagonal] -= energies[:, None]
     return greens_matrix(r, energies, hamiltonian.eigenvalues, coupling * top)
-
-
-def resonance_energy(
-    energies: Sequence[float], results: Sequence[ScatteringResult]
-) -> float:
-    """Energy of strongest resonance activity on a solved grid.
-
-    |1 - S| alone cannot locate a resonance: any slow background phase
-    sweeping through pi/2 pushes it to its ceiling of 2. The resonance is
-    where the phase moves fastest, so this picks the grid point where the
-    unwrapped phase-shift derivative d(delta)/dE peaks in magnitude.
-    Interior points only; the grid must be fine enough to sample the jump.
-    """
-    if len(energies) != len(results):
-        raise ValueError("energies and results must align")
-    if len(energies) < 3:
-        raise ValueError("need at least three grid points")
-    e = np.asarray(energies, dtype=float)
-    s = np.array([res.s_matrix for res in results])
-    delta = 0.5 * np.unwrap(np.angle(s))
-    slope = np.abs(np.gradient(delta, e))
-    return float(e[1 + int(np.argmax(slope[1:-1]))])

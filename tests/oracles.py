@@ -30,7 +30,9 @@ scalar math, one term and one energy at a time, and the Gauss rule from
 LAPACK's tridiagonal eigensolver. `laguerre_normalized` is not
 independent: it reads one degree off the package's own upward recursion
 for tests that want a single polynomial value; the sine-like closed form
-reads it per degree.
+reads it per degree. `locate_resonance` is a measuring tool rather than
+a route: it places the resonance of any S(E), a g = 0 `scan` or a closed
+form, below the grid step.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from math import factorial, lgamma
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.optimize import minimize_scalar
 
 from jmscatter.linearize import _check_bound
 from jmscatter.quadrature import QuadratureRule
@@ -304,6 +307,33 @@ def phase_shift_scalar(h_plus, h_minus, g_corner, b_edge) -> complex:
 def edge_coefficients_scalar(s, h_plus, h_minus) -> list:
     """The edge entries A_k = h^-_k - S h^+_k (k = N-1, N) of one energy, in scalar complex arithmetic."""
     return [complex(hm) - np.complex128(s) * complex(hp) for hp, hm in zip(h_plus, h_minus)]
+
+
+def locate_resonance(s_at, energies) -> tuple[float, float]:
+    """Energy and height of the strongest peak of |d(delta)/dE| on a grid, delta = arg(S) / 2.
+
+    |1 - S| alone cannot locate a resonance: a slow background phase
+    sweeping through pi/2 pushes it to its ceiling of 2. The resonance is
+    where the phase moves fastest, so the interior grid point where the
+    unwrapped phase's slope peaks seeds a bounded Brent search over one
+    grid step on either side, on the central difference of delta between
+    E - h and E + h, h = 1e-5 (well inside fig1's 4.9e-4 width). `s_at`
+    maps a sequence of energies to their S values: one call for the grid,
+    then one two-energy call per slope. A peak of full width Gamma at half
+    height rises to 2 / Gamma.
+    """
+    half_step = 1e-5
+    e = np.asarray(energies, dtype=float)
+    delta = 0.5 * np.unwrap(np.angle(np.asarray(s_at(e))))
+    peak = 1 + int(np.argmax(np.abs(np.gradient(delta, e))[1:-1]))
+
+    def slope(energy: float) -> float:
+        below, above = s_at([energy - half_step, energy + half_step])
+        return abs(np.angle(above / below)) / (4.0 * half_step)
+
+    best = minimize_scalar(lambda x: -slope(x), bounds=(e[peak - 1], e[peak + 1]), method="bounded",
+                           options={"xatol": 1e-7})
+    return float(best.x), -float(best.fun)
 
 
 def greens_inverse(h_eff: np.ndarray, energy: float) -> np.ndarray:

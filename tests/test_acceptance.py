@@ -6,12 +6,13 @@ constants frozen elsewhere in the suite.
 """
 
 import math
+from dataclasses import replace
 from importlib.resources import files
 
 import numpy as np
 import pytest
 
-from jmscatter.cli import _scan_results, load_config, stability_rows
+from jmscatter.cli import _build_problem, _scan_results, load_config, stability_rows
 from jmscatter.hamiltonian import (
     PowerExponentialPotential,
     assemble_linear,
@@ -24,7 +25,7 @@ from jmscatter.reference import (
     free_targets,
     reference_coefficients,
 )
-from jmscatter.solver import greens_spectral, r_matrix, resonance_energy, scan, solve_energy
+from jmscatter.solver import greens_spectral, r_matrix, scan
 from oracles import (
     c_tensor_matrix_poly,
     c_tensor_quadrature,
@@ -33,6 +34,7 @@ from oracles import (
     greens_inverse,
     greens_offdiag_minor,
     integrate_weighted,
+    locate_resonance,
 )
 
 CONFIG_DIR = files("jmscatter") / "configs"
@@ -109,11 +111,24 @@ def test_criterion_3_stability_scan_then_gauss_tables():
             assert at_9 == pytest.approx(res.abs_one_minus_s, abs=1e-3)
 
 
+def linear_s(ham):
+    """S at each of a sequence of energies from one g = 0 `scan`, for `locate_resonance`."""
+    return lambda energies: [res.s_matrix for res in scan(energies, ham)]
+
+
 def test_criterion_4_resonance_positions():
-    for name, target, tol in (("fig1.yaml", 2.517, 0.01), ("fig2.yaml", 4.11, 0.1)):
-        cfg, results = run_config(name)
-        found = resonance_energy(cfg.energies, results)
-        assert found == pytest.approx(target, abs=tol), name
+    # fig1's s-wave peak is 4.9e-4 wide and fig2's p-wave one about 0.2. Each is located
+    # below the 0.002 grid step at N = 20, 40 and 80, with the configs' 5 nodes per basis function.
+    for name, target, near, agree in (("fig1.yaml", 2.5171, 1e-4, 5e-5), ("fig2.yaml", 4.11, 0.02, 0.015)):
+        cfg = load_config(str(CONFIG_DIR / name))
+        assert cfg.quadrature_order == 5 * cfg.basis_size_n == 100
+        found = []
+        for n_basis in (20, 40, 80):
+            sub = replace(cfg, basis_size_n=n_basis, quadrature_order=5 * n_basis)
+            ham, _ = _build_problem(sub, build_rule(sub.quadrature_order, sub.ell), False)
+            found.append(locate_resonance(linear_s(ham), cfg.energies)[0])
+        assert found[0] == pytest.approx(target, abs=near), name
+        assert max(found) - min(found) < agree, f"{name}: {found}"
 
 
 def test_criterion_5_reference_reconstruction():
@@ -201,7 +216,7 @@ def test_criterion_6_property_suite(rule100_l0):
     potential = PowerExponentialPotential(strength=7.5, power=2.0, decay=1.0)
     ham = assemble_linear(potential, n_basis=20, ell=0, lam=1.0, rule=rule100_l0)
     dten20 = d_tensor(1, 0, 20, rule100_l0)
-    res = solve_energy(2.50, ham, dten20, coupling=0.001)
+    [res] = scan([2.50], ham, dten20, coupling=0.001)
     for s in res.history:
         assert abs(abs(s) - 1.0) < 1e-8
 
@@ -213,6 +228,6 @@ def test_criterion_6_property_suite(rule100_l0):
         assert abs(res_free.s_matrix - 1.0) < 1e-8
 
     # coupling continuity: g -> 0 rejoins the linear scattering matrix
-    s_lin = solve_energy(2.45, ham).s_matrix
-    s_tiny = solve_energy(2.45, ham, dten20, coupling=1e-6).s_matrix
+    s_lin = scan([2.45], ham)[0].s_matrix
+    s_tiny = scan([2.45], ham, dten20, coupling=1e-6)[0].s_matrix
     assert abs(s_tiny - s_lin) < 1e-4

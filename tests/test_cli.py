@@ -23,7 +23,7 @@ from jmscatter.cli import (
 from jmscatter.hamiltonian import PiecewiseLinearPotential
 from jmscatter.linearize import quadrature_bound
 from jmscatter.quadrature import build_rule
-from jmscatter.solver import solve_energy
+from jmscatter.solver import scan
 
 CONFIG_DIR = files("jmscatter") / "configs"
 
@@ -293,8 +293,8 @@ class TestMain:
     @pytest.mark.parametrize("override", [[], ["--override-quadrature-bound"]])
     def test_default_n_grid_is_bounded_before_any_solve(self, tmp_path, capsys, monkeypatch, override):
         # the default --n-grid (10, 20, 30) meets the quadrature_order bound like a given grid
-        calls, original = [], cli.solve_energy
-        monkeypatch.setattr(cli, "solve_energy", lambda *a, **k: calls.append(a) or original(*a, **k))
+        calls, original = [], cli.scan
+        monkeypatch.setattr(cli, "scan", lambda *a, **k: calls.append(a) or original(*a, **k))
         path = write_config(tmp_path, minimal())
         assert main(["stability-scan", "--config", path, *override]) == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -318,30 +318,26 @@ class TestMain:
 
     @pytest.mark.parametrize("verb", ["scan", "table", "stability-scan"])
     def test_solves_enter_through_the_cli_solver_names(self, tmp_path, monkeypatch, verb):
-        # perfbench/onepass.py ends a command's set-up at its first call of cli.scan or
-        # cli.solve_energy: a verb that solved around both would time its solves as set-up
-        entered, inside, outside = [], [0], []
+        # perfbench/onepass.py ends a command's set-up at its first call of cli.scan:
+        # a verb that solved around it would time its solves as set-up
+        inside, outside, original = [0], [], cli.scan
 
-        def counted(name, func):
-            def entry(*args, **kwargs):
-                entered.append(name)
-                inside[0] += 1
-                try:
-                    return func(*args, **kwargs)
-                finally:
-                    inside[0] -= 1
-            return entry
+        def counted(*args, **kwargs):
+            inside[0] += 1
+            try:
+                return original(*args, **kwargs)
+            finally:
+                inside[0] -= 1
 
-        for name in ("scan", "solve_energy"):
-            monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+        monkeypatch.setattr(cli, "scan", counted)
         reference = solver.oscillator_reference
         monkeypatch.setattr(solver, "oscillator_reference", lambda *a: outside.append(not inside[0]) or reference(*a))
         argv = [verb, "--config", write_config(tmp_path, minimal(coupling_g=0.001)), "--output", str(tmp_path / "out")]
         if verb == "stability-scan":
             argv += ["--lambda-grid", "0.8,1.0", "--n-grid", "8"]
         assert main(argv) == EXIT_OK
-        # every solve's reference coefficients are formed inside one of the two calls
-        assert entered and outside and not any(outside)
+        # every solve's reference coefficients are formed inside a cli.scan call
+        assert outside and not any(outside)
 
     def test_unwritable_output_is_a_config_error(self, tmp_path, capsys):
         out = tmp_path / "missing" / "out.csv"
@@ -445,8 +441,8 @@ class TestMain:
         for row in want:
             sub = replace(cfg, lam=row["lam"], basis_size_n=row["N"])
             h, dten = _build_problem(sub, build_rule(cfg.quadrature_order, cfg.ell), False)
-            res = solve_energy(cfg.energies[0], h, dten, coupling=cfg.coupling_g, tolerance=cfg.tolerance,
-                               bifurcation_tolerance=cfg.bifurcation_tolerance, max_iterations=cfg.max_iterations)
+            [res] = scan([cfg.energies[0]], h, dten, coupling=cfg.coupling_g, tolerance=cfg.tolerance,
+                         bifurcation_tolerance=cfg.bifurcation_tolerance, max_iterations=cfg.max_iterations)
             assert res.abs_one_minus_s == row["abs_one_minus_S"]
 
     def test_table_footnote(self, tmp_path):
@@ -556,5 +552,8 @@ class TestVerbTable:
     def test_each_verb_shows_exactly_its_flags(self, capsys, verb):
         text = self.help_text(capsys, verb)
         assert re.findall(r"^  (?:-h, )?(--[\w-]+)", text, re.MULTILINE) == VERBS[verb][1]
+        # each with a description, on the flag's line or on the next one when the flag is too long to share it
+        described = re.findall(r"^  (?:-h, )?(--[\w-]+)(?: [A-Z_]+)?(?: {2,}|\n {3,})\S", text, re.MULTILINE)
+        assert described == VERBS[verb][1]
         if verb == "basis-check":
             assert "--override-quadrature-bound" not in text

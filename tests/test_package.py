@@ -1,11 +1,15 @@
 """The shipped package holds only code that a shipped path runs.
 
 Every top-level function and class in `src/jmscatter` must be named
-somewhere else in the package (as a name, an attribute or an import) or
-be exported in `jmscatter.__all__`. Routes that only tests reach belong
-in `tests/oracles.py`. Imports sit at the top of each module, never
-inside a function, so a module's dependencies can be read off its head.
-At run time the package needs only numpy and PyYAML: no module imports
+somewhere else in the package (as a name, an attribute or an import);
+`__init__` only re-exports, so its imports do not count, and being in
+`jmscatter.__all__` exempts nothing. Only names reached from outside are
+exempt: the console scripts' entry points, and the layer functions that
+the benchmark's tracer wraps by name (`LAYERS` in perfbench/spans.py).
+Routes that only tests reach belong in `tests/oracles.py`. Imports sit
+at the top of each module, never inside a function, so a module's
+dependencies can be read off its head. At run time the package needs
+only numpy and PyYAML: no module imports
 scipy, importing the CLI loads no scipy module, and every CLI verb runs
 where importing scipy fails. scipy is a test dependency, the oracle of
 the special functions. Every source file parses under the oldest Python
@@ -14,6 +18,7 @@ grammar that `requires-python` admits.
 
 import ast
 import importlib
+import importlib.util
 import re
 import subprocess
 import sys
@@ -23,6 +28,7 @@ from pathlib import Path
 import pytest
 
 import jmscatter
+from jmscatter import solver
 
 PACKAGE = Path(jmscatter.__file__).parent
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,11 +41,21 @@ def console_scripts() -> dict[str, str]:
     return dict(re.findall(r'^([\w-]+) = "([\w.]+:\w+)"$', table, re.MULTILINE))
 
 
-# The console scripts' entry points are run from outside the package, as "<module stem>.<function>".
+def traced_layers() -> set[str]:
+    """The "<module>.<function>" names of `LAYERS` in perfbench/spans.py, loaded from the file."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return {f"{module}.{function}" for module, function in spans.LAYERS}
+
+
+# Reached from outside the package, as "<module stem>.<function>": the console
+# scripts' entry points, and the layer functions the benchmark's tracer wraps.
 ENTRY_POINTS = {
     f"{module.rpartition('.')[2]}.{function}"
     for module, function in (target.split(":") for target in console_scripts().values())
 }
+TRACED = traced_layers()
 
 
 def _names(tree) -> Counter:
@@ -56,19 +72,19 @@ def _names(tree) -> Counter:
 
 
 def unreferenced() -> list[str]:
-    """Top-level definitions that no other package code names and `__all__` does not export."""
+    """Top-level definitions that no other package code names and nothing outside runs or traces."""
     trees = {
         path.stem: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted(PACKAGE.glob("*.py"))
     }
-    everywhere = sum((_names(tree) for tree in trees.values()), Counter())
+    everywhere = sum((_names(tree) for stem, tree in trees.items() if stem != "__init__"), Counter())
     found = []
     for stem, tree in trees.items():
         for definition in tree.body:
             if not isinstance(definition, (ast.FunctionDef, ast.ClassDef)):
                 continue
             name = definition.name
-            if name in jmscatter.__all__ or f"{stem}.{name}" in ENTRY_POINTS:
+            if f"{stem}.{name}" in ENTRY_POINTS | TRACED:
                 continue
             if everywhere[name] == _names(definition)[name]:
                 found.append(f"{stem}.{name}")
@@ -84,8 +100,13 @@ def test_console_scripts_resolve_to_package_callables():
         assert callable(getattr(importlib.import_module(module), function))
 
 
-def test_every_top_level_definition_is_used_or_exported():
+def test_every_top_level_definition_is_used_by_other_package_code():
     assert unreferenced() == []
+
+
+def test_package_exports_scan_and_its_result():
+    assert jmscatter.__all__ == ["ScatteringResult", "scan"]
+    assert all(getattr(jmscatter, name) is getattr(solver, name) for name in jmscatter.__all__)
 
 
 def imports_inside_functions() -> list[str]:

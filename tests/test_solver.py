@@ -29,9 +29,7 @@ from jmscatter.solver import (
     greens_spectral,
     phase_shift,
     r_matrix,
-    resonance_energy,
     scan,
-    solve_energy,
 )
 from oracles import (
     c_tensor_quadrature,
@@ -39,6 +37,7 @@ from oracles import (
     greens_diagonal_minor,
     greens_inverse,
     greens_offdiag_minor,
+    locate_resonance,
     phase_shift_scalar,
     r_matrix_pairs,
 )
@@ -330,7 +329,7 @@ class TestSolveEnergy:
 
     def test_linear_path_status(self, gauss_setup):
         ham, _ = gauss_setup
-        res = solve_energy(2.5, ham)
+        [res] = scan([2.5], ham)
         assert res.status == "converged"
         assert res.iterations == 0
         assert len(res.history) == 1
@@ -338,20 +337,19 @@ class TestSolveEnergy:
     def test_coupling_without_d_tensor_refused(self, gauss_setup):
         ham, _ = gauss_setup
         with pytest.raises(ValueError, match="D tensor"):
-            solve_energy(2.5, ham, coupling=0.5)
-        with pytest.raises(ValueError, match="D tensor"):
-            scan((2.5,), ham, coupling=0.5)
+            scan([2.5], ham, coupling=0.5)
 
     def test_scan_fast_path_matches_direct(self, gauss_setup):
         ham, _ = gauss_setup
         energies = (0.9, 2.2, 3.6)
         fast = scan(energies, ham)
         for e, res in zip(energies, fast):
-            assert res == solve_energy(e, ham)
+            assert [res] == scan([e], ham)
+            assert res == solver.solve_energy(e, ham)
 
     def test_unimodular_along_whole_history(self, gauss_setup):
         ham, dten = gauss_setup
-        res = solve_energy(2.50, ham, dten, coupling=0.001)
+        [res] = scan([2.50], ham, dten, coupling=0.001)
         assert res.status == "converged"
         for s in res.history:
             assert abs(abs(s) - 1.0) < 1e-8
@@ -359,8 +357,8 @@ class TestSolveEnergy:
 
     def test_small_coupling_continuity(self, gauss_setup):
         ham, dten = gauss_setup
-        s0 = solve_energy(2.45, ham).s_matrix
-        s1 = solve_energy(2.45, ham, dten, coupling=1e-6).s_matrix
+        s0 = scan([2.45], ham)[0].s_matrix
+        s1 = scan([2.45], ham, dten, coupling=1e-6)[0].s_matrix
         assert abs(s1 - s0) < 1e-4
 
     def test_eigenvalue_energy_is_nudged(self, gauss_setup):
@@ -368,7 +366,7 @@ class TestSolveEnergy:
         # sidestep instead of raising, whatever the iteration then does
         ham, dten = gauss_setup
         trapped = float(ham.eigenvalues[np.argmin(np.abs(ham.eigenvalues - 2.5))])
-        res = solve_energy(trapped, ham, dten, coupling=0.001)
+        [res] = scan([trapped], ham, dten, coupling=0.001)
         assert res.status in ("converged", "bifurcated")
         assert res.energy == pytest.approx(trapped, rel=1e-5)
         assert res.energy != trapped
@@ -392,13 +390,13 @@ class TestSolveEnergy:
 
         monkeypatch.setattr(solver, "greens_matrix", refuse)
         with pytest.raises(SingularMatrixError):
-            solve_energy(2.5, ham, dten, coupling=0.001)
+            scan([2.5], ham, dten, coupling=0.001)
         assert len(attempts) == 2
         assert attempts[0] == 2.5 and attempts[1] != 2.5
 
     def test_period_two_cycle_detected(self, trapezoid_setup):
         ham, dten = trapezoid_setup
-        res = solve_energy(3.0, ham, dten, coupling=0.02, max_iterations=50)
+        [res] = scan([3.0], ham, dten, coupling=0.02, max_iterations=50)
         assert res.status == "bifurcated"
         assert res.period == 2
         assert res.bifurcation is not None
@@ -411,9 +409,9 @@ class TestSolveEnergy:
         # streak, but its two values merge: no cycle, and given enough
         # orders it converges to the value the false cycle reported
         ham, dten = trapezoid_setup
-        res = solve_energy(energy, ham, dten, coupling=0.02, max_iterations=50)
+        [res] = scan([energy], ham, dten, coupling=0.02, max_iterations=50)
         assert res.status == "max-iterations"
-        longer = solve_energy(energy, ham, dten, coupling=0.02, max_iterations=200)
+        [longer] = scan([energy], ham, dten, coupling=0.02, max_iterations=200)
         assert longer.status == "converged"
         assert longer.iterations < 200
 
@@ -422,7 +420,7 @@ class TestSolveEnergy:
     )
     def test_genuine_cycles_keep_their_values(self, trapezoid_setup, energy, values):
         ham, dten = trapezoid_setup
-        res = solve_energy(energy, ham, dten, coupling=0.02, max_iterations=50)
+        [res] = scan([energy], ham, dten, coupling=0.02, max_iterations=50)
         assert res.status == "bifurcated" and res.period == 2
         assert tuple(f"{v:.6f}" for v in res.bifurcation) == values
 
@@ -446,7 +444,7 @@ class TestSolveEnergy:
         cycle = [complex(np.exp(2j * phi)) for phi in (0.3, 1.1, 2.0)]
         self.script_s(monkeypatch, lambda m: cycle[m % 3])
         ham, dten = gauss_setup
-        res = solve_energy(2.5, ham, dten, coupling=0.001)
+        [res] = scan([2.5], ham, dten, coupling=0.001)
         assert res.status == "bifurcated" and res.period == 3
         # certified after 4 periodic orders (m = 3..6), settled at m = 7
         assert res.iterations == 7
@@ -458,28 +456,28 @@ class TestSolveEnergy:
         # revoked at m = 25, once |S_m - S_{m-1}| falls below 1e-3
         self.script_s(monkeypatch, lambda m: complex(np.exp(2j * (1.0 + 0.05 * (-0.8) ** m))))
         ham, dten = gauss_setup
-        res = solve_energy(2.5, ham, dten, coupling=0.001, max_iterations=cap)
+        [res] = scan([2.5], ham, dten, coupling=0.001, max_iterations=cap)
         assert res.status == status and res.period is None and res.bifurcation is None
 
     @pytest.mark.parametrize("energy", [1.0, 2.0, 3.0])
     def test_septic_unimodular_every_order(self, septic_setup, energy):
         ham, dten = septic_setup
-        res = solve_energy(energy, ham, dten, coupling=0.02)
+        [res] = scan([energy], ham, dten, coupling=0.02)
         assert res.iterations >= 1
         for s in res.history:
             assert abs(abs(s) - 1.0) < 1e-12
 
     def test_septic_small_coupling_continuity(self, septic_setup):
         ham, dten = septic_setup
-        s0 = solve_energy(1.0, ham).s_matrix
-        s1 = solve_energy(1.0, ham, dten, coupling=1e-6).s_matrix
+        s0 = scan([1.0], ham)[0].s_matrix
+        s1 = scan([1.0], ham, dten, coupling=1e-6)[0].s_matrix
         assert abs(s1 - s0) < 1e-4
         # elsewhere the first-order response dS/dg is larger, but the
         # departure from the linear S still shrinks in proportion to g
         for energy in (2.0, 3.0):
-            s0 = solve_energy(energy, ham).s_matrix
-            big = abs(solve_energy(energy, ham, dten, coupling=1e-6).s_matrix - s0)
-            small = abs(solve_energy(energy, ham, dten, coupling=1e-7).s_matrix - s0)
+            s0 = scan([energy], ham)[0].s_matrix
+            big = abs(scan([energy], ham, dten, coupling=1e-6)[0].s_matrix - s0)
+            small = abs(scan([energy], ham, dten, coupling=1e-7)[0].s_matrix - s0)
             assert big == pytest.approx(10.0 * small, rel=1e-2)
 
     def test_one_interior_solve_per_order(self, gauss_setup, trapezoid_setup, monkeypatch):
@@ -497,7 +495,7 @@ class TestSolveEnergy:
             (gauss_setup, 2.5, 0.001, 2, "max-iterations"),
         ):
             calls.clear()
-            res = solve_energy(energy, ham, dten, coupling=coupling, max_iterations=cap)
+            [res] = scan([energy], ham, dten, coupling=coupling, max_iterations=cap)
             assert res.status == status
             assert len(calls) == res.iterations
 
@@ -524,7 +522,7 @@ class TestSolveEnergy:
     def test_iteration_cap_requires_work(self, gauss_setup):
         ham, dten = gauss_setup
         with pytest.raises(ValueError):
-            solve_energy(2.5, ham, dten, coupling=0.001, max_iterations=0)
+            scan([2.5], ham, dten, coupling=0.001, max_iterations=0)
 
 
 def _config_problem(name):
@@ -546,8 +544,8 @@ class TestQuadratureConvergence:
     def test_s_settles_in_the_rule_order(self, name, atol):
         cfg, ham, _, options = _config_problem(name)
         s = [
-            solve_energy(1.0, ham, d_tensor(cfg.nonlinearity_n, cfg.ell, cfg.basis_size_n, build_rule(order, cfg.ell)),
-                         **options).s_matrix
+            scan([1.0], ham, d_tensor(cfg.nonlinearity_n, cfg.ell, cfg.basis_size_n, build_rule(order, cfg.ell)),
+                 **options)[0].s_matrix
             for order in (120, 320)
         ]
         assert abs(s[0] - s[1]) <= atol
@@ -565,7 +563,7 @@ class TestGridIsItsOneEnergySolves:
         results = scan(list(cfg.energies), ham, dten, **options)
         assert len(results) == len(cfg.energies)
         for energy, res in zip(cfg.energies, results):
-            assert res == solve_energy(energy, ham, dten, **options)
+            assert [res] == scan([energy], ham, dten, **options)
             assert res.energy == energy
 
     def test_stacked_orders_match_one_energy_solves(self):
@@ -577,7 +575,7 @@ class TestGridIsItsOneEnergySolves:
         results = scan(energies, ham, dten, **options)
         assert len({res.iterations for res in results}) > 10
         for energy, res in zip(energies, results):
-            assert res == solve_energy(energy, ham, dten, **options)
+            assert [res] == scan([energy], ham, dten, **options)
 
     @pytest.mark.parametrize("coupling", [0.0, 0.001])
     def test_only_the_trapped_energy_is_nudged(self, gauss_setup, coupling):
@@ -586,7 +584,7 @@ class TestGridIsItsOneEnergySolves:
         energies = [2.3, 2.45, trapped, 2.55, 2.7]
         results = scan(energies, ham, dten, coupling=coupling)
         for energy, res in zip(energies, results):
-            assert res == solve_energy(energy, ham, dten, coupling=coupling)
+            assert [res] == scan([energy], ham, dten, coupling=coupling)
             assert (res.energy != energy) == (energy == trapped)
 
 
@@ -599,7 +597,7 @@ class TestOrderMap:
     def test_iterates_reproduce_the_history(self, name, energy):
         # table4 E=3 is the period-2 cycle, run below the exactness bound
         cfg, ham, dten, options = _config_problem(name)
-        res = solve_energy(energy, ham, dten, **options)
+        [res] = scan([energy], ham, dten, **options)
         assert res.iterations >= 5
         n = ham.n_basis
         ref_s, ref_c = oscillator_reference(energy, ham.lam, ham.ell, ham.coeffs)
@@ -776,7 +774,7 @@ class TestInputsRefusedByValue:
         ham, dten = gauss_setup
         options = {"coupling": 0.001, option: bad}
         with pytest.raises(ValueError, match=re.escape(message)):
-            solve_energy(2.5, ham, dten, **options)
+            scan([2.5], ham, dten, **options)
         with pytest.raises(ValueError, match=re.escape(message)):
             scan([1.0, 2.5], ham, dten, **options)
 
@@ -787,7 +785,7 @@ class TestInputsRefusedByValue:
         with pytest.raises(ValueError, match=message):
             scan([1.0, bad, 2.0], ham)
         with pytest.raises(ValueError, match=message):
-            solve_energy(bad, ham, dten, coupling=0.001)
+            scan([bad], ham, dten, coupling=0.001)
 
     @pytest.mark.parametrize("n_basis,ell", [(20, 1), (10, 0), (30, 0)])
     def test_d_tensor_of_another_basis_refused(self, gauss_setup, rule100_l0, rule100_l1, n_basis, ell):
@@ -797,7 +795,7 @@ class TestInputsRefusedByValue:
         dten = d_tensor(1, ell, n_basis, rule100_l1 if ell else rule100_l0)
         message = re.escape(f"(n_basis, ell) = ({n_basis}, {ell})") + ".*" + re.escape("(20, 0)")
         with pytest.raises(ValueError, match=message):
-            solve_energy(2.5, ham, dten, coupling=0.001)
+            scan([2.5], ham, dten, coupling=0.001)
         with pytest.raises(ValueError, match=message):
             scan([1.0, 2.5], ham, dten, coupling=0.001)
 
@@ -808,35 +806,27 @@ class TestInputsRefusedByValue:
             assemble_linear(potential, n_basis=20, ell=0, lam=bad, rule=rule100_l0)
 
 
-class TestResonanceEnergy:
+class TestResonanceLocator:
     @staticmethod
-    def synthetic_results(energies, center, width, background=0.3):
-        out = []
-        for e in energies:
-            delta = background * e + np.arctan2(0.5 * width, center - e)
-            s = complex(np.exp(2j * delta))
-            out.append(ScatteringResult(energy=e, status="converged", history=(s,)))
-        return out
+    def synthetic_s(center, width, background=0.3):
+        """S = exp(2i delta) of a resonance of full width `width` at `center` on a phase background linear in E."""
+        def s_at(energies):
+            e = np.asarray(energies, dtype=float)
+            return np.exp(2j * (background * e + np.arctan2(0.5 * width, center - e)))
+        return s_at
 
-    def test_recovers_narrow_peak(self):
+    def test_recovers_a_peak_narrower_than_the_grid_step(self):
+        # like fig1's: 1e-3 wide, between grid points 2e-3 apart
         energies = np.arange(2.0, 3.0, 0.002)
-        results = self.synthetic_results(energies, center=2.5, width=0.01)
-        found = resonance_energy(energies, results)
-        assert found == pytest.approx(2.5, abs=0.004)
+        found, height = locate_resonance(self.synthetic_s(center=2.5013, width=0.001), energies)
+        assert found == pytest.approx(2.5013, abs=1e-6)
+        # the central difference over +-h reads 2 / width short by (2 h / width)^2 / 3, 1.3e-4 here
+        assert height == pytest.approx(2.0 / 0.001 + 0.3, rel=3e-4)
 
     def test_background_crossing_does_not_win(self):
         # a slow background drags |1 - S| to its ceiling away from the
         # peak; the phase-derivative criterion must stay on the peak
         energies = np.arange(1.0, 4.0, 0.005)
-        results = self.synthetic_results(energies, center=3.2, width=0.02, background=0.8)
-        s = np.array([r.s_matrix for r in results])
-        assert abs(energies[np.argmax(np.abs(1 - s))] - 3.2) > 0.3
-        assert resonance_energy(energies, results) == pytest.approx(3.2, abs=0.01)
-
-    def test_validation(self):
-        energies = [1.0, 2.0, 3.0]
-        results = self.synthetic_results(energies, center=2.0, width=0.1)
-        with pytest.raises(ValueError):
-            resonance_energy(energies[:2], results)
-        with pytest.raises(ValueError):
-            resonance_energy(energies[:2], results[:2])
+        s_at = self.synthetic_s(center=3.2, width=0.02, background=0.8)
+        assert abs(energies[np.argmax(np.abs(1 - s_at(energies)))] - 3.2) > 0.3
+        assert locate_resonance(s_at, energies)[0] == pytest.approx(3.2, abs=1e-6)
