@@ -303,7 +303,7 @@ class _Iteration:
 def solve_energy(
     energy: float, hamiltonian: LinearHamiltonian, dten: DTensor | None = None, **options
 ) -> ScatteringResult:
-    """The one-energy `scan`, same options. No package path calls it; the benchmark's layer tracer names it."""
+    """The one-energy `scan`, same options."""
     return scan([energy], hamiltonian, dten, **options)[0]
 
 

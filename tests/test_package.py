@@ -3,9 +3,9 @@
 Every top-level function and class in `src/jmscatter` must be named
 somewhere else in the package (as a name, an attribute or an import);
 `__init__` only re-exports, so its imports do not count, and being in
-`jmscatter.__all__` exempts nothing. Only names reached from outside are
-exempt: the console scripts' entry points, and the layer functions that
-the benchmark's tracer wraps by name (`LAYERS` in perfbench/spans.py).
+`jmscatter.__all__` exempts nothing. Only the console scripts' entry
+points are exempt, and `solver.solve_energy`, which the benchmark's
+tracer still wraps by name (ROADMAP item 1 deletes it).
 Routes that only tests reach belong in `tests/oracles.py`. Imports sit
 at the top of each module, never inside a function, so a module's
 dependencies can be read off its head. At run time the package needs
@@ -18,7 +18,6 @@ grammar that `requires-python` admits.
 
 import ast
 import importlib
-import importlib.util
 import re
 import subprocess
 import sys
@@ -41,21 +40,14 @@ def console_scripts() -> dict[str, str]:
     return dict(re.findall(r'^([\w-]+) = "([\w.]+:\w+)"$', table, re.MULTILINE))
 
 
-def traced_layers() -> set[str]:
-    """The "<module>.<function>" names of `LAYERS` in perfbench/spans.py, loaded from the file."""
-    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return {f"{module}.{function}" for module, function in spans.LAYERS}
-
-
 # Reached from outside the package, as "<module stem>.<function>": the console
-# scripts' entry points, and the layer functions the benchmark's tracer wraps.
-ENTRY_POINTS = {
+# scripts' entry points, and `solver.solve_energy`, which no package path calls
+# but perfbench/spans.py still traces by name; ROADMAP item 1 drops it from
+# `LAYERS` and deletes it.
+EXEMPT = {
     f"{module.rpartition('.')[2]}.{function}"
     for module, function in (target.split(":") for target in console_scripts().values())
-}
-TRACED = traced_layers()
+} | {"solver.solve_energy"}
 
 
 def _names(tree) -> Counter:
@@ -72,7 +64,7 @@ def _names(tree) -> Counter:
 
 
 def unreferenced() -> list[str]:
-    """Top-level definitions that no other package code names and nothing outside runs or traces."""
+    """Top-level definitions that no other package code names and nothing outside runs."""
     trees = {
         path.stem: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted(PACKAGE.glob("*.py"))
@@ -84,7 +76,7 @@ def unreferenced() -> list[str]:
             if not isinstance(definition, (ast.FunctionDef, ast.ClassDef)):
                 continue
             name = definition.name
-            if f"{stem}.{name}" in ENTRY_POINTS | TRACED:
+            if f"{stem}.{name}" in EXEMPT:
                 continue
             if everywhere[name] == _names(definition)[name]:
                 found.append(f"{stem}.{name}")

@@ -345,7 +345,6 @@ class TestSolveEnergy:
         fast = scan(energies, ham)
         for e, res in zip(energies, fast):
             assert [res] == scan([e], ham)
-            assert res == solver.solve_energy(e, ham)
 
     def test_unimodular_along_whole_history(self, gauss_setup):
         ham, dten = gauss_setup
