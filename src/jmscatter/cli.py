@@ -222,19 +222,21 @@ def _scan_results(cfg: RunConfig, override: bool) -> list[ScatteringResult]:
 
 
 def cmd_scan(cfg: RunConfig, args, out) -> None:
-    """CSV: one row per energy with status and final scattering matrix."""
+    """CSV: one row per energy with status and final scattering matrix.
+
+    A bifurcated row carries its two largest cycle values, so a period-3
+    cycle loses its third. The rows are one %-format join over each
+    result's last S.
+    """
     results = _scan_results(cfg, args.override_quadrature_bound)
     out.write("E,status,iterations,abs_one_minus_S,re_S,im_S,bif_value_a,bif_value_b\n")
-    for res in results:
-        bif_a = bif_b = ""
-        if res.bifurcation is not None:
-            bif_a = f"{res.bifurcation[0]:.6f}"
-            bif_b = f"{res.bifurcation[1]:.6f}"
-        out.write(
-            f"{res.energy:.6f},{res.status},{res.iterations},"
-            f"{res.abs_one_minus_s:.6f},{res.s_matrix.real:.6f},{res.s_matrix.imag:.6f},"
-            f"{bif_a},{bif_b}\n"
+    out.write("".join([
+        "%.6f,%s,%d,%.6f,%.6f,%.6f,%s\n" % (
+            res.energy, res.status, len(res.history) - 1, abs(1.0 - s), s.real, s.imag,
+            "%.6f,%.6f" % res.bifurcation[:2] if res.period else ",",
         )
+        for res in results for s in (res.history[-1],)
+    ]))
 
 
 def cmd_table(cfg: RunConfig, args, out) -> None:
@@ -279,7 +281,7 @@ def cmd_basis_check(cfg: RunConfig, args, out) -> None:
                   f"lambda = {cfg.lam:g}, N = {cfg.basis_size_n}\n")
         out.write("r,chi_sin,chi_reg_target,chi_cos,chi_irr_target\n")
         columns = (r.tolist(), chi_sin.tolist(), reg.tolist(), chi_cos.tolist(), irr.tolist())
-        out.write("".join(f"{a:.6f},{b:.6f},{c:.6f},{d:.6f},{e:.6f}\n" for a, b, c, d, e in zip(*columns)))
+        out.write("".join(map("%.6f,%.6f,%.6f,%.6f,%.6f\n".__mod__, zip(*columns))))
         dev_sin = float(np.abs(chi_sin - reg).max())
         dev_cos = float(np.abs(chi_cos[outer] - irr[outer]).max())
         out.write(f"# max_dev_sin = {dev_sin:.6e}\n")

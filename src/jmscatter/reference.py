@@ -34,20 +34,24 @@ from .hamiltonian import free_matrix_coeffs
 from .specfun import LAGUERRE_BLOCK, bessel_jy, finite_positive, jacobi_coefficients, laguerre_upward, re_upper_gamma_neg
 
 
-def _upward(first, second, mult: np.ndarray, off: np.ndarray, kmax: int) -> np.ndarray:
-    """x_0..x_kmax of x_{k+1} = (mult_k x_k - off_{k-1} x_{k-1}) / off_k from the seeds x_0, x_1.
+def _upward(seeds, mult: np.ndarray, off: np.ndarray, kmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """s and c, x_0..x_kmax each, of x_{k+1} = (mult_k x_k - off_{k-1} x_{k-1}) / off_k.
 
-    `mult` is (kmax+1,) for scalar seeds, or (kmax+1, B) for seed vectors
-    of B recursions that run together as the columns of the result.
+    `seeds` is ((s_0, s_1), (c_0, c_1)); both recursions advance in one
+    loop. `mult` is (kmax+1,) for scalar seeds, or (kmax+1, B) for seed
+    vectors of B recursions that run together as the columns of s and c.
     """
     if mult.ndim == 1:
         # Python floats step faster than numpy scalars or one-element arrays, to the same values.
-        first, second, mult = float(first), float(second), mult.tolist()
-    off = off.tolist()
-    x = [first, second]
-    for k in range(1, kmax):
-        x.append((mult[k] * x[k] - off[k - 1] * x[k - 1]) / off[k])
-    return np.array(x[: kmax + 1])
+        seeds, mult = [tuple(map(float, pair)) for pair in seeds], mult.tolist()
+    (s0, s1), (c0, c1) = seeds
+    s, c, off = [s0, s1], [c0, c1], off.tolist()
+    for m, op, o in zip(mult[1:kmax], off, off[1:kmax]):
+        s0, s1 = s1, (m * s1 - op * s0) / o
+        c0, c1 = c1, (m * c1 - op * c0) / o
+        s.append(s1)
+        c.append(c1)
+    return np.array(s[: kmax + 1]), np.array(c[: kmax + 1])
 
 
 def _each(func, values: np.ndarray) -> np.ndarray:
@@ -87,7 +91,7 @@ def oscillator_reference(
     seeds = ((alpha, mult[0] * alpha / b[0]), (c0, (mult[0] * c0 + tau) / b[0]))
     if energies.size == 1:
         mult, seeds = mult[:, 0], tuple((x0[0], x1[0]) for x0, x1 in seeds)
-    s, c = (_upward(x0, x1, mult, b, a.size - 1).reshape(a.size, *np.shape(energy)) for x0, x1 in seeds)
+    s, c = (x.reshape(a.size, *np.shape(energy)) for x in _upward(seeds, mult, b, a.size - 1))
     return s, c
 
 
@@ -138,9 +142,9 @@ def laguerre_basis_reference(energy: float, lam: float, ell: int, kmax: int) -> 
     norm1 = math.exp(-0.5 * lgamma(2 * ell + 2))
     diag, off = jacobi_coefficients(kmax, 2 * ell)
     mult = diag * ct
-    s = _upward(pref_s * norm0, pref_s * (2.0 * nu * ct) * norm1, mult, off, kmax)
-    c1 = pref_c * (ct * hyp * (2.0 * nu * ct) - st ** (-2.0 * ell)) * norm1
-    return s, _upward(pref_c * ct * hyp * norm0, c1, mult, off, kmax)
+    s_seeds = (pref_s * norm0, pref_s * (2.0 * nu * ct) * norm1)
+    c_seeds = (pref_c * ct * hyp * norm0, pref_c * (ct * hyp * (2.0 * nu * ct) - st ** (-2.0 * ell)) * norm1)
+    return _upward((s_seeds, c_seeds), mult, off, kmax)
 
 
 def reference_coefficients(

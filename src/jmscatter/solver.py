@@ -6,12 +6,12 @@ matched from g[N-1] to the outgoing reference h = c + i s at the basis
 edge k = N-1, N and to the incoming one, its conjugate; the result is
 S_0, S_1, ... and how the iteration ended.
 Order 0 is the linear problem, solved for a block of grid energies at
-once from the eigendecomposition of H; a linear energy runs no later
-order. Phi (`_order_map`) advances a stack of the block's unsettled
-energies together: it contracts each row's coefficients of g and S into
-its effective interaction R, refuses a row whose H + c R - E is too
-ill-conditioned and solves the others' edge columns of
-(H + c R - E)^{-1} by LU. Most rows' condition is certified from the
+once from the eigendecomposition of H; a linear energy's result is its
+order-0 S, and it builds no iteration state. Phi (`_order_map`) advances
+a stack of the block's unsettled energies together: it contracts each
+row's coefficients of g and S into its effective interaction R, refuses
+a row whose H + c R - E is too ill-conditioned and solves the others'
+edge columns of (H + c R - E)^{-1} by LU. Most rows' condition is certified from the
 eigenvalues of H and R's node-weight bound ||R||_2 <= max W alone; only
 the rest take the eigenvalues of H + c R - E. An energy leaves the stack
 when its iteration ends, and every row's g equals bit for bit its
@@ -272,7 +272,7 @@ class _Iteration:
     def __init__(self, s0: complex, orders: int, tolerance: float, bifurcation_tolerance: float):
         self.history = [s0]
         self.orders, self.tolerance, self.bifurcation_tolerance = orders, tolerance, bifurcation_tolerance
-        self.status, self.period = (None, None) if orders else ("converged", None)
+        self.status, self.period = None, None
         self.streaks, self.certified = dict.fromkeys(_PERIODS, 0), None
 
     def add(self, s: complex) -> None:
@@ -356,13 +356,17 @@ def scan(
         ref_s, ref_c = oscillator_reference(block, hamiltonian.lam, hamiltonian.ell, hamiltonian.coeffs)
         edge = (ref_c[n - 1 :] + 1j * ref_s[n - 1 :]).T
         g, conditioned = greens_spectral(hamiltonian.eigenvalues, hamiltonian.eigenvectors, block)
+        # Each energy's run: its result once the iteration has ended (a linear one ends at order 0),
+        # its _Iteration until then, None once a solve is refused.
+        grid_energies = block.tolist()
         runs = [
-            _Iteration(s0, orders, tolerance, bifurcation_tolerance) if ok else None
-            for s0, ok in zip(phase_shift(edge, g[:, -1], b_edge), conditioned.tolist())
+            None if not ok else _Iteration(s0, orders, tolerance, bifurcation_tolerance) if orders
+            else ScatteringResult(energy, "converged", (s0,))
+            for energy, s0, ok in zip(grid_energies, phase_shift(edge, g[:, -1], b_edge).tolist(), conditioned.tolist())
         ]
         # The unsettled energies' block indices, their g, E and outgoing edge references, packed in one order.
         stack, energies = np.arange(block.size), block
-        going = [run is not None and run.status is None for run in runs]
+        going = [type(run) is _Iteration for run in runs]
         while any(going):
             if not all(going):
                 keep = np.flatnonzero(going)
@@ -372,17 +376,19 @@ def scan(
                 g[part], ok = _order_map(g[part], [runs[j].history[-1] for j in rows], energies[part], edge[part],
                                          b_edge, hamiltonian, dten, coupling)
                 s_part = phase_shift(edge[part], g[part, -1], b_edge)
-                for j, row_ok, s in zip(rows, ok.tolist(), s_part):
+                for j, row_ok, s in zip(rows, ok.tolist(), s_part.tolist()):
                     if row_ok:
-                        runs[j].add(s)
+                        run = runs[j]
+                        run.add(s)
+                        if run.status is not None:
+                            runs[j] = ScatteringResult(grid_energies[j], run.status, tuple(run.history), run.period)
                     else:
                         runs[j] = None
-            going = [runs[j] is not None and runs[j].status is None for j in stack.tolist()]
+            going = [type(runs[j]) is _Iteration for j in stack.tolist()]
         results = []
-        for energy, run in zip(block.tolist(), runs):
+        for energy, run in zip(grid_energies, runs):
             if run is not None:
-                results.append(ScatteringResult(energy=energy, status=run.status, history=tuple(run.history),
-                                                period=run.period))
+                results.append(run)
             elif nudge:
                 results += solve(np.array([energy * (1.0 + _ENERGY_NUDGE)]), nudge=False)
             else:

@@ -278,8 +278,9 @@ def re_upper_gamma_neg(ell: int, u):
         raise ValueError("ell must be nonnegative")
     us = finite_positive(u, "re_upper_gamma_neg argument u")
     finite = np.zeros_like(us)
+    terms = [(math.factorial(ell - 1 - m), m) for m in range(ell)]
     for i, v in enumerate(us.tolist() if ell > 0 else ()):
-        acc = sum(math.factorial(ell - 1 - m) * v**m for m in range(ell))
+        acc = sum([f * v**m for f, m in terms])
         try:
             finite[i] = math.exp(v) * v ** (-ell) * acc
         except OverflowError:

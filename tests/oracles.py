@@ -26,8 +26,9 @@ determinant ratios, the closed-form nonlinear weight integrals, the
 associated Laguerre and Gegenbauer recursions, the bare basis values at
 a rule's nodes by one plain recursion step per degree, plain weighted
 quadrature sums, the Ei series and the oscillator reference seeds in
-scalar math, one term and one energy at a time, and the Gauss rule from
-LAPACK's tridiagonal eigensolver. `laguerre_normalized` is not
+scalar math, one term and one energy at a time, the reference
+coefficients' three-term recursion one sequence at a time, and the
+Gauss rule from LAPACK's tridiagonal eigensolver. `laguerre_normalized` is not
 independent: it reads one degree off the package's own upward recursion
 for tests that want a single polynomial value; the sine-like closed form
 reads it per degree. `locate_resonance` is a measuring tool rather than
@@ -571,6 +572,18 @@ def oscillator_seeds_scalar(energy: float, lam: float, ell: int) -> tuple[float,
     c0 = sign / math.pi * math.exp(0.5 * (math.log(2.0) + lg - math.log(lam)) + (ell + 0.5) * math.log(mu) - 0.5 * mu2)
     tau = -(lam / math.pi) * math.exp(0.5 * (math.log(lam) + lg - math.log(2.0)) + (0.5 - ell) * math.log(mu) + 0.5 * mu2)
     return alpha, c0 * gamma, tau
+
+
+def upward_scalar(first: float, second: float, mult: list, off: list, kmax: int) -> np.ndarray:
+    """x_0..x_kmax of x_{k+1} = (mult_k x_k - off_{k-1} x_{k-1}) / off_k, one sequence on its own.
+
+    The plain indexed loop that the package's `_upward`, which advances
+    s and c together, must reproduce bit for bit.
+    """
+    x = [first, second]
+    for k in range(1, kmax):
+        x.append((mult[k] * x[k] - off[k - 1] * x[k - 1]) / off[k])
+    return np.array(x[: kmax + 1])
 
 
 def hyp2f1_terminating(a: int, b: float, c: float, x: float) -> float:

@@ -1,5 +1,6 @@
 """Configuration loading, command output formats, and exit codes."""
 
+import math
 import pickle
 import re
 from dataclasses import FrozenInstanceError, fields, replace
@@ -392,6 +393,26 @@ class TestMain:
             assert fields[1] == "converged"
             # linear run: no cycle, so the bifurcation columns stay empty
             assert fields[6] == "" and fields[7] == ""
+
+    def test_scan_rows_of_scripted_results(self, tmp_path, monkeypatch):
+        # the solver is replaced by fixed results, so each row's text is pinned from its result alone
+        w = complex(0.5, math.sqrt(3.0) / 2.0)
+        results = [
+            solver.ScatteringResult(1.25, "converged", (complex(-1.0, -0.0),)),  # g = 0
+            solver.ScatteringResult(2.0 * (1.0 + 1e-6), "converged", (1j,)),  # nudged off a level
+            solver.ScatteringResult(3.0, "bifurcated", (0.6 + 0.8j, 1j, -1 + 0j, 1j, -1 + 0j), 2),
+            solver.ScatteringResult(4.0, "bifurcated", (1j, -1 + 0j, w, 1j, -1 + 0j, w), 3),
+        ]
+        monkeypatch.setattr(cli, "scan", lambda *args, **kwargs: results)
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--config", write_config(tmp_path, minimal()), "--output", str(out)]) == EXIT_OK
+        # a period-3 row has columns for two cycle values only and drops its third, 1.000000 (ROADMAP item 4)
+        assert out.read_text(encoding="utf-8").splitlines()[1:] == [
+            "1.250000,converged,0,2.000000,-1.000000,-0.000000,,",
+            "2.000002,converged,0,1.414214,0.000000,1.000000,,",
+            "3.000000,bifurcated,4,2.000000,-1.000000,0.000000,2.000000,1.414214",
+            "4.000000,bifurcated,5,1.000000,0.500000,0.866025,2.000000,1.414214",
+        ]
 
     def test_tabulated_scan_matches_piecewise_linear(self, tmp_path):
         # a tabulated potential is the piecewise-linear interpolation of its samples

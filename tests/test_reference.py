@@ -1,5 +1,6 @@
 """Regular/irregular reference solutions and their Bessel targets."""
 
+import math
 import re
 import tracemalloc
 
@@ -14,11 +15,13 @@ from jmscatter.reference import (
     oscillator_reference,
     reference_coefficients,
 )
+from jmscatter.specfun import jacobi_coefficients
 from oracles import (
     chi_reconstruct_streamed,
     laguerre_associated_normalized,
     oscillator_seeds_scalar,
     sine_like_closed_form,
+    upward_scalar,
 )
 
 FIG_PAIRS = ((0, 1.5), (1, 1.0), (2, 1.5), (3, 2.5))
@@ -150,6 +153,24 @@ def test_oscillator_energy_array_is_its_one_energy_calls(ell, lam, kmax):
         one_s, one_c = oscillator_reference(energy, lam, ell, coeffs)
         assert np.array_equal(s[:, j], one_s)
         assert np.array_equal(c[:, j], one_c)
+
+
+@pytest.mark.parametrize("basis", ["oscillator", "laguerre"])
+@pytest.mark.parametrize("ell", [0, 1, 3])
+def test_s_and_c_are_their_own_recursions(basis, ell):
+    # s and c advance in one loop; each has the bits of the plain loop from its own two seeds
+    kmax, lam = 3000, 1.0
+    for energy in (0.7, 2.3):
+        s, c = reference_coefficients(energy, lam, ell, kmax, basis=basis)
+        if basis == "oscillator":
+            a, off = free_matrix_coeffs(kmax, ell, lam)
+            mult = energy - a
+        else:
+            mu2 = (math.sqrt(2.0 * energy) / lam) ** 2
+            diag, off = jacobi_coefficients(kmax, 2 * ell)
+            mult = diag * ((mu2 - 0.25) / (mu2 + 0.25))
+        for x in (s, c):
+            assert np.array_equal(x, upward_scalar(float(x[0]), float(x[1]), mult.tolist(), off.tolist(), kmax))
 
 
 @pytest.mark.parametrize("ell", [0, 1, 2, 3])

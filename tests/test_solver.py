@@ -587,6 +587,34 @@ class TestGridIsItsOneEnergySolves:
             assert (res.energy != energy) == (energy == trapped)
 
 
+class TestLinearResults:
+    """A g = 0 energy's result is read off its order-0 S, with no iteration."""
+
+    def test_each_result_is_its_order_0_solve(self, gauss_setup):
+        # two blocks, with an eigenvalue of H in the second: its order-0 solve is refused and re-run nudged
+        ham, _ = gauss_setup
+        n = ham.n_basis
+        trapped = float(ham.eigenvalues[np.argmin(np.abs(ham.eigenvalues - 2.5))])
+        energies = np.linspace(0.5, 5.5, solver._BLOCK + 80).tolist()
+        energies[solver._BLOCK + 40] = trapped
+        results = scan(energies, ham)
+        solved = [e * (1.0 + solver._ENERGY_NUDGE) if e == trapped else e for e in energies]
+        assert [res.energy for res in results] == solved
+        ref_s, ref_c = oscillator_reference(np.array(solved), ham.lam, ham.ell, ham.coeffs)
+        g, conditioned = greens_spectral(ham.eigenvalues, ham.eigenvectors, np.array(solved))
+        assert conditioned.all()
+        want = phase_shift((ref_c[n - 1 :] + 1j * ref_s[n - 1 :]).T, g[:, -1], ham.coeffs[1][n - 1])
+        assert [(res.status, res.period, len(res.history)) for res in results] == [("converged", None, 1)] * len(energies)
+        assert np.array([res.history[0] for res in results]).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("coupling", [0.0, 0.001])
+    def test_history_entries_are_python_complex(self, gauss_setup, coupling):
+        ham, dten = gauss_setup
+        results = scan([0.9, 2.2, 2.5, 3.6], ham, dten, coupling=coupling)
+        assert (max(len(res.history) for res in results) > 1) == (coupling != 0.0)
+        assert {type(s) for res in results for s in res.history} == {complex}
+
+
 class TestOrderMap:
     """Each order m >= 1 is one pure step g <- _order_map(g, S) on the real
     edge column, where the carried S is phase_shift of the previous g's
