@@ -33,8 +33,11 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-# Largest energy or r grid a config may ask for, refused before it is built.
+# Largest energy or r grid and basis size a config may ask for, refused before it is built.
 _MAX_GRID_POINTS = 1_000_000
+# Largest quadrature order a solving verb builds a rule for: the rule's `eigh` holds
+# several Q x Q float64 arrays, 32 MB each at Q = 2000 (about 160 MB at peak).
+_MAX_QUADRATURE_ORDER = 2000
 
 
 class ConfigError(Exception):
@@ -119,6 +122,8 @@ def _parse_potential(raw: dict) -> ham.Potential:
 def _parse_energy_grid(raw: dict) -> tuple:
     if "list" in raw:
         energies = _read(raw, "energy_grid", {"list": (_NUMBERS, _REQUIRED)})["list"]
+        if len(energies) > _MAX_GRID_POINTS:
+            raise ConfigError(f"energy_grid.list must have at most {_MAX_GRID_POINTS} energies")
     else:
         spec = dict.fromkeys(("start", "stop", "step"), (_NUMBER, _REQUIRED))
         start, stop, step = _read(raw, "energy_grid", spec).values()
@@ -181,6 +186,8 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError("config root must be a mapping")
     values = _read(raw, "config", {key: entry[1:] for key, entry in _TOP_KEYS.items()})
     fields = {field: values[key] for key, (field, _, _) in _TOP_KEYS.items()}
+    if fields["basis_size_n"] > _MAX_GRID_POINTS:
+        raise ConfigError(f"key 'basis_size_N' in config must be at most {_MAX_GRID_POINTS}")
     if fields["quadrature_order"] is None:
         fields["quadrature_order"] = quadrature_bound(fields["nonlinearity_n"], fields["basis_size_n"])
     elif fields["quadrature_order"] < fields["basis_size_n"]:
@@ -189,16 +196,19 @@ def load_config(path: str) -> RunConfig:
 
 
 def _problem_rule(cfg: RunConfig) -> QuadratureRule:
-    """The config's quadrature rule, refused before it is built if there is no potential."""
+    """The config's quadrature rule, refused before it is built without a potential or above the order cap."""
     if cfg.potential is None:
         raise ConfigError("this command requires a 'potential' entry in the config")
+    if cfg.quadrature_order > _MAX_QUADRATURE_ORDER:
+        raise ConfigError(f"quadrature_order must be at most {_MAX_QUADRATURE_ORDER} for this command, "
+                          f"got {cfg.quadrature_order} (by default the exactness bound of basis_size_N)")
     return build_rule(cfg.quadrature_order, cfg.ell)
 
 
-def _build_problem(
+def _solve(
     cfg: RunConfig, rule: QuadratureRule, override: bool, dten: DTensor | None = None
-) -> tuple[ham.LinearHamiltonian, DTensor | None]:
-    """The config's Hamiltonian and D tensor; a `dten` built for its rule and basis is reused (it is scale-free)."""
+) -> tuple[ham.LinearHamiltonian, DTensor | None, list[ScatteringResult]]:
+    """The config's Hamiltonian, D tensor and scan of its energies; a given `dten` is reused (scale-free)."""
     h = ham.assemble_linear(
         cfg.potential, n_basis=cfg.basis_size_n, ell=cfg.ell, lam=cfg.lam, rule=rule
     )
@@ -209,12 +219,7 @@ def _build_problem(
             raise ConfigError(
                 f"{exc} (CLI flag: --override-quadrature-bound)"
             ) from exc
-    return h, dten
-
-
-def _scan_results(cfg: RunConfig, override: bool) -> list[ScatteringResult]:
-    h, dten = _build_problem(cfg, _problem_rule(cfg), override)
-    return scan(
+    return h, dten, scan(
         list(cfg.energies), h, dten, coupling=cfg.coupling_g, tolerance=cfg.tolerance,
         bifurcation_tolerance=cfg.bifurcation_tolerance,
         max_iterations=cfg.max_iterations,
@@ -228,7 +233,7 @@ def cmd_scan(cfg: RunConfig, args, out) -> None:
     cycle loses its third. The rows are one %-format join over each
     result's last S.
     """
-    results = _scan_results(cfg, args.override_quadrature_bound)
+    _, _, results = _solve(cfg, _problem_rule(cfg), args.override_quadrature_bound)
     out.write("E,status,iterations,abs_one_minus_S,re_S,im_S,bif_value_a,bif_value_b\n")
     out.write("".join([
         "%.6f,%s,%d,%.6f,%.6f,%.6f,%s\n" % (
@@ -241,7 +246,7 @@ def cmd_scan(cfg: RunConfig, args, out) -> None:
 
 def cmd_table(cfg: RunConfig, args, out) -> None:
     """Text table of |1 - S_m| per perturbation order m, energies as columns."""
-    results = _scan_results(cfg, args.override_quadrature_bound)
+    _, _, results = _solve(cfg, _problem_rule(cfg), args.override_quadrature_bound)
     header = ["m"] + [f"E={e:g}" for e in cfg.energies]
     out.write("\t".join(header) + "\n")
     depth = max(len(res.history) for res in results)
@@ -317,13 +322,8 @@ def stability_rows(
         # F depends on the basis size only, not on its scale.
         f_edge = ham.f_weight_quadrature(cfg.nonlinearity_n, cfg.ell, int(n_basis))[-1, -1]
         for lam in lambdas:
-            sub = replace(cfg, lam=float(lam), basis_size_n=int(n_basis))
-            h, dten = _build_problem(sub, rule, override, dten)
-            [res] = scan(
-                [energy], h, dten, coupling=sub.coupling_g, tolerance=sub.tolerance,
-                bifurcation_tolerance=sub.bifurcation_tolerance,
-                max_iterations=sub.max_iterations,
-            )
+            sub = replace(cfg, lam=float(lam), basis_size_n=int(n_basis), energies=(energy,))
+            h, dten, [res] = _solve(sub, rule, override, dten)
             near = h.eigenvalues[np.argsort(np.abs(h.eigenvalues - energy))[:5]]
             features.append(np.sort(near))
             rows.append({

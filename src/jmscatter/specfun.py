@@ -222,11 +222,11 @@ def bessel_jy(ell: int, x):
 
 
 def finite_positive(values, what: str) -> np.ndarray:
-    """`values` as a 1-d float array; an element that is not finite and positive is refused by value."""
+    """`values` as a 1-d float array; the first element that is not finite and positive is refused by value."""
     arr = np.atleast_1d(np.asarray(values, dtype=float))
-    bad = [v for v in arr.tolist() if not 0.0 < v < math.inf]
-    if bad:
-        raise ValueError(f"{what} must be finite and positive, got {bad[0]!r}")
+    if not ((arr > 0.0) & (arr < math.inf)).all():
+        bad = next(v for v in arr.tolist() if not 0.0 < v < math.inf)
+        raise ValueError(f"{what} must be finite and positive, got {bad!r}")
     return arr
 
 

@@ -12,7 +12,7 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
-from jmscatter.cli import _build_problem, _scan_results, load_config, stability_rows
+from jmscatter.cli import _problem_rule, _solve, load_config, stability_rows
 from jmscatter.hamiltonian import (
     PowerExponentialPotential,
     assemble_linear,
@@ -56,7 +56,7 @@ GAUSS_L1_CONVERGED = (0.193032, 0.324751, 0.868347, 1.962627, 0.778133, 0.123286
 
 def run_config(name, override=False):
     cfg = load_config(str(CONFIG_DIR / name))
-    return cfg, _scan_results(cfg, override)
+    return cfg, _solve(cfg, _problem_rule(cfg), override)[2]
 
 
 def test_criterion_1_trapezoid_cubic_table():
@@ -125,7 +125,7 @@ def test_criterion_4_resonance_positions():
         found = []
         for n_basis in (20, 40, 80):
             sub = replace(cfg, basis_size_n=n_basis, quadrature_order=5 * n_basis)
-            ham, _ = _build_problem(sub, build_rule(sub.quadrature_order, sub.ell), False)
+            ham, _, _ = _solve(sub, build_rule(sub.quadrature_order, sub.ell), False)
             found.append(locate_resonance(linear_s(ham), cfg.energies)[0])
         assert found[0] == pytest.approx(target, abs=near), name
         assert max(found) - min(found) < agree, f"{name}: {found}"

@@ -3,6 +3,7 @@
 import math
 import pickle
 import re
+import time
 from dataclasses import FrozenInstanceError, fields, replace
 from importlib.resources import files
 
@@ -16,7 +17,7 @@ from jmscatter.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     ConfigError,
-    _build_problem,
+    _solve,
     load_config,
     main,
     stability_rows,
@@ -24,9 +25,9 @@ from jmscatter.cli import (
 from jmscatter.hamiltonian import PiecewiseLinearPotential
 from jmscatter.linearize import quadrature_bound
 from jmscatter.quadrature import build_rule
-from jmscatter.solver import scan
 
 CONFIG_DIR = files("jmscatter") / "configs"
+SOLVING_VERBS = ("scan", "table", "stability-scan")
 
 
 def write_config(tmp_path, mapping, name="run.yaml"):
@@ -340,6 +341,49 @@ class TestMain:
         # every solve's reference coefficients are formed inside a cli.scan call
         assert outside and not any(outside)
 
+    @pytest.mark.parametrize("verb", SOLVING_VERBS)
+    def test_every_solve_gets_the_config_solver_options(self, tmp_path, monkeypatch, verb):
+        options = {"coupling_g": 0.002, "tolerance": 1e-6, "bifurcation_tolerance": 1e-2, "max_iterations": 7}
+        calls, original = [], cli.scan
+        monkeypatch.setattr(cli, "scan", lambda *a, **k: calls.append(k) or original(*a, **k))
+        argv = [verb, "--config", write_config(tmp_path, minimal(**options)), "--output", str(tmp_path / "out")]
+        if verb == "stability-scan":
+            argv += ["--lambda-grid", "0.8,1.0", "--n-grid", "6,8"]
+        assert main(argv) == EXIT_OK
+        assert len(calls) == (4 if verb == "stability-scan" else 1)
+        want = {"coupling": 0.002, "tolerance": 1e-6, "bifurcation_tolerance": 1e-2, "max_iterations": 7}
+        assert all(kwargs == want for kwargs in calls)
+
+    @pytest.mark.parametrize("sizes,message", [
+        ({"quadrature_order": 1_000_000}, "quadrature_order must be at most 2000 for this command, got 1000000"),
+        # with no quadrature_order given, the exactness bound, 1999999 at N = 10^6
+        ({"basis_size_N": 1_000_000}, "quadrature_order must be at most 2000 for this command, got 1999999"),
+        ({"basis_size_N": 1_000_001}, "'basis_size_N' in config must be at most 1000000"),
+    ])
+    def test_oversized_sizes_are_refused_before_anything_is_built(self, tmp_path, capsys, monkeypatch, sizes, message):
+        monkeypatch.setattr(cli, "build_rule", lambda *a: pytest.fail("a rule was built"))
+        mapping = minimal(**sizes)
+        if "basis_size_N" in sizes:
+            del mapping["quadrature_order"]
+        path = write_config(tmp_path, mapping)
+        # basis-check builds no quadrature rule, so only the basis size bounds it
+        for verb in SOLVING_VERBS + (("basis-check",) if sizes.get("basis_size_N", 0) > 1_000_000 else ()):
+            start = time.perf_counter()
+            assert main([verb, "--config", path]) == EXIT_CONFIG
+            assert time.perf_counter() - start < 1.0
+            assert message in capsys.readouterr().err, verb
+
+    def test_energy_list_longer_than_the_grid_bound_is_refused(self, tmp_path, capsys, monkeypatch):
+        # a real 10^6-energy YAML list takes seconds to parse, so the bound is lowered
+        monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 8)
+        energies = [1.0 + k / 8 for k in range(9)]
+        accepted = write_config(tmp_path, minimal(energy_grid={"list": energies[:8]}))
+        assert load_config(accepted).energies == tuple(energies[:8])
+        start = time.perf_counter()
+        assert main(["scan", "--config", write_config(tmp_path, minimal(energy_grid={"list": energies}))]) == EXIT_CONFIG
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == "configuration error: energy_grid.list must have at most 8 energies\n"
+
     def test_unwritable_output_is_a_config_error(self, tmp_path, capsys):
         out = tmp_path / "missing" / "out.csv"
         assert main(["scan", "--config", write_config(tmp_path, minimal()), "--output", str(out)]) == EXIT_CONFIG
@@ -460,10 +504,8 @@ class TestMain:
         assert sizes == [6, 8]
         # each row is the solve of its own (lambda, N) point with a fresh D tensor
         for row in want:
-            sub = replace(cfg, lam=row["lam"], basis_size_n=row["N"])
-            h, dten = _build_problem(sub, build_rule(cfg.quadrature_order, cfg.ell), False)
-            [res] = scan([cfg.energies[0]], h, dten, coupling=cfg.coupling_g, tolerance=cfg.tolerance,
-                         bifurcation_tolerance=cfg.bifurcation_tolerance, max_iterations=cfg.max_iterations)
+            sub = replace(cfg, lam=row["lam"], basis_size_n=row["N"], energies=cfg.energies[:1])
+            _, _, [res] = _solve(sub, build_rule(cfg.quadrature_order, cfg.ell), False)
             assert res.abs_one_minus_s == row["abs_one_minus_S"]
 
     def test_table_footnote(self, tmp_path):

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from jmscatter.cli import _scan_results, load_config
+from jmscatter.cli import _problem_rule, _solve, load_config
 
 PINNED = Path(__file__).parent / "frozen_histories.json"
 FROZEN = json.loads(PINNED.read_text(encoding="utf-8"))
@@ -31,7 +31,8 @@ FROZEN = json.loads(PINNED.read_text(encoding="utf-8"))
 def solve_rows(config: str, rows: list) -> list:
     """The scan results of `config` at the energies of its frozen rows."""
     cfg = load_config(str(files("jmscatter") / "configs" / f"{config}.yaml"))
-    return _scan_results(replace(cfg, energies=tuple(row["energy"] for row in rows)), override=True)
+    grid = replace(cfg, energies=tuple(row["energy"] for row in rows))
+    return _solve(grid, _problem_rule(cfg), override=True)[2]
 
 
 @pytest.mark.parametrize("config", sorted({row["config"] for row in FROZEN}))

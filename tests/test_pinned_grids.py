@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from jmscatter.cli import _scan_results, load_config
+from jmscatter.cli import _problem_rule, _solve, load_config
 
 PINNED = Path(__file__).parent / "pinned_grids.json"
 CONFIGS = ("table3", "table4")
@@ -27,7 +27,7 @@ S_ATOL = 1e-12
 
 def solve_grid(config: str) -> list:
     cfg = load_config(str(files("jmscatter") / "configs" / f"{config}.yaml"))
-    return _scan_results(replace(cfg, energies=tuple(ENERGIES)), override=True)
+    return _solve(replace(cfg, energies=tuple(ENERGIES)), _problem_rule(cfg), override=True)[2]
 
 
 @pytest.mark.parametrize("config", CONFIGS)

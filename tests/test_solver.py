@@ -17,7 +17,7 @@ from jmscatter.hamiltonian import (
     assemble_linear,
     f_weight_quadrature,
 )
-from jmscatter.cli import _build_problem, load_config
+from jmscatter.cli import _solve, load_config
 from jmscatter.linearize import d_tensor, quadrature_bound
 from jmscatter import solver, specfun
 from jmscatter.quadrature import build_rule
@@ -526,7 +526,7 @@ class TestSolveEnergy:
 
 def _config_problem(name):
     cfg = load_config(str(files("jmscatter") / "configs" / f"{name}.yaml"))
-    ham, dten = _build_problem(cfg, build_rule(cfg.quadrature_order, cfg.ell), override=True)
+    ham, dten, _ = _solve(cfg, build_rule(cfg.quadrature_order, cfg.ell), override=True)
     options = dict(
         coupling=cfg.coupling_g, tolerance=cfg.tolerance,
         bifurcation_tolerance=cfg.bifurcation_tolerance, max_iterations=cfg.max_iterations,

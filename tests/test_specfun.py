@@ -255,6 +255,17 @@ class TestArrayArguments:
             with pytest.raises(ArithmeticError, match=rf"= {u:g}$"):
                 sf.exp_integral_ei(grid)
 
+    @pytest.mark.parametrize("bad", [nan, inf, 0.0, -0.0, -2.5])
+    def test_finite_positive_names_a_refused_value_last_in_a_long_array(self, bad):
+        values = np.append(np.linspace(0.5, 6.0, 9999), bad)
+        with pytest.raises(ValueError) as refused:
+            sf.finite_positive(values, "scattering energy")
+        assert str(refused.value) == f"scattering energy must be finite and positive, got {bad!r}"
+        # of several refused values, the first is named
+        with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+            sf.finite_positive([1.0, bad, -1.0, nan], "u")
+        assert np.array_equal(sf.finite_positive(values[:-1], "u"), values[:-1])
+
     @pytest.mark.parametrize("bad", [0.0, -2.0, nan, inf])
     def test_non_positive_or_non_finite_u_refused(self, bad):
         grid = [1.0, bad, 2.0]
