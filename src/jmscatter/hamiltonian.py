@@ -142,12 +142,8 @@ def assemble_linear(
         raise ValueError("need at least two basis states for the edge relations")
     if rule.ell != ell:
         raise ValueError("quadrature rule was built for a different ell")
-    coeffs = free_matrix_coeffs(n_basis, ell, lam)
-    h = np.diag(coeffs[0][:n_basis].copy())
-    off = coeffs[1][: n_basis - 1]
-    idx = np.arange(n_basis - 1)
-    h[idx, idx + 1] = off
-    h[idx + 1, idx] = off
+    coeffs = a, b = free_matrix_coeffs(n_basis, ell, lam)
+    h = np.diag(a[:n_basis]) + np.diag(b[: n_basis - 1], 1) + np.diag(b[: n_basis - 1], -1)
     pot = potential_matrix(rule, potential, lam, n_basis)
     h += pot
     evals, evecs = np.linalg.eigh(h)

@@ -2,10 +2,10 @@
 
 The three-term coefficients of the normalized Laguerre family and its
 upward recursion in blocks, the pair of cylindrical Bessel functions
-J_ell and Y_ell of integer order, the exponential integral and the real
-part of the upper incomplete gamma function at negative argument. The
-last three take one argument or an array of them, and an array call
-equals its scalar calls bit for bit.
+J_ell and Y_ell of integer order, and the real part of the upper
+incomplete gamma function at negative argument, by way of the
+exponential integral. The last three take one argument or an array of
+them, and an array call equals its scalar calls bit for bit.
 
 J_ell and Y_ell come from Miller's backward recurrence up to
 x = max(50, ell) (Gautschi, SIAM Rev. 9 (1967) 24), with Y_0 and Y_1 from
@@ -35,7 +35,6 @@ __all__ = [
     "LAGUERRE_BLOCK",
     "bessel_jy",
     "re_upper_gamma_neg",
-    "exp_integral_ei",
     "finite_positive",
 ]
 
@@ -44,8 +43,6 @@ LAGUERRE_BLOCK = 64
 # Hard cap on series length; exceeding it raises instead of silently truncating.
 _SERIES_CAP = 100_000
 _SERIES_RTOL = 1e-16
-# Series terms are formed this many at a time, as running products and sums.
-_SERIES_CHUNK = 16
 # Bessel functions: Miller's recurrence up to x = max(50, ell), Hankel's expansion above;
 # below _TINY the leading series terms are exact in float64.
 _HANKEL_X, _HANKEL_TERMS, _RESCALE, _TINY = 50.0, 12, 1e250, 1e-40
@@ -124,12 +121,9 @@ def _miller(ell: int, x: np.ndarray):
     """J_ell, Y_0, Y_1 by Miller's backward recurrence from an index fixed by ell alone.
 
     J_{k-1} = (2k/x) J_k - J_{k+1} runs down from J_m = 2^-900, J_{m+1} = 0
-    and is normalized by J_0 + 2 sum J_2k = 1; a column that passes 1e250
-    is rescaled by 1e-250 with all it has accumulated. A step multiplies
-    the largest |J| by at most 2k/x + 1, so no column can pass 1e250 before
-    that bound does for the smallest x. The checks start there; for
-    ell <= 2 and x >= 0.003 they never run. Y_0 is the Neumann series and
-    Y_1 its derivative,
+    and is normalized by J_0 + 2 sum J_2k = 1; at every step a column that
+    passes 1e250 is rescaled by 1e-250 with all it has accumulated. Y_0 is
+    the Neumann series and Y_1 its derivative,
     (2/pi)[(ln(x/2) + gamma) J_1 - J_0/x + sum (-1)^k (J_2k-1 - J_2k+1)/k].
     """
     m = 2 * int((1.1 * max(_HANKEL_X, ell) + 60 + ell) // 2)
@@ -144,13 +138,10 @@ def _miller(ell: int, x: np.ndarray):
     weights = weights[:, :, None]
     two, acc = 2.0 / x, np.zeros((5, x.size))
     after, now = np.zeros_like(x), np.full_like(x, 2.0**-900)
-    # log10 of the bound on |J|, with one decade of margin against rounding.
-    bound, widest = 1.0 - 900 * math.log10(2.0), 2.0 / x.min()
     for k in range(m, 0, -1):
         acc += weights[k] * now
         below = (k * two) * now - after
-        bound += math.log10(k * widest + 1.0)
-        if bound > math.log10(_RESCALE) and np.abs(below).max() > _RESCALE:
+        if np.abs(below).max() > _RESCALE:
             shrink = np.where(np.abs(below) > _RESCALE, 1.0 / _RESCALE, 1.0)
             acc *= shrink
             now *= shrink
@@ -230,37 +221,6 @@ def finite_positive(values, what: str) -> np.ndarray:
     return arr
 
 
-def exp_integral_ei(u):
-    """Exponential integral Ei(u) for finite u > 0 by its everywhere-convergent series.
-
-    Ei(u) = gamma + ln(u) + sum_{m>=1} u^m / (m m!). All terms are positive:
-    no cancellation, truncation below 1e-16 relative, and a term that
-    overflows (u above about 713) raises at once. A 1-d array `u` sums all
-    its series together, each element stopping at its own last term, and
-    equals the scalar calls bit for bit (ln by `math.log`, which numpy's
-    log does not match in the last bit).
-    """
-    us = finite_positive(u, "exp_integral_ei argument u")
-    out, live, term = np.empty_like(us), np.arange(us.size), np.ones_like(us)
-    total = np.euler_gamma + np.array([math.log(v) for v in us.tolist()])
-    with np.errstate(over="ignore"):
-        for first in range(1, _SERIES_CAP + 1, _SERIES_CHUNK):
-            m = np.arange(first, first + _SERIES_CHUNK, dtype=float)
-            # Running products and sums take term *= u / m, total += term / m in scalar order.
-            terms = np.multiply.accumulate(np.column_stack([term, us[:, None] / m]), axis=1)[:, 1:]
-            contribs = terms / m
-            totals = np.add.accumulate(np.column_stack([total, contribs]), axis=1)[:, 1:]
-            if np.isinf(terms[:, -1]).any():  # an overflowed term stays infinite
-                raise ArithmeticError(_OVERFLOW.format(us[np.isinf(terms[:, -1])][0]))
-            stop = contribs < _SERIES_RTOL * np.abs(totals)
-            done = stop.any(axis=1)
-            out[live[done]] = totals[done, stop[done].argmax(axis=1)]
-            live, us, term, total = live[~done], us[~done], terms[~done, -1], totals[~done, -1]
-            if not live.size:
-                return out if np.ndim(u) else float(out[0])
-    raise ArithmeticError("Ei series exceeded the term cap")
-
-
 def re_upper_gamma_neg(ell: int, u):
     """Real part of the upper incomplete gamma Gamma(-ell, -u), finite u > 0; overflow raises.
 
@@ -271,8 +231,11 @@ def re_upper_gamma_neg(ell: int, u):
     Re Gamma(-ell, -u) = ((-1)^ell / ell!) [e^u u^{-ell}
                           sum_{m=0}^{ell-1} (ell-1-m)! u^m  -  Ei(u)].
 
-    A 1-d array `u` equals the scalar calls bit for bit: the finite sum
-    takes `math.exp` and Python's `**` element by element.
+    Ei(u) = gamma + ln(u) + sum_{m>=1} u^m / (m m!) has positive terms only;
+    each element stops at its first term below 1e-16 relative, and a term
+    that overflows (u above about 713) raises. A 1-d array `u` equals its
+    scalar calls bit for bit: ln and the finite sum take `math.log`,
+    `math.exp` and Python's `**` element by element.
     """
     if ell < 0:
         raise ValueError("ell must be nonnegative")
@@ -285,6 +248,22 @@ def re_upper_gamma_neg(ell: int, u):
             finite[i] = math.exp(v) * v ** (-ell) * acc
         except OverflowError:
             raise ArithmeticError(_OVERFLOW.format(v)) from None
+    ei, live, term = np.empty_like(us), np.arange(us.size), np.ones_like(us)
+    total = np.euler_gamma + np.array([math.log(v) for v in us.tolist()])
+    with np.errstate(over="ignore"):
+        for m in range(1, _SERIES_CAP + 1):
+            term = term * (us / m)
+            contrib = term / m
+            total = total + contrib
+            if np.isinf(term).any():  # an overflowed term stays infinite
+                raise ArithmeticError(_OVERFLOW.format(us[np.isinf(term)][0]))
+            done = contrib < _SERIES_RTOL * np.abs(total)
+            ei[live[done]] = total[done]
+            live, us, term, total = live[~done], us[~done], term[~done], total[~done]
+            if not live.size:
+                break
+        else:
+            raise ArithmeticError("Ei series exceeded the term cap")
     sign = -1.0 if ell % 2 else 1.0
-    out = sign / math.factorial(ell) * (finite - exp_integral_ei(us))
+    out = sign / math.factorial(ell) * (finite - ei)
     return out if np.ndim(u) else float(out[0])
