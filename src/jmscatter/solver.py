@@ -7,16 +7,19 @@ edge k = N-1, N and to the incoming one, its conjugate; the result is
 S_0, S_1, ... and how the iteration ended.
 Order 0 is the linear problem, solved for a block of grid energies at
 once from the eigendecomposition of H; a linear energy's result is its
-order-0 S, and it builds no iteration state. Phi (`_order_map`) advances
+order-0 S, as its block runs no later order. Phi (`_order_map`) advances
 a stack of the block's unsettled energies together: it contracts each
 row's coefficients of g and S into its effective interaction R, refuses
 a row whose H + c R - E is too ill-conditioned and solves the others'
 edge columns of (H + c R - E)^{-1} by LU. Most rows' condition is certified from the
 eigenvalues of H and R's node-weight bound ||R||_2 <= max W alone; only
-the rest take the eigenvalues of H + c R - E. An energy leaves the stack
-when its iteration ends, and every row's g equals bit for bit its
+the rest take the eigenvalues of H + c R - E. A block keeps its
+iteration state in arrays, one row per unsettled energy: the S history,
+the certified period and a streak counter per period. After each order
+the termination rules run on all of them at once, and an energy leaves
+the stack when its iteration ends; every row's g equals bit for bit its
 one-energy solve. Termination is convergence of S, a certified cycle of
-period 2 or 3 (checked in that order, after convergence), or the
+period 2 or 3 (the shorter period first, after convergence), or the
 iteration cap. A certification is revoked when its cycle values merge
 to within the bifurcation tolerance: that is a fixed point approached
 with alternating sign.
@@ -47,10 +50,12 @@ _ENERGY_NUDGE = 1e-6
 # a 2-core x86-64 VM with one BLAS thread).
 _BLOCK = 1024
 _STACK = 64
-# Cycle certification: this many consecutive orders must look periodic,
-# tried for each period in turn (period 2 wins over period 3).
+# Cycle certification: this many consecutive orders must look periodic
+# with one of these periods; an order looks periodic with the shortest lag
+# that brings S back within the bifurcation tolerance.
 _CYCLE_STREAK = 4
-_PERIODS = (2, 3)
+_PERIODS = np.array([2, 3])
+_STATUSES = ("converged", "bifurcated", "max-iterations")
 
 
 class SingularMatrixError(ArithmeticError):
@@ -257,49 +262,6 @@ def interior_coefficients(s: np.ndarray, edge: np.ndarray, greens_columns: np.nd
     return a
 
 
-def _periodic(history: list[complex], p: int, bifurcation_tolerance: float) -> bool:
-    """S_m returns to S_{m-p} within the tolerance, and to no nearer order."""
-    return (
-        len(history) > p
-        and abs(history[-1] - history[-1 - p]) < bifurcation_tolerance
-        and all(abs(history[-1] - history[-1 - q]) >= bifurcation_tolerance for q in range(1, p))
-    )
-
-
-class _Iteration:
-    """One energy's S history and the termination rules applied to it, order by order."""
-
-    def __init__(self, s0: complex, orders: int, tolerance: float, bifurcation_tolerance: float):
-        self.history = [s0]
-        self.orders, self.tolerance, self.bifurcation_tolerance = orders, tolerance, bifurcation_tolerance
-        self.status, self.period = None, None
-        self.streaks, self.certified = dict.fromkeys(_PERIODS, 0), None
-
-    def add(self, s: complex) -> None:
-        """Record S_m of the next order m; `status` is set once the iteration has ended."""
-        history = self.history
-        history.append(s)
-        m = len(history) - 1
-        if abs(history[-1] - history[-2]) < self.tolerance:
-            self.status = "converged"
-        elif self.certified:
-            # Merged cycle values are a fixed point approached with
-            # alternating sign: revoke the certification and go on.
-            merged = min(abs(history[-1] - history[-1 - q]) for q in range(1, self.certified))
-            if merged < self.bifurcation_tolerance:
-                self.certified = None
-                self.streaks = dict.fromkeys(_PERIODS, 0)
-            # Ride the certified cycle until its values settle.
-            elif abs(history[-1] - history[-1 - self.certified]) < self.tolerance or m == self.orders:
-                self.status, self.period = "bifurcated", self.certified
-        else:
-            for p in _PERIODS:
-                self.streaks[p] = self.streaks[p] + 1 if _periodic(history, p, self.bifurcation_tolerance) else 0
-            self.certified = next((p for p in _PERIODS if self.streaks[p] >= _CYCLE_STREAK), None)
-        if self.status is None and m == self.orders:
-            self.status = "max-iterations"
-
-
 def solve_energy(
     energy: float, hamiltonian: LinearHamiltonian, dten: DTensor | None = None, **options
 ) -> ScatteringResult:
@@ -356,39 +318,56 @@ def scan(
         ref_s, ref_c = oscillator_reference(block, hamiltonian.lam, hamiltonian.ell, hamiltonian.coeffs)
         edge = (ref_c[n - 1 :] + 1j * ref_s[n - 1 :]).T
         g, conditioned = greens_spectral(hamiltonian.eigenvalues, hamiltonian.eigenvectors, block)
-        # Each energy's run: its result once the iteration has ended (a linear one ends at order 0),
-        # its _Iteration until then, None once a solve is refused.
-        grid_energies = block.tolist()
-        runs = [
-            None if not ok else _Iteration(s0, orders, tolerance, bifurcation_tolerance) if orders
-            else ScatteringResult(energy, "converged", (s0,))
-            for energy, s0, ok in zip(grid_energies, phase_shift(edge, g[:, -1], b_edge).tolist(), conditioned.tolist())
-        ]
-        # The unsettled energies' block indices, their g, E and outgoing edge references, packed in one order.
-        stack, energies = np.arange(block.size), block
-        going = [type(run) is _Iteration for run in runs]
-        while any(going):
-            if not all(going):
-                keep = np.flatnonzero(going)
-                stack, g, energies, edge = (x[keep] for x in (stack, g, energies, edge))
-            for part in (slice(i, i + _STACK) for i in range(0, stack.size, _STACK)):
-                rows = stack[part].tolist()
-                g[part], ok = _order_map(g[part], [runs[j].history[-1] for j in rows], energies[part], edge[part],
-                                         b_edge, hamiltonian, dten, coupling)
-                s_part = phase_shift(edge[part], g[part, -1], b_edge)
-                for j, row_ok, s in zip(rows, ok.tolist(), s_part.tolist()):
-                    if row_ok:
-                        run = runs[j]
-                        run.add(s)
-                        if run.status is not None:
-                            runs[j] = ScatteringResult(grid_energies[j], run.status, tuple(run.history), run.period)
-                    else:
-                        runs[j] = None
-            going = [type(runs[j]) is _Iteration for j in stack.tolist()]
+        s0 = phase_shift(edge, g[:, -1], b_edge)
+        # Per energy: its S history as Python complex (final once its iteration has ended), its _STATUSES
+        # index (-1 for a refused solve) and its certified period (0 for none).
+        histories = [(s,) for s in s0.tolist()]
+        status, period = np.where(conditioned, 0, -1), np.zeros(block.size, dtype=int)
+        # The live energies' block indices, g, E and outgoing edge references, compacted as they end, with
+        # their S histories (S_m in column m + 3; the three columns before order 0 hold infinity, near no S),
+        # certified periods and period-2 and period-3 streaks.
+        live = np.flatnonzero(conditioned)
+        g, energies, edge = g[live], block[live], edge[live]
+        s = np.full((live.size, orders + 4), np.inf, dtype=complex)
+        s[:, 3] = s0[live]
+        cycle, streaks = np.zeros(live.size, dtype=int), np.zeros((live.size, _PERIODS.size), dtype=int)
+        for m in range(1, orders + 1):
+            ok = np.empty(live.size, dtype=bool)
+            for part in (slice(i, i + _STACK) for i in range(0, live.size, _STACK)):
+                g[part], ok[part] = _order_map(g[part], s[part, m + 2], energies[part], edge[part],
+                                               b_edge, hamiltonian, dten, coupling)
+                s[part, m + 3] = phase_shift(edge[part], g[part, -1], b_edge)
+            # lags[:, q - 1] = |S_m - S_{m-q}|; S_m looks periodic with `first`, the least q whose S_{m-q} is
+            # within the bifurcation tolerance (4 for none).
+            lags = np.abs(s[:, m + 2 : m - 1 : -1] - s[:, m + 3, None])
+            near = lags < bifurcation_tolerance
+            first = np.where(near.any(axis=1), near.argmax(axis=1) + 1, 4)
+            converged = lags[:, 0] < tolerance
+            # Cycle values that merge are a fixed point approached with alternating sign: revoke the cycle.
+            revoked = first < cycle
+            # Ride the certified cycle until its values settle, or to the cap.
+            settled = (cycle > 0) & ~revoked & ((lags[np.arange(cycle.size), cycle - 1] < tolerance) | (m == orders))
+            # Each period's streak counts the orders in a row that look periodic with it while no cycle is
+            # certified; a streak of _CYCLE_STREAK certifies its period.
+            streaks = np.where((first[:, None] == _PERIODS) & (cycle == 0)[:, None], streaks + 1, 0)
+            cycle = np.where(streaks.max(axis=1) >= _CYCLE_STREAK, first, cycle * ~revoked)
+            # An energy ends when its solve is refused, when S converges (before any cycle rule), when its
+            # cycle settles, and at the cap.
+            done = ~ok | converged | settled | (m == orders)
+            if done.any():
+                rows = live[done]
+                for j, history in zip(rows.tolist(), s[done, 3 : m + 4].tolist()):
+                    histories[j] = tuple(history)
+                verdict = np.where(ok, np.where(converged, 0, np.where(settled, 1, 2)), -1)[done]
+                status[rows], period[rows] = verdict, np.where(verdict == 1, cycle[done], 0)
+                live, g, energies, edge, s, cycle, streaks = (
+                    x[~done] for x in (live, g, energies, edge, s, cycle, streaks))
+                if not live.size:
+                    break
         results = []
-        for energy, run in zip(grid_energies, runs):
-            if run is not None:
-                results.append(run)
+        for energy, code, p, history in zip(block.tolist(), status.tolist(), period.tolist(), histories):
+            if code >= 0:
+                results.append(ScatteringResult(energy, _STATUSES[code], history, p or None))
             elif nudge:
                 results += solve(np.array([energy * (1.0 + _ENERGY_NUDGE)]), nudge=False)
             else:

@@ -232,7 +232,7 @@ def re_upper_gamma_neg(ell: int, u):
                           sum_{m=0}^{ell-1} (ell-1-m)! u^m  -  Ei(u)].
 
     Ei(u) = gamma + ln(u) + sum_{m>=1} u^m / (m m!) has positive terms only;
-    each element stops at its first term below 1e-16 relative, and a term
+    each element's sum ends at its first term below 1e-16 relative, and a term
     that overflows (u above about 713) raises. A 1-d array `u` equals its
     scalar calls bit for bit: ln and the finite sum take `math.log`,
     `math.exp` and Python's `**` element by element.
@@ -248,7 +248,7 @@ def re_upper_gamma_neg(ell: int, u):
             finite[i] = math.exp(v) * v ** (-ell) * acc
         except OverflowError:
             raise ArithmeticError(_OVERFLOW.format(v)) from None
-    ei, live, term = np.empty_like(us), np.arange(us.size), np.ones_like(us)
+    ei, term, pending = np.empty_like(us), np.ones_like(us), np.ones(us.shape, dtype=bool)
     total = np.euler_gamma + np.array([math.log(v) for v in us.tolist()])
     with np.errstate(over="ignore"):
         for m in range(1, _SERIES_CAP + 1):
@@ -257,10 +257,10 @@ def re_upper_gamma_neg(ell: int, u):
             total = total + contrib
             if np.isinf(term).any():  # an overflowed term stays infinite
                 raise ArithmeticError(_OVERFLOW.format(us[np.isinf(term)][0]))
-            done = contrib < _SERIES_RTOL * np.abs(total)
-            ei[live[done]] = total[done]
-            live, us, term, total = live[~done], us[~done], term[~done], total[~done]
-            if not live.size:
+            done = pending & (contrib < _SERIES_RTOL * np.abs(total))
+            ei[done] = total[done]
+            pending &= ~done
+            if not pending.any():
                 break
         else:
             raise ArithmeticError("Ei series exceeded the term cap")

@@ -27,8 +27,10 @@ associated Laguerre and Gegenbauer recursions, the bare basis values at
 a rule's nodes by one plain recursion step per degree, plain weighted
 quadrature sums, the Ei series and the oscillator reference seeds in
 scalar math, one term and one energy at a time, the reference
-coefficients' three-term recursion one sequence at a time, and the
-Gauss rule from LAPACK's tridiagonal eigensolver. `laguerre_normalized` is not
+coefficients' three-term recursion one sequence at a time, the Gauss
+rule from LAPACK's tridiagonal eigensolver, and the iteration's
+termination rules one order at a time on a list of Python complex.
+`laguerre_normalized` is not
 independent: it reads one degree off the package's own upward recursion
 for tests that want a single polynomial value; the sine-like closed form
 reads it per degree. `locate_resonance` is a measuring tool rather than
@@ -308,6 +310,54 @@ def phase_shift_scalar(h_plus, h_minus, g_corner, b_edge) -> complex:
 def edge_coefficients_scalar(s, h_plus, h_minus) -> list:
     """The edge entries A_k = h^-_k - S h^+_k (k = N-1, N) of one energy, in scalar complex arithmetic."""
     return [complex(hm) - np.complex128(s) * complex(hp) for hp, hm in zip(h_plus, h_minus)]
+
+
+def _periodic(history: list, p: int, bifurcation_tolerance: float) -> bool:
+    """S_m returns to S_{m-p} within the tolerance, and to no nearer order."""
+    return (
+        len(history) > p
+        and abs(history[-1] - history[-1 - p]) < bifurcation_tolerance
+        and all(abs(history[-1] - history[-1 - q]) >= bifurcation_tolerance for q in range(1, p))
+    )
+
+
+def iteration_verdict(history, orders: int, tolerance: float, bifurcation_tolerance: float) -> tuple:
+    """How one energy's iteration ends on the S sequence `history`: (status, period, last order).
+
+    The termination rules applied one order at a time in Python scalars,
+    each order's S appended to a list: convergence first, then a certified
+    cycle, revoked when its values merge within the bifurcation tolerance
+    and ridden until they settle or to the cap; otherwise one streak per
+    period counts the orders in a row that look periodic with it, and a
+    streak of 4 certifies (period 2 tried before 3). `history` holds
+    S_0 .. S_orders; `solver.scan` keeps the same rules in arrays.
+    """
+    seen = [history[0]]
+    streaks, certified = dict.fromkeys((2, 3), 0), None
+    for m in range(1, orders + 1):
+        seen.append(history[m])
+        status, period = None, None
+        if abs(seen[-1] - seen[-2]) < tolerance:
+            status = "converged"
+        elif certified:
+            # Merged cycle values are a fixed point approached with
+            # alternating sign: revoke the certification and go on.
+            merged = min(abs(seen[-1] - seen[-1 - q]) for q in range(1, certified))
+            if merged < bifurcation_tolerance:
+                certified = None
+                streaks = dict.fromkeys((2, 3), 0)
+            # Ride the certified cycle until its values settle.
+            elif abs(seen[-1] - seen[-1 - certified]) < tolerance or m == orders:
+                status, period = "bifurcated", certified
+        else:
+            for p in (2, 3):
+                streaks[p] = streaks[p] + 1 if _periodic(seen, p, bifurcation_tolerance) else 0
+            certified = next((p for p in (2, 3) if streaks[p] >= 4), None)
+        if status is None and m == orders:
+            status = "max-iterations"
+        if status is not None:
+            return status, period, m
+    return "converged", None, 0
 
 
 def locate_resonance(s_at, energies) -> tuple[float, float]:

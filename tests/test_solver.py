@@ -37,6 +37,7 @@ from oracles import (
     greens_diagonal_minor,
     greens_inverse,
     greens_offdiag_minor,
+    iteration_verdict,
     locate_resonance,
     phase_shift_scalar,
     r_matrix_pairs,
@@ -524,6 +525,110 @@ class TestSolveEnergy:
             scan([2.5], ham, dten, coupling=0.001, max_iterations=0)
 
 
+def script_rows(monkeypatch, energies, sequences):
+    """Make `scan` see S_m = sequences[i][m] for energies[i] at every order m.
+
+    `_order_map` keeps every row's g and passes every row, noting which
+    energies its stack holds; `phase_shift` then serves each of them its
+    next scripted S. Order 0 is one call over the whole block, in grid
+    order, so the grid must fit one block.
+    """
+    row = {energy: i for i, energy in enumerate(energies)}
+    served, stack = [0] * len(energies), [list(range(len(energies)))]
+
+    def order_map(g, s, stack_energies, *rest):
+        stack[0] = [row[e] for e in stack_energies.tolist()]
+        return g, np.ones(len(g), dtype=bool)
+
+    def scripted(edge, *rest):
+        out = []
+        for i in stack[0]:
+            out.append(sequences[i][served[i]])
+            served[i] += 1
+        return np.array(out, dtype=complex)
+
+    monkeypatch.setattr(solver, "_order_map", order_map)
+    monkeypatch.setattr(solver, "phase_shift", scripted)
+
+
+def planted_sequence(rng, kind, orders, tolerance, unit):
+    """S_0 .. S_orders of one kind, around a random point of the unit circle; `unit` is the bifurcation tolerance."""
+    base = complex(np.exp(2j * np.pi * rng.random()))
+    alphabet = base + unit * np.array([0.0, 0.6, 1.3, 2.5j, -0.7 + 0.7j])
+    m = np.arange(orders + 1)
+    prefix = list(rng.choice(alphabet, rng.integers(0, 6)))
+    if kind == "converge":
+        # a fixed point approached along a geometric path, from one side or with alternating sign
+        tail = base + 5 * unit * rng.uniform(-0.95, 0.95) ** m
+    elif kind == "cycle":
+        # a 2- or 3-cycle of alphabet values whose common offset shrinks (the cycle settles) or grows
+        p = rng.choice([2, 3])
+        tail = rng.choice(alphabet, p, replace=False)[m % p] + 10 * tolerance * rng.uniform(0.0, 1.2) ** m
+    elif kind == "merge":
+        # alternating steps shrinking by -0.8 per order: period 2 is certified, then its values merge
+        tail = base + rng.uniform(1.0, 20.0) * unit * (-0.8) ** m
+    elif kind == "rotation":
+        # S_m is near S_{m-2} and S_{m-3} but not S_{m-1}: period 2, not 3
+        tail = base + 0.7 * unit * np.exp(0.8j * np.pi * m)
+    elif kind == "cycle-at-cap":
+        # an exact p-cycle after far-apart values, certified p + 3 orders after it starts, exactly at the cap
+        p = rng.choice([2, 3])
+        start = max(orders - p - 3, 0)
+        prefix = [base + 7 * unit * (k + 1) for k in range(start)]
+        tail = (base + unit * np.array([-3.0, -3.0 + 4.0j, -8.0]))[m % p]
+    else:
+        # a walk on the alphabet
+        tail = rng.choice(alphabet, orders + 1)
+    return [complex(x) for x in (prefix + list(tail))[: orders + 1]]
+
+
+class TestTerminationRules:
+    """`scan` applies the termination rules to every live row of a block at
+    once; on scripted S sequences each row must end where
+    `oracles.iteration_verdict`, the rules one order at a time, ends it."""
+
+    KINDS = ("converge", "cycle", "merge", "rotation", "cycle-at-cap", "walk")
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.sampled_from([1, 3, solver._STACK + 5]),
+        cap=st.integers(1, 40),
+        tolerance=st.sampled_from([1e-8, 1e-5, 2e-3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_end_as_the_oracle_ends_them(self, gauss_setup, rows, cap, tolerance, seed):
+        # a stack of more than _STACK rows holds every kind; one or three rows take random kinds
+        rng = np.random.default_rng(seed)
+        if rows > solver._STACK:
+            kinds = [self.KINDS[i % len(self.KINDS)] for i in range(rows)]
+        else:
+            kinds = rng.choice(self.KINDS, rows)
+        sequences = [planted_sequence(rng, kind, cap, tolerance, 1e-3) for kind in kinds]
+        energies = np.linspace(0.6, 5.4, rows).tolist()
+        ham, dten = gauss_setup
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            script_rows(monkeypatch, energies, sequences)
+            results = scan(energies, ham, dten, coupling=0.001, tolerance=tolerance, bifurcation_tolerance=1e-3,
+                           max_iterations=cap)
+        for res, history in zip(results, sequences):
+            status, period, last = iteration_verdict(history, cap, tolerance, 1e-3)
+            assert (res.status, res.period, len(res.history)) == (status, period, last + 1)
+            assert res.history == tuple(history[: last + 1])
+
+    @pytest.mark.parametrize("p,cap,want", [
+        (2, 5, ("max-iterations", None, 5)), (2, 6, ("bifurcated", 2, 6)),
+        (3, 6, ("max-iterations", None, 6)), (3, 7, ("bifurcated", 3, 7)),
+    ])
+    def test_cycle_certified_at_the_cap(self, gauss_setup, monkeypatch, p, cap, want):
+        # a cycle from order 0 looks periodic from order p and is certified 4 orders later, at m = p + 3;
+        # certified at the cap it ends as max-iterations, one order later it has settled
+        values = [complex(np.exp(1j * phi)) for phi in (0.3, 1.1, 2.0)]
+        history = [values[m % p] for m in range(cap + 1)]
+        script_rows(monkeypatch, [2.5], [history])
+        [res] = scan([2.5], *gauss_setup, coupling=0.001, max_iterations=cap)
+        assert (res.status, res.period, res.iterations) == want == iteration_verdict(history, cap, 1e-8, 1e-3)
+
+
 def _config_problem(name):
     cfg = load_config(str(files("jmscatter") / "configs" / f"{name}.yaml"))
     ham, dten, _ = _solve(cfg, build_rule(cfg.quadrature_order, cfg.ell), override=True)
@@ -584,6 +689,20 @@ class TestGridIsItsOneEnergySolves:
         results = scan(energies, ham, dten, coupling=coupling)
         for energy, res in zip(energies, results):
             assert [res] == scan([energy], ham, dten, coupling=coupling)
+            assert (res.energy != energy) == (energy == trapped)
+
+    def test_nonlinear_grid_across_block_boundaries(self, monkeypatch):
+        # 40 table4 energies in blocks of 16 and stacks of 4, with an eigenvalue of H in the second block
+        monkeypatch.setattr(solver, "_BLOCK", 16)
+        monkeypatch.setattr(solver, "_STACK", 4)
+        cfg, ham, dten, options = _config_problem("table4")
+        energies = np.linspace(2.6, 3.4, 40).tolist()
+        trapped = float(ham.eigenvalues[np.argmin(np.abs(ham.eigenvalues - 3.0))])
+        energies[22] = trapped
+        results = scan(energies, ham, dten, **options)
+        assert len({res.status for res in results}) > 1
+        for energy, res in zip(energies, results):
+            assert [res] == scan([energy], ham, dten, **options)
             assert (res.energy != energy) == (energy == trapped)
 
 
