@@ -13,16 +13,16 @@ row's coefficients of g and S into its effective interaction R, refuses
 a row whose H + c R - E is too ill-conditioned and solves the others'
 edge columns of (H + c R - E)^{-1} by LU. Most rows' condition is certified from the
 eigenvalues of H and R's node-weight bound ||R||_2 <= max W alone; only
-the rest take the eigenvalues of H + c R - E. A block keeps its
-iteration state in arrays, one row per unsettled energy: the S history,
-the certified period and a streak counter per period. After each order
-the termination rules run on all of them at once, and an energy leaves
-the stack when its iteration ends; every row's g equals bit for bit its
-one-energy solve. Termination is convergence of S, a certified cycle of
-period 2 or 3 (the shorter period first, after convergence), or the
-iteration cap. A certification is revoked when its cycle values merge
-to within the bifurcation tolerance: that is a fixed point approached
-with alternating sign.
+the rest take the eigenvalues of H + c R - E. A block's unsettled
+energies keep their last S values, certified period and a streak counter
+per period in arrays, one row each, and each energy's S history grows by
+one per order it runs. After each order the termination rules run on all
+rows at once, and an energy leaves the stack when its iteration ends;
+every row's g equals bit for bit its one-energy solve. Termination is
+convergence of S, a certified cycle of period 2 or 3 (the shorter period
+first, after convergence), or the iteration cap. A certification is
+revoked when its cycle values merge to within the bifurcation tolerance:
+that is a fixed point approached with alternating sign.
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ _ENERGY_NUDGE = 1e-6
 # a 2-core x86-64 VM with one BLAS thread).
 _BLOCK = 1024
 _STACK = 64
-# Cycle certification: this many consecutive orders must look periodic
-# with one of these periods; an order looks periodic with the shortest lag
-# that brings S back within the bifurcation tolerance.
+# Cycle certification: this many consecutive orders must look periodic with one of
+# these ascending periods (the last sets how many past S a live row keeps); an order
+# looks periodic with the shortest lag that brings S back within the bifurcation tolerance.
 _CYCLE_STREAK = 4
 _PERIODS = np.array([2, 3])
 _STATUSES = ("converged", "bifurcated", "max-iterations")
@@ -319,55 +319,56 @@ def scan(
         edge = (ref_c[n - 1 :] + 1j * ref_s[n - 1 :]).T
         g, conditioned = greens_spectral(hamiltonian.eigenvalues, hamiltonian.eigenvectors, block)
         s0 = phase_shift(edge, g[:, -1], b_edge)
-        # Per energy: its S history as Python complex (final once its iteration has ended), its _STATUSES
-        # index (-1 for a refused solve) and its certified period (0 for none).
-        histories = [(s,) for s in s0.tolist()]
+        # Per energy: its S history (Python complex), _STATUSES index (-1: solve refused) and period (0: none).
+        histories = [[s] for s in s0.tolist()]
         status, period = np.where(conditioned, 0, -1), np.zeros(block.size, dtype=int)
-        # The live energies' block indices, g, E and outgoing edge references, compacted as they end, with
-        # their S histories (S_m in column m + 3; the three columns before order 0 hold infinity, near no S),
-        # certified periods and period-2 and period-3 streaks.
+        # The live energies' block indices, g, E, outgoing edge references and last `lags + 1` values of S
+        # (S_m last, infinity before order 0), certified periods and period streaks, compacted as they end.
+        lags = _PERIODS[-1]
         live = np.flatnonzero(conditioned)
         g, energies, edge = g[live], block[live], edge[live]
-        s = np.full((live.size, orders + 4), np.inf, dtype=complex)
-        s[:, 3] = s0[live]
+        s = np.column_stack((np.full((live.size, lags), np.inf), s0[live]))
         cycle, streaks = np.zeros(live.size, dtype=int), np.zeros((live.size, _PERIODS.size), dtype=int)
         for m in range(1, orders + 1):
-            ok = np.empty(live.size, dtype=bool)
+            if not live.size:
+                break
+            ok, s_m = np.empty(live.size, dtype=bool), np.empty(live.size, dtype=complex)
             for part in (slice(i, i + _STACK) for i in range(0, live.size, _STACK)):
-                g[part], ok[part] = _order_map(g[part], s[part, m + 2], energies[part], edge[part],
+                g[part], ok[part] = _order_map(g[part], s[part, -1], energies[part], edge[part],
                                                b_edge, hamiltonian, dten, coupling)
-                s[part, m + 3] = phase_shift(edge[part], g[part, -1], b_edge)
-            # lags[:, q - 1] = |S_m - S_{m-q}|; S_m looks periodic with `first`, the least q whose S_{m-q} is
-            # within the bifurcation tolerance (4 for none).
-            lags = np.abs(s[:, m + 2 : m - 1 : -1] - s[:, m + 3, None])
-            near = lags < bifurcation_tolerance
-            first = np.where(near.any(axis=1), near.argmax(axis=1) + 1, 4)
-            converged = lags[:, 0] < tolerance
-            # Cycle values that merge are a fixed point approached with alternating sign: revoke the cycle.
-            revoked = first < cycle
-            # Ride the certified cycle until its values settle, or to the cap.
-            settled = (cycle > 0) & ~revoked & ((lags[np.arange(cycle.size), cycle - 1] < tolerance) | (m == orders))
+                s_m[part] = phase_shift(edge[part], g[part, -1], b_edge)
+            for j, value in zip(live.tolist(), s_m.tolist()):
+                histories[j].append(value)
+            s = np.column_stack((s[:, 1:], s_m))
+            # dist[:, q - 1] = |S_m - S_{m-q}|; `first` is the least q with S_{m-q} near S_m (lags + 1 for none).
+            dist = np.abs(s[:, -2::-1] - s_m[:, None])
+            near = dist < bifurcation_tolerance
+            first = np.where(near.any(axis=1), near.argmax(axis=1) + 1, lags + 1)
+            converged = dist[:, 0] < tolerance
+            free, settled = cycle == 0, np.zeros(live.size, dtype=bool)
+            if not free.all():
+                # Cycle values that merge are a fixed point approached with alternating sign: revoke the cycle.
+                revoked = first < cycle
+                # Ride the certified cycle until its values settle, or to the cap.
+                settled = ~free & ~revoked & ((dist[np.arange(live.size), cycle - 1] < tolerance) | (m == orders))
+                cycle[revoked] = 0
             # Each period's streak counts the orders in a row that look periodic with it while no cycle is
             # certified; a streak of _CYCLE_STREAK certifies its period.
-            streaks = np.where((first[:, None] == _PERIODS) & (cycle == 0)[:, None], streaks + 1, 0)
-            cycle = np.where(streaks.max(axis=1) >= _CYCLE_STREAK, first, cycle * ~revoked)
+            streaks = np.where((first[:, None] == _PERIODS) & free[:, None], streaks + 1, 0)
+            cycle = np.where(streaks.max(axis=1) >= _CYCLE_STREAK, first, cycle)
             # An energy ends when its solve is refused, when S converges (before any cycle rule), when its
             # cycle settles, and at the cap.
             done = ~ok | converged | settled | (m == orders)
             if done.any():
                 rows = live[done]
-                for j, history in zip(rows.tolist(), s[done, 3 : m + 4].tolist()):
-                    histories[j] = tuple(history)
                 verdict = np.where(ok, np.where(converged, 0, np.where(settled, 1, 2)), -1)[done]
                 status[rows], period[rows] = verdict, np.where(verdict == 1, cycle[done], 0)
                 live, g, energies, edge, s, cycle, streaks = (
                     x[~done] for x in (live, g, energies, edge, s, cycle, streaks))
-                if not live.size:
-                    break
         results = []
         for energy, code, p, history in zip(block.tolist(), status.tolist(), period.tolist(), histories):
             if code >= 0:
-                results.append(ScatteringResult(energy, _STATUSES[code], history, p or None))
+                results.append(ScatteringResult(energy, _STATUSES[code], tuple(history), p or None))
             elif nudge:
                 results += solve(np.array([energy * (1.0 + _ENERGY_NUDGE)]), nudge=False)
             else:

@@ -524,6 +524,14 @@ class TestSolveEnergy:
         with pytest.raises(ValueError):
             scan([2.5], ham, dten, coupling=0.001, max_iterations=0)
 
+    def test_cap_far_beyond_the_orders_run(self, gauss_setup):
+        # a row keeps only the orders it ran, so a cap no array could hold costs nothing when every energy converges
+        ham, dten = gauss_setup
+        energies = [2.3, 2.45, 2.55, 2.7]
+        capped = scan(energies, ham, dten, coupling=0.001)
+        assert {res.status for res in capped} == {"converged"}
+        assert scan(energies, ham, dten, coupling=0.001, max_iterations=10**15) == capped
+
 
 def script_rows(monkeypatch, energies, sequences):
     """Make `scan` see S_m = sequences[i][m] for energies[i] at every order m.
