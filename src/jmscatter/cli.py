@@ -414,7 +414,7 @@ def main(argv=None) -> int:
         _VERBS[args.command][1](load_config(args.config), args, sink)
         _write_output(args.output, sink.getvalue())
     # LinAlgError subclasses ValueError, so the numerical clause comes first;
-    # the solver's SingularMatrixError is an ArithmeticError.
+    # specfun's overflow of Re Gamma(-ell, -u) is an ArithmeticError.
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -9,11 +9,12 @@ Order 0 is the linear problem, solved for a block of grid energies at
 once from the eigendecomposition of H; a linear energy's result is its
 order-0 S, as its block runs no later order. Phi (`_order_map`) advances
 a stack of the block's unsettled energies together: it contracts each
-row's coefficients of g and S into its effective interaction R, refuses
-a row whose H + c R - E is too ill-conditioned and solves the others'
-edge columns of (H + c R - E)^{-1} by LU. Most rows' condition is certified from the
-eigenvalues of H and R's node-weight bound ||R||_2 <= max W alone; only
-the rest take the eigenvalues of H + c R - E. A block's unsettled
+row's coefficients of g into its effective interaction R and solves the
+edge columns of (H + c R - E)^{-1} by one stacked LU. A level of H or of
+H + c R at the energy is a removable singularity of S: G_corner grows
+without bound, S tends to its finite limit and the coefficients stay
+finite (`interior_coefficients`), so no energy is refused or moved and
+each result carries the energy it was given. A block's unsettled
 energies keep their last S values, certified period and a streak counter
 per period in arrays, one row each, and each energy's S history grows by
 one per order it runs. After each order the termination rules run on all
@@ -38,10 +39,6 @@ from .linearize import DTensor
 from .reference import oscillator_reference
 from .specfun import finite_positive
 
-# A matrix this ill-conditioned is treated as an on-grid singularity,
-# not as data; the energy is nudged once and re-solved.
-_COND_LIMIT = 1e12
-_ENERGY_NUDGE = 1e-6
 # Order 0 of a scan runs on this many energies at a time, bounding its memory;
 # each later order advances at most _STACK of them together, for speed: the
 # stack's (B, N, N) and (B, N, Q) arrays then stay in cache (one order of 1024
@@ -56,10 +53,6 @@ _STACK = 64
 _CYCLE_STREAK = 4
 _PERIODS = np.array([2, 3])
 _STATUSES = ("converged", "bifurcated", "max-iterations")
-
-
-class SingularMatrixError(ArithmeticError):
-    """Interior resolvent is numerically singular at this energy."""
 
 
 @dataclass(frozen=True)
@@ -101,8 +94,8 @@ class ScatteringResult:
         return abs(1.0 - self.s_matrix)
 
 
-def r_matrix(dten: DTensor, coefficients: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Contract interior coefficients into the effective interaction and its norm bound.
+def r_matrix(dten: DTensor, coefficients: np.ndarray, lam: float) -> np.ndarray:
+    """Contract interior coefficients into the effective interaction.
 
     The D tensor contracted with n coefficient vectors and n conjugated
     ones is a node sum, so it is assembled in node space:
@@ -117,7 +110,7 @@ def r_matrix(dten: DTensor, coefficients: np.ndarray, lam: float) -> tuple[np.nd
     which mirrors one triangle, so R equals its transpose exactly. A
     stack of coefficient rows (..., N+1) gives a stack of R (..., N, N),
     each row its own two products. Since W >= 0 and Lambda's rows are
-    orthonormal, 0 <= R <= max W; returns R and max W per row.
+    orthonormal, 0 <= R <= max W.
     """
     a = np.asarray(coefficients, dtype=complex)
     if a.shape[-1] < dten.n_basis:
@@ -127,97 +120,37 @@ def r_matrix(dten: DTensor, coefficients: np.ndarray, lam: float) -> tuple[np.nd
     pref = (2.0 * lam**2 / factorial(dten.ell)) ** dten.n
     weight = pref * (psi[..., 0, :] ** 2 + psi[..., 1, :] ** 2) ** dten.n
     x = np.einsum("il,...l->...il", dten.stencil, np.sqrt(weight))
-    return x @ np.swapaxes(x, -1, -2), weight.max(axis=-1)
+    return x @ np.swapaxes(x, -1, -2)
 
 
-def _conditioned(gaps: np.ndarray) -> np.ndarray:
-    """Whether H - E stays within the condition limit, per row of gaps e_k - E.
-
-    max|e_k - E| / min|e_k - E| is the 2-norm condition number of the symmetric H - E.
-    """
-    distance = np.abs(gaps)
-    return distance.max(axis=-1) <= _COND_LIMIT * distance.min(axis=-1)
-
-
-def _certified(levels: np.ndarray, energies: np.ndarray, spread: np.ndarray) -> np.ndarray:
-    """Whether H + c R - E is certainly conditioned, per row, without its eigenvalues.
-
-    levels are the eigenvalues e of H, shared (N,) or one row each, and
-    spread is c max W per row (`r_matrix`). R = Lambda W Lambda^T with
-    W >= 0 and Lambda Lambda^T = I_N gives 0 <= R <= max W, so Weyl's
-    inequality puts the i-th eigenvalue of H + c R - E in
-    [e_i - E + min(0, spread), e_i - E + max(0, spread)]. With `near` the
-    least distance from 0 to these intervals and `far` their largest
-    endpoint magnitude, a row is certified when
-    far <= 1e-4 * _COND_LIMIT * near. That margin is what makes the
-    certificate agree with `_conditioned` on the eigenvalues that
-    `eigvalsh` would compute. The computed c R leaves c [0, max W] by
-    about 3 Q eps |spread| per entry (its Q-term sums and Lambda's rounded
-    orthonormality), so by at most 6 N Q eps far in norm, as
-    |spread| <= 2 far (1e-10 far at N = 160, Q = 480); eigh(H), forming
-    H + c R - E and eigvalsh itself add about N eps far. A certified row
-    has near >= 1e-8 far, so its computed condition number is at most
-    1e8 (1 + 1e-6) and eigvalsh would accept it too. A row with a NaN or
-    infinite level, energy or spread is never certified.
-    """
-    gaps = levels - np.asarray(energies, dtype=float)[:, None]
-    spread = np.asarray(spread, dtype=float)[:, None]
-    low, high = gaps + np.minimum(spread, 0.0), gaps + np.maximum(spread, 0.0)
-    near = np.maximum(np.maximum(low, -high), 0.0).min(axis=-1)
-    far = np.maximum(high, -low).max(axis=-1)
-    return np.isfinite(far) & (far <= 1e-4 * _COND_LIMIT * near)
-
-
-def greens_spectral(
-    eigenvalues: np.ndarray, eigenvectors: np.ndarray, energies: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def greens_spectral(eigenvalues: np.ndarray, eigenvectors: np.ndarray, energies: np.ndarray) -> np.ndarray:
     """Edge columns G[:, N-1] of the interior resolvent (H - E)^{-1}, one per energy.
 
     With H = V diag(e) V^T, G[:, N-1] = V (V[N-1, :] / (e - E)), one
     matrix-vector product per energy: the stacked matmul runs one per
     slice, so a column never depends on the other energies. Returns the
-    (B, N) columns for the (B,) energies and the mask of energies whose
-    H - E passes the condition test; a refused row is never divided by
-    and stays zero.
+    (B, N) columns for the (B,) energies. An energy on a level of H in
+    floating point makes that gap exactly zero, and it is taken as eps
+    times the spacing of E: S (`phase_shift`) is then its limit at the
+    level to rounding, where the spacing itself would move S as far as
+    one ulp of E does (1.9e-12 at table1's narrow level near 2.517).
     """
-    gaps = eigenvalues - np.asarray(energies, dtype=float)[:, None]
-    conditioned = _conditioned(gaps)
-    columns = np.zeros(gaps.shape)
-    columns[conditioned] = np.matmul(eigenvectors, (eigenvectors[-1] / gaps[conditioned])[..., None])[..., 0]
-    return columns, conditioned
+    energies = np.asarray(energies, dtype=float)
+    gaps = eigenvalues - energies[:, None]
+    gaps = np.where(gaps == 0.0, np.finfo(float).eps * np.spacing(energies)[:, None], gaps)
+    return np.matmul(eigenvectors, (eigenvectors[-1] / gaps)[..., None])[..., 0]
 
 
-def greens_matrix(
-    shifted: np.ndarray, energies: np.ndarray, levels: np.ndarray, spread: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Edge columns of the resolvents of a (B, N, N) stack of symmetric H_eff - E, one energy each.
+def greens_matrix(shifted: np.ndarray) -> np.ndarray:
+    """Edge columns of the resolvents of a (B, N, N) stack of H_eff - E, one energy each.
 
-    Each H_eff is H + c R with R positive semidefinite, and the stack holds
-    H_eff - E for the row's energy; levels are the eigenvalues of H and
-    spread is c max W per row, which bounds c ||R||_2. A row that
-    `_certified` vouches for is conditioned; the condition test of the
-    others runs on the eigenvalues of their H_eff - E, in one stacked
-    eigvalsh, and the two decide every row alike (see `_certified`). The
-    column of each conditioned row is one LU solve of
-    (H_eff - E) g = e_{N-1}, read from the stack as given. Returns the
-    (B, N) columns and the (B,) mask; a refused row never reaches the
-    solve and stays zero.
+    One stacked LU solve of (H_eff - E) g = e_{N-1}, read from the stack
+    as given; returns the (B, N) columns.
     """
-    conditioned = _certified(levels, energies, spread)
-    doubtful = np.flatnonzero(~conditioned)
-    if doubtful.size:
-        conditioned[doubtful] = _conditioned(np.linalg.eigvalsh(shifted[doubtful]))
-    every = conditioned.all()
-    solvable = shifted if every else shifted[conditioned]
     # The right-hand sides carry the stack's full shape: numpy 1.x would read an (N, 1) one as N vectors.
-    edge = np.zeros(solvable.shape[:-1] + (1,))
+    edge = np.zeros(shifted.shape[:-1] + (1,))
     edge[:, -1] = 1.0
-    solved = np.linalg.solve(solvable, edge)[..., 0]
-    if every:
-        return solved, conditioned
-    columns = np.zeros(shifted.shape[:-1])
-    columns[conditioned] = solved
-    return columns, conditioned
+    return np.linalg.solve(shifted, edge)[..., 0]
 
 
 def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -246,19 +179,24 @@ def phase_shift(edge: np.ndarray, g_corner: np.ndarray, b_edge: float) -> np.nda
     return _times(np.conj(edge[:, 0]) / edge[:, 0], np.conj(d)) / d
 
 
-def interior_coefficients(s: np.ndarray, edge: np.ndarray, greens_columns: np.ndarray, b_edge: float) -> np.ndarray:
+def interior_coefficients(edge: np.ndarray, greens_columns: np.ndarray, b_edge: float) -> np.ndarray:
     """Expansion coefficients A_0..A_N at one order, one row per energy of a stack.
 
-    s holds the B values of S, edge the (B, 2) outgoing references h and
-    greens_columns (B, N). The two edge entries come from the tail
-    solution A_k = conj(h_k) - S h_k (k = N-1, N), with the complex
-    product written out in float64 (`_times`); the interior follows from
-    the Green's function edge column acting on the edge coupling.
+    edge holds the (B, 2) outgoing references h and greens_columns (B, N).
+    The tail solution's edge coefficient A_N = conj(h_N) - S h_N, with S
+    and D = 1 + b G_corner h_N / h_{N-1} as in `phase_shift`, equals
+    Wr / (h_{N-1} D) with the Wronskian Wr = conj(h_N) h_{N-1} -
+    conj(h_{N-1}) h_N: no difference that cancels near a level of H,
+    where G_corner and D grow without bound and A_N goes to zero. The
+    complex products are written out in float64 (`_times`); A_0..A_{N-1}
+    follow from the Green's function edge column acting on the edge
+    coupling, -b G[:, N-1] A_N.
     """
-    rows, size = greens_columns.shape
-    a = np.empty((rows, size + 1), dtype=complex)
-    a[:, -2:] = np.conj(edge) - _times(np.asarray(s, dtype=complex)[:, None], edge)
-    a[:, :-2] = -b_edge * greens_columns[:, :-1] * a[:, -1:]
+    h0, h1 = edge[:, 0], edge[:, 1]
+    d = 1.0 + (b_edge * greens_columns[:, -1]) * (h1 / h0)
+    a = np.empty((greens_columns.shape[0], greens_columns.shape[1] + 1), dtype=complex)
+    a[:, -1] = (_times(np.conj(h1), h0) - _times(np.conj(h0), h1)) / _times(h0, d)
+    a[:, :-1] = -b_edge * greens_columns * a[:, -1:]
     return a
 
 
@@ -290,10 +228,8 @@ def scan(
     values themselves settle, so the reported pair is the converged cycle
     rather than its transient; values that merge revoke the cycle.
 
-    A numerically singular resolvent at any order repeats the energy's
-    whole solve once, alone, at the energy raised by the relative nudge
-    (the result carries the energy actually solved); a second one raises
-    SingularMatrixError. ValueError refuses a coupling that is not
+    Each result carries the energy it was given, on a level of H too.
+    ValueError refuses a coupling that is not
     finite, a nonzero coupling without `dten`, a `dten` built for another
     (n_basis, ell), and an energy, `tolerance` or `bifurcation_tolerance`
     that is not finite and positive.
@@ -313,29 +249,27 @@ def scan(
     n, orders = hamiltonian.n_basis, max_iterations if coupling else 0
     b_edge = hamiltonian.coeffs[1][n - 1]
 
-    def solve(block: np.ndarray, nudge: bool = True) -> list[ScatteringResult]:
-        # Order 0 of the block together, then its unsettled energies in stacks; a refusal re-solves one nudged.
+    def solve(block: np.ndarray) -> list[ScatteringResult]:
+        # Order 0 of the block together, then its unsettled energies in stacks.
         ref_s, ref_c = oscillator_reference(block, hamiltonian.lam, hamiltonian.ell, hamiltonian.coeffs)
         edge = (ref_c[n - 1 :] + 1j * ref_s[n - 1 :]).T
-        g, conditioned = greens_spectral(hamiltonian.eigenvalues, hamiltonian.eigenvectors, block)
+        g = greens_spectral(hamiltonian.eigenvalues, hamiltonian.eigenvectors, block)
         s0 = phase_shift(edge, g[:, -1], b_edge)
-        # Per energy: its S history (Python complex), _STATUSES index (-1: solve refused) and period (0: none).
+        # Per energy: its S history (Python complex), _STATUSES index and period (0: none).
         histories = [[s] for s in s0.tolist()]
-        status, period = np.where(conditioned, 0, -1), np.zeros(block.size, dtype=int)
+        status, period = np.zeros(block.size, dtype=int), np.zeros(block.size, dtype=int)
         # The live energies' block indices, g, E, outgoing edge references and last `lags + 1` values of S
         # (S_m last, infinity before order 0), certified periods and period streaks, compacted as they end.
         lags = _PERIODS[-1]
-        live = np.flatnonzero(conditioned)
-        g, energies, edge = g[live], block[live], edge[live]
-        s = np.column_stack((np.full((live.size, lags), np.inf), s0[live]))
+        live, energies = np.arange(block.size), block
+        s = np.column_stack((np.full((live.size, lags), np.inf), s0))
         cycle, streaks = np.zeros(live.size, dtype=int), np.zeros((live.size, _PERIODS.size), dtype=int)
         for m in range(1, orders + 1):
             if not live.size:
                 break
-            ok, s_m = np.empty(live.size, dtype=bool), np.empty(live.size, dtype=complex)
+            s_m = np.empty(live.size, dtype=complex)
             for part in (slice(i, i + _STACK) for i in range(0, live.size, _STACK)):
-                g[part], ok[part] = _order_map(g[part], s[part, -1], energies[part], edge[part],
-                                               b_edge, hamiltonian, dten, coupling)
+                g[part] = _order_map(g[part], energies[part], edge[part], b_edge, hamiltonian, dten, coupling)
                 s_m[part] = phase_shift(edge[part], g[part, -1], b_edge)
             for j, value in zip(live.tolist(), s_m.tolist()):
                 histories[j].append(value)
@@ -356,47 +290,36 @@ def scan(
             # certified; a streak of _CYCLE_STREAK certifies its period.
             streaks = np.where((first[:, None] == _PERIODS) & free[:, None], streaks + 1, 0)
             cycle = np.where(streaks.max(axis=1) >= _CYCLE_STREAK, first, cycle)
-            # An energy ends when its solve is refused, when S converges (before any cycle rule), when its
-            # cycle settles, and at the cap.
-            done = ~ok | converged | settled | (m == orders)
+            # An energy ends when S converges (before any cycle rule), when its cycle settles, and at the cap.
+            done = converged | settled | (m == orders)
             if done.any():
                 rows = live[done]
-                verdict = np.where(ok, np.where(converged, 0, np.where(settled, 1, 2)), -1)[done]
+                verdict = np.where(converged, 0, np.where(settled, 1, 2))[done]
                 status[rows], period[rows] = verdict, np.where(verdict == 1, cycle[done], 0)
                 live, g, energies, edge, s, cycle, streaks = (
                     x[~done] for x in (live, g, energies, edge, s, cycle, streaks))
-        results = []
-        for energy, code, p, history in zip(block.tolist(), status.tolist(), period.tolist(), histories):
-            if code >= 0:
-                results.append(ScatteringResult(energy, _STATUSES[code], tuple(history), p or None))
-            elif nudge:
-                results += solve(np.array([energy * (1.0 + _ENERGY_NUDGE)]), nudge=False)
-            else:
-                raise SingularMatrixError(f"resolvent condition number above {_COND_LIMIT:.0e} at E={energy!r}")
-        return results
+        return [ScatteringResult(energy, _STATUSES[code], tuple(history), p or None)
+                for energy, code, p, history in zip(block.tolist(), status.tolist(), period.tolist(), histories)]
 
     return [res for i in range(0, grid.size, _BLOCK) for res in solve(grid[i : i + _BLOCK])]
 
 
 def _order_map(
-    g: np.ndarray, s: np.ndarray, energies: np.ndarray, edge: np.ndarray, b_edge: float,
+    g: np.ndarray, energies: np.ndarray, edge: np.ndarray, b_edge: float,
     hamiltonian: LinearHamiltonian, dten: DTensor, coupling: float,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """One order for a stack of B energies, g <- Phi(g) row by row.
 
-    g is (B, N), s the B values of S (the caller's `phase_shift` of g's
-    corners), energies (B,) and edge the (B, 2) outgoing references.
-    Each row's coefficients of g and S give its effective interaction
-    R(a); returns the (B, N) edge columns of (H + c R(a) - E)^{-1} and
-    the (B,) mask of rows that passed the condition test
-    (`greens_matrix`, given the eigenvalues of H and each row's
-    c max W >= c ||R||_2). A row's output depends on that row alone.
+    g is (B, N), energies (B,) and edge the (B, 2) outgoing references.
+    Each row's coefficients of g give its effective interaction R(a);
+    returns the (B, N) edge columns of (H + c R(a) - E)^{-1}
+    (`greens_matrix`). A row's output depends on that row alone.
     """
-    a = interior_coefficients(s, edge, g, b_edge)
-    r, top = r_matrix(dten, a, hamiltonian.lam)
+    a = interior_coefficients(edge, g, b_edge)
+    r = r_matrix(dten, a, hamiltonian.lam)
     # R's own buffer becomes H + c R - E.
     r *= coupling
     r += hamiltonian.matrix
     diagonal = np.arange(r.shape[-1])
     r[:, diagonal, diagonal] -= energies[:, None]
-    return greens_matrix(r, energies, hamiltonian.eigenvalues, coupling * top)
+    return greens_matrix(r)

@@ -270,6 +270,16 @@ def r_matrix_expanded(dten: ExpandedDTensor, coefficients: np.ndarray, lam: floa
     return (0.5 * (raw + raw.conj().T)).real
 
 
+def node_weights(dten, coefficients: np.ndarray, lam: float) -> np.ndarray:
+    """The node weights W = (2 lam^2 / ell!)^n |psi|^{2n} of `solver.r_matrix`, from the complex psi.
+
+    One (Q,) row per coefficient row of a stack (..., N+1); `r_matrix`
+    forms its weights from Re psi and Im psi in one real product instead.
+    """
+    psi = np.asarray(coefficients, dtype=complex)[..., : dten.n_basis] @ dten.values
+    return (2.0 * lam**2 / factorial(dten.ell)) ** dten.n * (psi.real**2 + psi.imag**2) ** dten.n
+
+
 def r_matrix_pairs(dten, coefficients: np.ndarray, lam: float) -> np.ndarray:
     """Effective interaction of one coefficient row from a packed table of basis-pair products.
 
@@ -281,9 +291,7 @@ def r_matrix_pairs(dten, coefficients: np.ndarray, lam: float) -> np.ndarray:
     """
     first, second = np.triu_indices(dten.n_basis)
     pairs = dten.stencil[first].T * dten.stencil[second].T
-    psi = np.asarray(coefficients, dtype=complex)[: dten.n_basis] @ dten.values
-    pref = (2.0 * lam**2 / factorial(dten.ell)) ** dten.n
-    packed = (pref * (psi.real**2 + psi.imag**2) ** dten.n) @ pairs
+    packed = node_weights(dten, coefficients, lam) @ pairs
     r = np.empty((dten.n_basis, dten.n_basis))
     r[first, second] = r[second, first] = packed
     return r
@@ -307,9 +315,18 @@ def phase_shift_scalar(h_plus, h_minus, g_corner, b_edge) -> complex:
     return t_edge * (1.0 + coupling * r_minus) / (1.0 + coupling * r_plus)
 
 
-def edge_coefficients_scalar(s, h_plus, h_minus) -> list:
-    """The edge entries A_k = h^-_k - S h^+_k (k = N-1, N) of one energy, in scalar complex arithmetic."""
-    return [complex(hm) - np.complex128(s) * complex(hp) for hp, hm in zip(h_plus, h_minus)]
+def edge_coefficients_scalar(h_plus, h_minus, g_corner, b_edge) -> list:
+    """The edge entries A_{N-1}, A_N of one energy, in numpy scalar complex arithmetic.
+
+    A_N = Wr / (h^+_{N-1} D) with the Wronskian Wr = h^-_N h^+_{N-1} -
+    h^-_{N-1} h^+_N and D = 1 + b G_corner h^+_N / h^+_{N-1}, which is
+    h^-_N - S h^+_N for S of `phase_shift_scalar`; A_{N-1} = -b G_corner A_N.
+    """
+    hp0, hp1 = (np.complex128(x) for x in h_plus)
+    hm0, hm1 = (np.complex128(x) for x in h_minus)
+    coupling = np.float64(b_edge) * np.float64(g_corner)
+    a_n = (hm1 * hp0 - hm0 * hp1) / (hp0 * (1.0 + coupling * (hp1 / hp0)))
+    return [-np.float64(b_edge) * np.float64(g_corner) * a_n, a_n]
 
 
 def _periodic(history: list, p: int, bifurcation_tolerance: float) -> bool:

@@ -419,6 +419,19 @@ class TestMain:
         assert main(["table", "--config", path]) == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("coupling", [0.0, 0.02])
+    def test_energy_on_a_level_is_reported_as_given(self, tmp_path, coupling):
+        # a grid energy equal to a level of H in floating point is solved there, not moved
+        cfg = load_config(write_config(tmp_path, minimal(coupling_g=coupling)))
+        h, _, _ = _solve(cfg, build_rule(cfg.quadrature_order, cfg.ell), override=True)
+        level = float(h.eigenvalues[np.argmin(np.abs(h.eigenvalues - 2.0))])
+        path = write_config(tmp_path, minimal(coupling_g=coupling, energy_grid={"list": [level]}))
+        assert load_config(path).energies == (level,)
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--config", path, "--output", str(out)]) == EXIT_OK
+        row = out.read_text(encoding="utf-8").splitlines()[1].split(",")
+        assert row[0] == f"{level:.6f}" and row[1] in ("converged", "bifurcated")
+
     def test_scan_output_and_determinism(self, tmp_path):
         path = write_config(tmp_path, minimal(
             energy_grid={"start": 1.0, "stop": 1.4, "step": 0.1},
@@ -443,7 +456,7 @@ class TestMain:
         w = complex(0.5, math.sqrt(3.0) / 2.0)
         results = [
             solver.ScatteringResult(1.25, "converged", (complex(-1.0, -0.0),)),  # g = 0
-            solver.ScatteringResult(2.0 * (1.0 + 1e-6), "converged", (1j,)),  # nudged off a level
+            solver.ScatteringResult(2.0 * (1.0 + 1e-6), "converged", (1j,)),
             solver.ScatteringResult(3.0, "bifurcated", (0.6 + 0.8j, 1j, -1 + 0j, 1j, -1 + 0j), 2),
             solver.ScatteringResult(4.0, "bifurcated", (1j, -1 + 0j, w, 1j, -1 + 0j, w), 3),
         ]

@@ -160,7 +160,7 @@ class TestNodeSpaceDualRoute:
         want = r_matrix_expanded(
             d_tensor_expanded(n, ell, n_basis, rule, override=override), coeffs, lam
         )
-        got, _ = r_matrix(d_tensor(n, ell, n_basis, rule, override=override), coeffs, lam)
+        got = r_matrix(d_tensor(n, ell, n_basis, rule, override=override), coeffs, lam)
         assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
 
 
@@ -181,7 +181,7 @@ class TestEnvelopedValues:
         n_basis, lam = 20, 1.0
         pref = (2.0 * lam**2 / factorial(ell)) ** n
         e_0 = np.eye(n_basis + 1)[0]
-        r, _ = r_matrix(d_tensor(n, ell, n_basis, build_rule(100, ell)), e_0, lam)
+        r = r_matrix(d_tensor(n, ell, n_basis, build_rule(100, ell)), e_0, lam)
         got = r / pref
         want = f_weight_quadrature(n, ell, n_basis)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()

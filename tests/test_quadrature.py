@@ -136,7 +136,7 @@ class TestDeepTailNodes:
         dten = d_tensor(2, 0, 20, rule)
         coeffs = np.linspace(1.0, 2.0, 21) + 0.5j
         cut = replace(dten, values=np.where(dead, 0.0, dten.values))
-        (full, _), (kept, _) = r_matrix(dten, coeffs, 1.0), r_matrix(cut, coeffs, 1.0)
+        full, kept = r_matrix(dten, coeffs, 1.0), r_matrix(cut, coeffs, 1.0)
         assert np.array_equal(full, kept)
 
     def test_eigendecompose_consistent_with_jacobi(self):
