@@ -11,21 +11,20 @@ The module also carries the two-sided nonlinear weight integrals
     F^(n,ell)_ij = (1/ell!) int_0^inf x^{(n+1) ell} e^{-(n+1) x}
                    L~_i^ell(x) L~_j^ell(x) dx,
 
-computed exactly by a Gauss rule in the rescaled variable from one
-upward Laguerre recursion.
+read off the D tensor's own Gauss rule in the rescaled variable, where
+they are exact.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from math import lgamma
 from typing import Union
 
 import numpy as np
 
-from .quadrature import QuadratureRule, build_rule
-from .specfun import finite_positive, jacobi_coefficients, laguerre_upward
+from .linearize import d_tensor_own_rule
+from .quadrature import QuadratureRule
+from .specfun import finite_positive, jacobi_coefficients
 
 
 @dataclass(frozen=True)
@@ -160,24 +159,15 @@ def assemble_linear(
 
 
 def f_weight_quadrature(n: int, ell: int, size: int) -> np.ndarray:
-    """size x size F^(n,ell) block by exact Gauss quadrature in the rescaled variable.
+    """size x size F^(n,ell) block, exact on the D tensor's own Gauss rule of `size` nodes.
 
-    Substituting y = sigma x turns the integrand into a polynomial times
-    the weight y^{sigma ell} e^{-y}, so a rule of that weight with order
-    >= size integrates it exactly:
-
-        F_ij = sigma^{-(sigma ell + 1)} ((sigma ell)! / ell!)
-               * sum_l w_l L~_i(y_l/sigma) L~_j(y_l/sigma).
+    F is that rule's node sum with the node weight xi^{n ell} e^{-n xi},
+    which is values[0]^{2n}: R of the coefficient vector e_0 without its
+    prefactor. Its degree 2 size - 2 needs only `size` nodes, not D's bound.
     """
     if n < 1:
         raise ValueError("nonlinearity exponent n must be >= 1")
     if ell < 0:
         raise ValueError("ell must be nonnegative")
-    sigma = n + 1
-    rule = build_rule(size + 2, sigma * ell)
-    xs = rule.nodes / sigma
-    values = np.concatenate([block.copy() for block in laguerre_upward(size - 1, ell, xs)])
-    pref = math.exp(
-        lgamma(sigma * ell + 1) - lgamma(ell + 1) - (sigma * ell + 1) * math.log(sigma)
-    )
-    return pref * (values * rule.weights[np.newaxis, :]) @ values.T
+    dten = d_tensor_own_rule(n, ell, size, size)
+    return (dten.stencil * dten.values[0] ** (2 * n)) @ dten.stencil.T

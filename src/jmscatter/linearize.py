@@ -1,4 +1,4 @@
-"""Nonlinear coupling data on the Gauss grid.
+"""Nonlinear coupling data on a Gauss grid.
 
 The self-interaction couples basis functions through integrals of
 products of normalized Laguerre polynomials against the extra weight
@@ -18,18 +18,21 @@ node weight W, formed per order as the Gram product X X^T of
 X = Lambda sqrt(W) (`solver.r_matrix`), at O(N Q + N^2 Q) time and
 O(N Q) memory with no tuple enumeration.
 
-`quadrature_bound` is the exactness bound of the C tensor, not of D:
-e^{-n xi} is not a polynomial, so D converges in the rule order rather
-than being exact at any order.
+D's integrand is xi^{(n+1) ell} e^{-(n+1) xi} times a polynomial of
+degree 2(n+1)(N-1), so in y = (n+1) xi it is exact on the Gauss rule of
+weight y^{(n+1) ell} e^{-y} with `quadrature_bound` nodes. At or above
+the bound D is built there; below it, under the override, D projects
+on the basis rule and only converges in that rule's order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial, sqrt
 
 import numpy as np
 
-from .quadrature import QuadratureRule
+from .quadrature import QuadratureRule, build_rule
 from .specfun import laguerre_upward
 
 
@@ -37,9 +40,10 @@ from .specfun import laguerre_upward
 class DTensor:
     """The D tensor in factored node-space form.
 
-    values[k, l] = xi_l^{ell/2} e^{-xi_l/2} L~_k(xi_l) for k < N, and
-    stencil[i, l] = Lambda_il = sqrt(w_l) L~_i(xi_l), a C-ordered copy of
-    the rule's vectors[:N]; its rows are orthonormal (Lambda Lambda^T = I_N).
+    values[k, l] = xi_l^{ell/2} e^{-xi_l/2} L~_k(xi_l) for k < N, and the
+    C-ordered stencil[i, l] = Lambda_il = sqrt(w_l) L~_i(xi_l), w_l the
+    node's weight for x^ell e^{-x} / ell!. Its rows are orthonormal only
+    to quadrature accuracy: ||Lambda||_2^2 = 1.001 on the cubic's own rule at N = 20.
     """
 
     n: int
@@ -50,7 +54,7 @@ class DTensor:
 
 
 def quadrature_bound(n: int, n_basis: int) -> int:
-    """Smallest Gauss order that integrates the C-tensor products exactly."""
+    """Smallest order of D's own Gauss rule that integrates D's products exactly."""
     return (n + 1) * n_basis - n
 
 
@@ -63,26 +67,42 @@ def _check_bound(n: int, n_basis: int, order: int, override: bool) -> None:
         )
 
 
-def d_tensor(
-    n: int,
-    ell: int,
-    n_basis: int,
-    rule: QuadratureRule,
-    override: bool = False,
-) -> DTensor:
-    """D tensor of nonlinearity order n on the rule's Gauss grid, factored.
+def d_tensor(n: int, ell: int, n_basis: int, rule: QuadratureRule, override: bool = False) -> DTensor:
+    """D tensor of nonlinearity order n, factored; independent of the basis scale.
 
-    The basis values come from the upward recursion with the envelope
-    inside every iterate, so they stay accurate where the Gauss weight is
-    tiny. The rule order must reach the C-tensor exactness bound,
-    refusable by override; a basis larger than the rule is refused
-    always. Independent of the basis scale.
+    The rule order must reach the exactness bound, refusable by override;
+    a basis larger than the rule is refused always. At or above the bound
+    D is `d_tensor_own_rule`, whatever the rule's order; below it D
+    projects on the rule's stencil, its first N eigenvector rows.
     """
     if rule.ell != ell:
         raise ValueError("quadrature rule was built for a different ell")
     if n_basis > rule.order:
         raise ValueError("basis size exceeds the quadrature order")
     _check_bound(n, n_basis, rule.order, override)
-    envelope = rule.nodes ** (0.5 * ell) * np.exp(-0.5 * rule.nodes)
-    values = np.concatenate([block.copy() for block in laguerre_upward(n_basis - 1, ell, rule.nodes, envelope)])
+    if rule.order >= quadrature_bound(n, n_basis):
+        return d_tensor_own_rule(n, ell, n_basis)
+    values = np.concatenate([block.copy() for block in _enveloped(n_basis - 1, ell, rule.nodes)])
     return DTensor(n=n, ell=ell, n_basis=n_basis, values=values, stencil=np.ascontiguousarray(rule.vectors[:n_basis]))
+
+
+def d_tensor_own_rule(n: int, ell: int, n_basis: int, order: int = 0) -> DTensor:
+    """D tensor on the y-rule, y = (n+1) xi, of `order` nodes, by default `quadrature_bound`, where D is exact.
+
+    The stencil is values * sqrt(K / c), K = ((n+1) ell)! / (ell! (n+1)),
+    with c_l the Christoffel sum of the y-rule's enveloped polynomials at
+    y_l: y_l^{(n+1) ell} e^{-y_l} over its Gauss weight. A node where c
+    underflows gets a zero stencil column.
+    """
+    sigma, order = n + 1, order or quadrature_bound(n, n_basis)
+    y = build_rule(order, sigma * ell).nodes
+    values = np.concatenate([block.copy() for block in _enveloped(n_basis - 1, ell, y / sigma)])
+    christoffel = sum((block**2).sum(axis=0) for block in _enveloped(order - 1, sigma * ell, y))
+    scale = np.divide(sqrt(factorial(sigma * ell) / (factorial(ell) * sigma)), np.sqrt(christoffel),
+                      out=np.zeros(order), where=christoffel > 0)
+    return DTensor(n=n, ell=ell, n_basis=n_basis, values=values, stencil=values * scale)
+
+
+def _enveloped(kmax: int, ell: int, x: np.ndarray):
+    """Blocks of x^{ell/2} e^{-x/2} L~_k^ell(x), k <= kmax, the envelope inside every iterate (`laguerre_upward`)."""
+    return laguerre_upward(kmax, ell, x, x ** (0.5 * ell) * np.exp(-0.5 * x))

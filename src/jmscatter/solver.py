@@ -109,8 +109,8 @@ def r_matrix(dten: DTensor, coefficients: np.ndarray, lam: float) -> np.ndarray:
     product, and R = X X^T with X = Lambda sqrt(W) from one BLAS syrk,
     which mirrors one triangle, so R equals its transpose exactly. A
     stack of coefficient rows (..., N+1) gives a stack of R (..., N, N),
-    each row its own two products. Since W >= 0 and Lambda's rows are
-    orthonormal, 0 <= R <= max W.
+    each row its own two products. Since W >= 0, 0 <= R and ||R||_2 <=
+    max W ||Lambda||_2^2, Lambda's rows orthonormal only to quadrature accuracy.
     """
     a = np.asarray(coefficients, dtype=complex)
     if a.shape[-1] < dten.n_basis:

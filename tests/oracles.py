@@ -28,7 +28,10 @@ a rule's nodes by one plain recursion step per degree, plain weighted
 quadrature sums, the Ei series and the oscillator reference seeds in
 scalar math, one term and one energy at a time, the reference
 coefficients' three-term recursion one sequence at a time, the Gauss
-rule from LAPACK's tridiagonal eigensolver, and the iteration's
+rule from LAPACK's tridiagonal eigensolver, D's own Gauss rule from
+scipy's Gauss-Laguerre roots (`own_rule`), D on a basis rule of any
+order from LAPACK's tridiagonal eigenvalues and Christoffel weights
+(`d_tensor_basis_rule`), and the iteration's
 termination rules one order at a time on a list of Python complex.
 `laguerre_normalized` is not
 independent: it reads one degree off the package's own upward recursion
@@ -47,10 +50,11 @@ from dataclasses import dataclass
 from math import factorial, lgamma
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 from scipy.optimize import minimize_scalar
+from scipy.special import roots_genlaguerre
 
-from jmscatter.linearize import _check_bound
+from jmscatter.linearize import DTensor, _check_bound, quadrature_bound
 from jmscatter.quadrature import QuadratureRule
 from jmscatter.specfun import jacobi_coefficients, laguerre_upward
 
@@ -248,6 +252,47 @@ def d_tensor_expanded(
         split_v=np.asarray(rows_v, dtype=np.int64),
         split_coeff=np.asarray(rows_c),
     )
+
+
+def own_rule(n: int, ell: int, n_basis: int) -> QuadratureRule:
+    """The Gauss rule D is built on at or above the exactness bound, as a rule in xi, from scipy.
+
+    scipy's `roots_genlaguerre` gives the `quadrature_bound` nodes y and
+    weights w of y^{(n+1) ell} e^{-y}. At xi = y/(n+1) the node sum of
+    (1/ell!) int xi^{(n+1) ell} e^{-(n+1) xi} f dxi takes the weights
+    omega = w / (ell! (n+1)^{(n+1) ell + 1}), so the rule's weights for
+    x^ell e^{-x} / ell! are omega / (xi^{n ell} e^{-n xi}), exact for
+    integrands xi^{n ell} e^{-n xi} times a polynomial of degree up to
+    2 bound - 1, and its vectors are sqrt(weights) L~_i(xi). Bare
+    values: small N only.
+    """
+    sigma = n + 1
+    y, w = roots_genlaguerre(quadrature_bound(n, n_basis), sigma * ell)
+    xi = y / sigma
+    weights = w / (factorial(ell) * sigma ** (sigma * ell + 1)) / (xi ** (n * ell) * np.exp(-n * xi))
+    values = np.array([np.broadcast_to(p, xi.shape) for p in laguerre_streamed(n_basis - 1, ell, xi)])
+    return QuadratureRule(ell=ell, order=y.size, nodes=xi, weights=weights, vectors=values * np.sqrt(weights))
+
+
+def d_tensor_basis_rule(n: int, ell: int, n_basis: int, order: int) -> DTensor:
+    """D projected on the basis rule of any order: the package's route below the bound, taken anywhere.
+
+    The nodes come from LAPACK's tridiagonal eigenvalue solver and the
+    stencil sqrt(w_l) L~_i(x_l) from the Christoffel weight
+    w_l = 1 / sum_{k<Q} L~_k(x_l)^2, formed from the enveloped values as
+    values / sqrt(sum_k (env L~_k)^2) so that deep tail nodes stay
+    finite: O(Q^2) time and never the (Q, Q) eigenvectors of `build_rule`.
+    """
+    diag, off = jacobi_coefficients(order - 1, ell)
+    x = eigvalsh_tridiagonal(diag, -off[:-1])
+    values, christoffel = [], np.zeros(order)
+    for k, p in enumerate(laguerre_streamed(order - 1, ell, x, x ** (0.5 * ell) * np.exp(-0.5 * x))):
+        christoffel += p * p
+        if k < n_basis:
+            values.append(p)
+    values = np.array(values)
+    scale = np.divide(1.0, np.sqrt(christoffel), out=np.zeros(order), where=christoffel > 0)
+    return DTensor(n=n, ell=ell, n_basis=n_basis, values=values, stencil=values * scale)
 
 
 def r_matrix_expanded(dten: ExpandedDTensor, coefficients: np.ndarray, lam: float) -> np.ndarray:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import eval_genlaguerre, gammaln
 
 from jmscatter import hamiltonian as ham
 from jmscatter.quadrature import build_rule
@@ -134,6 +136,23 @@ class TestNonlinearWeight:
         # observational diagnostic behind the basis-size choice
         values = [ham.f_weight_quadrature(1, 0, n)[-1, -1] for n in (10, 20, 40)]
         assert values[0] > values[1] > values[2] > 0
+
+    @pytest.mark.parametrize("size", [80, 120])
+    def test_edge_diagonal_matches_adaptive_quadrature(self, size):
+        # table3's F (n = 1, ell = 1) at the basis edge, where the Gauss
+        # weights of a basis rule lose their relative accuracy on the tail
+        # nodes, against scipy's quad of (1/ell!) x^(2 ell) e^(-2x) L~_k(x)^2,
+        # k = N - 1, as the square of its enveloped half. quad over [0, inf)
+        # overflows; past 8N the integrand is below e^(-8N)
+        n, ell, k = 1, 1, size - 1
+        norm = np.exp(0.5 * (gammaln(k + 1) - gammaln(k + ell + 1)))  # L~_k^2 / ell! = (k!/(k+ell)!) L_k^2
+
+        def half(x):
+            return norm * x ** (0.5 * (n + 1) * ell) * np.exp(-0.5 * (n + 1) * x) * eval_genlaguerre(k, ell, x)
+
+        want, err = quad(lambda x: half(x) ** 2, 0.0, 8.0 * size, limit=2000, epsabs=0.0, epsrel=1e-13)
+        assert err < 1e-12 * want
+        assert ham.f_weight_quadrature(n, ell, size)[-1, -1] == pytest.approx(want, rel=1e-10)
 
     def test_validation(self):
         with pytest.raises(ValueError):

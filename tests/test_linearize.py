@@ -13,8 +13,10 @@ from jmscatter.solver import r_matrix
 from oracles import (
     c_tensor_matrix_poly,
     c_tensor_quadrature,
+    d_tensor_basis_rule,
     d_tensor_expanded,
     laguerre_streamed,
+    own_rule,
     quadrature_values,
     r_matrix_expanded,
 )
@@ -145,8 +147,10 @@ class TestDTensor:
 
 class TestNodeSpaceDualRoute:
     # the node-space assembly against the expanded tuple stack contracted
-    # with its multiset splits; order None means the exactness bound, and
-    # order 10 at (2, 0, 8) sits below it, so both routes take the override
+    # with its multiset splits, on the rule D is built on: at or above the
+    # exactness bound (order None) D's own rule, which scipy's Gauss-Laguerre
+    # roots rebuild independently (`own_rule`); order 10 at (2, 0, 8) sits
+    # below it, so both routes take the override and the basis rule
     @pytest.mark.parametrize(
         "n,ell,n_basis,order",
         [(1, 0, 8, 40), (1, 1, 6, 40), (2, 1, 8, None), (2, 0, 8, 10), (3, 1, 6, 21)],
@@ -157,22 +161,55 @@ class TestNodeSpaceDualRoute:
         rng = np.random.default_rng(100 * n + 10 * ell + n_basis)
         coeffs = rng.normal(size=n_basis) + 1j * rng.normal(size=n_basis)
         lam = 1.3
+        built_on = rule if override else own_rule(n, ell, n_basis)
         want = r_matrix_expanded(
-            d_tensor_expanded(n, ell, n_basis, rule, override=override), coeffs, lam
+            d_tensor_expanded(n, ell, n_basis, built_on, override=override), coeffs, lam
         )
         got = r_matrix(d_tensor(n, ell, n_basis, rule, override=override), coeffs, lam)
         assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
 
 
+class TestOwnRule:
+    @pytest.mark.parametrize("n,ell,n_basis", [(1, 0, 20), (2, 1, 20), (1, 3, 30), (3, 0, 12)])
+    def test_d_above_the_bound_ignores_the_rule_order(self, n, ell, n_basis):
+        # at or above the bound D is built on its own rule of quadrature_bound
+        # nodes, so the config's rule order changes no bit of R
+        bound = quadrature_bound(n, n_basis)
+        rng = np.random.default_rng(bound)
+        rows = rng.normal(size=(3, n_basis + 1)) + 1j * rng.normal(size=(3, n_basis + 1))
+        first, *others = (
+            r_matrix(d_tensor(n, ell, n_basis, build_rule(order, ell)), rows, 1.1)
+            for order in (bound, 2 * bound, 5 * n_basis)
+        )
+        assert all(np.array_equal(first, other) for other in others)
+
+    @pytest.mark.parametrize(
+        "n,ell,n_basis", [(1, 0, 20), (1, 1, 20), (2, 1, 20), (1, 1, 80), (1, 1, 160), (1, 3, 60)]
+    )
+    def test_r_matches_the_basis_rule_far_above_the_bound(self, n, ell, n_basis):
+        # the basis rule only converges to R in its order; at Q = 25 N it
+        # agrees with the exact own-rule R to about 1e-12 of max|R|
+        rng = np.random.default_rng(n_basis + ell)
+        rows = rng.normal(size=(4, n_basis + 1)) + 1j * rng.normal(size=(4, n_basis + 1))
+        got = r_matrix(d_tensor(n, ell, n_basis, build_rule(quadrature_bound(n, n_basis), ell)), rows, 1.1)
+        want = r_matrix(d_tensor_basis_rule(n, ell, n_basis, 25 * n_basis), rows, 1.1)
+        for one, ref in zip(got, want):
+            assert np.abs(one - ref).max() <= 1e-11 * np.abs(ref).max()
+
+
 class TestEnvelopedValues:
     @pytest.mark.parametrize("ell", [0, 1, 3])
     def test_values_are_the_enveloped_basis(self, ell):
-        # values[k, l] = xi_l^{ell/2} e^{-xi_l/2} L~_k(xi_l), from the plain recursion with the envelope inside
-        rule = build_rule(60, ell)
-        envelope = rule.nodes ** (0.5 * ell) * np.exp(-0.5 * rule.nodes)
-        want = np.array(list(laguerre_streamed(19, ell, rule.nodes, envelope)))
-        got = d_tensor(1, ell, 20, rule).values
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        # values[k, l] = xi_l^{ell/2} e^{-xi_l/2} L~_k(xi_l), from the plain
+        # recursion with the envelope inside, at the nodes D is built on: at
+        # Q = 60, above the bound 39, the own rule's y / 2 for y of weight
+        # y^{2 ell} e^{-y}; at Q = 30, below it, the rule's own nodes
+        own = build_rule(quadrature_bound(1, 20), 2 * ell).nodes / 2
+        for order, nodes in ((60, own), (30, build_rule(30, ell).nodes)):
+            envelope = nodes ** (0.5 * ell) * np.exp(-0.5 * nodes)
+            want = np.array(list(laguerre_streamed(19, ell, nodes, envelope)))
+            got = d_tensor(1, ell, 20, build_rule(order, ell), override=order < 39).values
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     @pytest.mark.parametrize("n,ell", [(1, 0), (1, 1), (2, 1)])
     def test_r_of_the_first_basis_vector_is_f(self, n, ell):

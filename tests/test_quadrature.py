@@ -132,12 +132,18 @@ class TestDeepTailNodes:
         rule = build_rule(100, 0)
         dead = rule.weights == 0.0
         assert integrate_weighted(rule, np.where(dead, 1.0, 0.0)) == 0.0
-        # nor in the interaction: R is the same with their basis values zeroed
-        dten = d_tensor(2, 0, 20, rule)
-        coeffs = np.linspace(1.0, 2.0, 21) + 0.5j
-        cut = replace(dten, values=np.where(dead, 0.0, dten.values))
-        full, kept = r_matrix(dten, coeffs, 1.0), r_matrix(cut, coeffs, 1.0)
-        assert np.array_equal(full, kept)
+        # nor in the interaction, on the rule D is built on: below the bound
+        # (N = 40 needs 118 nodes) D projects on this rule, and at N = 200 on
+        # its own rule of 399 nodes, whose last Christoffel sums underflow and
+        # leave zero stencil columns. R is the same with their basis values zeroed
+        own = d_tensor(1, 0, 200, build_rule(399, 0))
+        own_dead = ~own.stencil.any(axis=0)
+        assert own_dead.any() and np.all(np.isfinite(own.stencil))
+        for dten, cut in ((d_tensor(2, 0, 40, rule, override=True), dead), (own, own_dead)):
+            coeffs = np.linspace(1.0, 2.0, dten.n_basis + 1) + 0.5j
+            zeroed = replace(dten, values=np.where(cut, 0.0, dten.values))
+            full, kept = r_matrix(dten, coeffs, 1.0), r_matrix(zeroed, coeffs, 1.0)
+            assert np.array_equal(full, kept)
 
     def test_eigendecompose_consistent_with_jacobi(self):
         diag, off = jacobi_coefficients(14, 1)

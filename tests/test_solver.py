@@ -187,12 +187,14 @@ def contraction():
 
 class TestRMatrix:
 
-    # Q = 300 and 400 have nodes whose Gauss weight underflows to zero;
-    # (3, 0, 20, 61) sits below the exactness bound; (2, 1, 80, 240) takes
-    # the per-row syrk above the paper's basis size
+    # Q = 300 and 400 sit far above the bound, so D is built on its own rule
+    # of 58 and 59 nodes; (3, 0, 20, 61) and (2, 0, 40, 100) sit below it
+    # and project on the basis rule, which at Q = 100 has nodes whose Gauss
+    # weight underflows to zero; (2, 1, 80, 240) takes the per-row syrk
+    # above the paper's basis size
     @pytest.mark.parametrize(
         "n,ell,n_basis,order",
-        [(1, 1, 6, 40), (2, 1, 20, 300), (3, 0, 20, 61), (1, 3, 30, 400), (2, 1, 80, 240)],
+        [(1, 1, 6, 40), (2, 1, 20, 300), (3, 0, 20, 61), (1, 3, 30, 400), (2, 1, 80, 240), (2, 0, 40, 100)],
     )
     def test_output_symmetric_real(self, n, ell, n_basis, order):
         rule = build_rule(order, ell)
@@ -203,10 +205,13 @@ class TestRMatrix:
         assert rm.dtype == np.float64
         assert np.all(np.isfinite(rm))
         assert np.array_equal(rm, rm.T)
-        # R = Lambda W Lambda^T with orthonormal stencil rows and node weights
-        # W = pref |psi|^(2n), psi carrying the envelope, gives
-        # ||R||_2 <= max W, up to the rounding of the Q-term sums
-        bound = 1 + 4 * order * np.finfo(float).eps
+        # R = Lambda W Lambda^T with node weights W = pref |psi|^(2n) >= 0,
+        # psi carrying the envelope, gives ||R||_2 <= max W ||Lambda||_2^2,
+        # up to the rounding of the Q-term sums over the Q nodes D was built
+        # on; the own rule's stencil rows are orthonormal only to quadrature
+        # accuracy (||Lambda||_2^2 = 1.001 at N = 20), the basis rule's to rounding
+        nodes = dten.stencil.shape[1]
+        bound = np.linalg.norm(dten.stencil, 2) ** 2 * (1 + 4 * nodes * np.finfo(float).eps)
         assert np.linalg.eigvalsh(rm).max() <= node_weights(dten, coeffs, 1.3).max() * bound
         # a stack of coefficient rows: one R per row, each exactly
         # symmetric and equal to its one-row call
@@ -250,8 +255,9 @@ class TestRMatrix:
             r_matrix(dten, np.ones(3), 1.0)
 
     # the pair-table route rounds each of its Q-term sums differently: a
-    # bound of 4 Q eps max|R| per entry, fixed from the dtype, and N times
-    # that for the eigenvalues (||E||_2 <= N max|E_ij|)
+    # bound of 4 Q eps max|R| per entry, Q the node count D was built on
+    # (its own rule's at or above the bound), fixed from the dtype, and N
+    # times that for the eigenvalues (||E||_2 <= N max|E_ij|)
     @pytest.mark.parametrize(
         "n,ell,n_basis,order", [(1, 0, 20, 100), (1, 1, 6, 40), (2, 1, 20, 30), (2, 1, 20, 300), (3, 0, 20, 61)]
     )
@@ -260,7 +266,7 @@ class TestRMatrix:
         dten = d_tensor(n, ell, n_basis, rule, override=order < quadrature_bound(n, n_basis))
         rng = np.random.default_rng(7 * order + n)
         rows = rng.normal(size=(5, n_basis + 1)) + 1j * rng.normal(size=(5, n_basis + 1))
-        entry_bound = 4 * order * np.finfo(float).eps
+        entry_bound = 4 * dten.stencil.shape[1] * np.finfo(float).eps
         stack = r_matrix(dten, rows, 1.1)
         for row, got in zip(rows, stack):
             want = r_matrix_pairs(dten, row, 1.1)
