@@ -173,11 +173,21 @@ RunConfig = make_dataclass(
 )
 
 
+class _UniqueKeys:
+    """Loader mixin refusing a key given twice in one mapping."""
+
+    def construct_mapping(self, node, deep=False):
+        mapping, keys = super().construct_mapping(node, deep), [self.construct_object(k) for k, _ in node.value]
+        if dup := [key for key in keys if keys.count(key) > 1]:
+            raise yaml.MarkedYAMLError("while constructing a mapping", node.start_mark, f"found duplicate key {dup[0]!r}")
+        return mapping
+
+
 def load_config(path: str) -> RunConfig:
     """Read and strictly validate a YAML run configuration (libyaml's safe loader where PyYAML has it)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+            raw = yaml.load(fh, Loader=type("Loader", (_UniqueKeys, getattr(yaml, "CSafeLoader", yaml.SafeLoader)), {}))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -9,14 +9,15 @@ D tensor
                             prod_a L~_{k_a}(xi_l)] Lambda_jl
 
 is a node sum, and contracting it with the coefficient vector only
-rebuilds xi_l^{n ell} e^{-n xi_l} |psi(xi_l)|^{2n}, psi = sum_k a_k L~_k,
-at the nodes. So it is stored factored: the basis values at the nodes,
-which carry the envelope xi^{ell/2} e^{-xi/2}, so |psi|^{2n} formed
-from them is that whole factor, and the projection stencil Lambda. The
-effective interaction is then the node sum Lambda W Lambda^T with the
-node weight W, formed per order as the Gram product X X^T of
-X = Lambda sqrt(W) (`solver.r_matrix`), at O(N Q + N^2 Q) time and
-O(N Q) memory with no tuple enumeration.
+rebuilds xi_l^{n ell} e^{-n xi_l} |psi(xi_l)|^{2n}, psi = sum_k a_k
+L~_k, at the nodes, blind to a common phase of the a_k: the solver
+passes them as real rows, so psi is real. So it is stored factored: the
+basis values at the nodes, which carry the envelope xi^{ell/2}
+e^{-xi/2}, so |psi|^{2n} formed from them is that whole factor, and the
+projection stencil Lambda. The effective interaction is then the node
+sum Lambda W Lambda^T with the node weight W, formed per order as the
+Gram product X X^T of X = Lambda sqrt(W) (`solver.r_matrix`), at O(N Q +
+N^2 Q) time and O(N Q) memory with no tuple enumeration.
 
 D's integrand is xi^{(n+1) ell} e^{-(n+1) xi} times a polynomial of
 degree 2(n+1)(N-1), so in y = (n+1) xi it is exact on the Gauss rule of
@@ -40,7 +41,9 @@ from .specfun import laguerre_upward
 class DTensor:
     """The D tensor in factored node-space form.
 
-    values[k, l] = xi_l^{ell/2} e^{-xi_l/2} L~_k(xi_l) for k < N, and the
+    values[k, l] = xi_l^{ell/2} e^{-xi_l/2} L~_k(xi_l) for k < N, which
+    turn a real coefficient row (..., N) into psi at the nodes
+    (`solver.r_matrix`), and the
     C-ordered stencil[i, l] = Lambda_il = sqrt(w_l) L~_i(xi_l), w_l the
     node's weight for x^ell e^{-x} / ell!. Its rows are orthonormal only
     to quadrature accuracy: ||Lambda||_2^2 = 1.001 on the cubic's own rule at N = 20.

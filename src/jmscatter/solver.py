@@ -8,22 +8,24 @@ S_0, S_1, ... and how the iteration ended.
 Order 0 is the linear problem, solved for a block of grid energies at
 once from the eigendecomposition of H; a linear energy's result is its
 order-0 S, as its block runs no later order. Phi (`_order_map`) advances
-a stack of the block's unsettled energies together: it contracts each
-row's coefficients of g into its effective interaction R and solves the
-edge columns of (H + c R - E)^{-1} by one stacked LU. A level of H or of
-H + c R at the energy is a removable singularity of S: G_corner grows
-without bound, S tends to its finite limit and the coefficients stay
-finite (`interior_coefficients`), so no energy is refused or moved and
-each result carries the energy it was given. A block's unsettled
-energies keep their last S values, certified period and a streak counter
-per period in arrays, one row each, and each energy's S history grows by
-one per order it runs. After each order the termination rules run on all
-rows at once, and an energy leaves the stack when its iteration ends;
-every row's g equals bit for bit its one-energy solve. Termination is
-convergence of S, a certified cycle of period 2 or 3 (the shorter period
-first, after convergence), or the iteration cap. A certification is
-revoked when its cycle values merge to within the bifurcation tolerance:
-that is a fixed point approached with alternating sign.
+a stack of the block's unsettled energies together: it scales each row's
+g into its interior coefficients, one real row up to their common phase,
+which R does not see, contracts that into its effective interaction R
+and solves the edge columns of (H + c R - E)^{-1} by one stacked LU. A
+level of H or of H + c R at the energy is a removable singularity of S:
+G_corner grows without bound, S = conj(u) / u tends to conj(h_N) / h_N
+and the rows stay finite (`interior_coefficients`), so no energy is
+refused or moved and each result carries the energy it was given. A
+block's unsettled energies keep their last S values, certified period
+and a streak counter per period in arrays, one row each, and each
+energy's S history grows by one per order it runs. After each order the
+termination rules run on all rows at once, and an energy leaves the
+stack when its iteration ends; every row's g equals bit for bit its
+one-energy solve. Termination is convergence of S, a certified cycle of
+period 2 or 3 (the shorter period first, after convergence), or the
+iteration cap. A certification is revoked when its cycle values merge to
+within the bifurcation tolerance: that is a fixed point approached with
+alternating sign.
 """
 
 from __future__ import annotations
@@ -94,8 +96,8 @@ class ScatteringResult:
         return abs(1.0 - self.s_matrix)
 
 
-def r_matrix(dten: DTensor, coefficients: np.ndarray, lam: float) -> np.ndarray:
-    """Contract interior coefficients into the effective interaction.
+def r_matrix(dten: DTensor, rows: np.ndarray, lam: float) -> np.ndarray:
+    """Contract real interior rows into the effective interaction.
 
     The D tensor contracted with n coefficient vectors and n conjugated
     ones is a node sum, so it is assembled in node space:
@@ -105,20 +107,17 @@ def r_matrix(dten: DTensor, coefficients: np.ndarray, lam: float) -> np.ndarray:
 
     with psi = sum_k a_k L~_k at the Gauss nodes; the D tensor's values
     carry xi^{ell/2} e^{-xi/2}, so |psi|^{2n} of them is the whole
-    weight. Re psi and Im psi come from one real (2, N) @ (N, Q)
-    product, and R = X X^T with X = Lambda sqrt(W) from one BLAS syrk,
-    which mirrors one triangle, so R equals its transpose exactly. A
-    stack of coefficient rows (..., N+1) gives a stack of R (..., N, N),
+    weight. R reads |psi| alone, so the rows are real
+    (`interior_coefficients`): psi is one (1, N) @ (N, Q) product per
+    row and W = pref (psi^2)^n. R = X X^T with X = Lambda sqrt(W) from
+    one BLAS syrk, which mirrors one triangle, so R equals its transpose
+    exactly. A stack of rows (..., N) gives a stack of R (..., N, N),
     each row its own two products. Since W >= 0, 0 <= R and ||R||_2 <=
-    max W ||Lambda||_2^2, Lambda's rows orthonormal only to quadrature accuracy.
+    max W ||Lambda||_2^2, Lambda's rows orthonormal only to quadrature
+    accuracy.
     """
-    a = np.asarray(coefficients, dtype=complex)
-    if a.shape[-1] < dten.n_basis:
-        raise ValueError("coefficient vector shorter than the basis")
-    a = a[..., : dten.n_basis]
-    psi = np.stack((a.real, a.imag), axis=-2) @ dten.values
-    pref = (2.0 * lam**2 / factorial(dten.ell)) ** dten.n
-    weight = pref * (psi[..., 0, :] ** 2 + psi[..., 1, :] ** 2) ** dten.n
+    psi = (rows[..., None, :] @ dten.values)[..., 0, :]
+    weight = (2.0 * lam**2 / factorial(dten.ell)) ** dten.n * (psi**2) ** dten.n
     x = np.einsum("il,...l->...il", dten.stencil, np.sqrt(weight))
     return x @ np.swapaxes(x, -1, -2)
 
@@ -153,51 +152,35 @@ def greens_matrix(shifted: np.ndarray) -> np.ndarray:
     return np.linalg.solve(shifted, edge)[..., 0]
 
 
-def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b for complex arrays in separate float64 operations, rounded as the scalar product.
-
-    numpy's complex multiply ufunc can differ from the scalar product in the last bit.
-    """
-    real = a.real * b.real - a.imag * b.imag
-    product = np.empty(real.shape, dtype=complex)
-    product.real = real
-    product.imag = a.real * b.imag + a.imag * b.real
-    return product
-
-
 def phase_shift(edge: np.ndarray, g_corner: np.ndarray, b_edge: float) -> np.ndarray:
     """Scattering matrix from the basis-edge matching relation, one per row of a stack.
 
     edge holds the (B, 2) outgoing references h = c + i s at k = N-1, N,
     and g_corner the (B,) corner entries G[N-1, N-1]. The incoming
-    reference c - i s is conj(h) at a real energy, so with
-    D = 1 + b G_corner h_N / h_{N-1} and T = conj(h_{N-1}) / h_{N-1},
-    S = T conj(D) / D: |T| = 1 and |conj(D) / D| = 1, so |S| = 1 up to
-    roundoff. Each entry equals the scalar formula on its own row.
+    reference c - i s is conj(h) at a real energy, so the matching
+    relation gives S = conj(u) / u, u = h_{N-1} + b G_corner h_N: |S| = 1
+    up to roundoff, and each entry equals the scalar formula on its row.
     """
-    d = 1.0 + (b_edge * g_corner) * (edge[:, 1] / edge[:, 0])
-    return _times(np.conj(edge[:, 0]) / edge[:, 0], np.conj(d)) / d
+    u = edge[:, 0] + (b_edge * g_corner) * edge[:, 1]
+    return np.conj(u) / u
 
 
 def interior_coefficients(edge: np.ndarray, greens_columns: np.ndarray, b_edge: float) -> np.ndarray:
-    """Expansion coefficients A_0..A_N at one order, one row per energy of a stack.
+    """Interior coefficients A_0..A_{N-1} up to their common phase, one real row per energy of a stack.
 
     edge holds the (B, 2) outgoing references h and greens_columns (B, N).
     The tail solution's edge coefficient A_N = conj(h_N) - S h_N, with S
-    and D = 1 + b G_corner h_N / h_{N-1} as in `phase_shift`, equals
-    Wr / (h_{N-1} D) with the Wronskian Wr = conj(h_N) h_{N-1} -
-    conj(h_{N-1}) h_N: no difference that cancels near a level of H,
-    where G_corner and D grow without bound and A_N goes to zero. The
-    complex products are written out in float64 (`_times`); A_0..A_{N-1}
-    follow from the Green's function edge column acting on the edge
-    coupling, -b G[:, N-1] A_N.
+    and u as in `phase_shift`, equals Wr / u with the Wronskian Wr =
+    conj(h_N) h_{N-1} - conj(h_{N-1}) h_N = 2i (c_N s_{N-1} - s_N c_{N-1}),
+    and A_k = -b G[k, N-1] A_N below the edge: a real column times one
+    complex number. R reads |psi| alone (`r_matrix`), so each row is the
+    real |b A_N| G[:, N-1], |b A_N| = 2 |b (c_N s_{N-1} - s_N c_{N-1})| / |u|.
+    Near a level of H, |u| grows like G_corner, so the rows stay finite.
     """
     h0, h1 = edge[:, 0], edge[:, 1]
-    d = 1.0 + (b_edge * greens_columns[:, -1]) * (h1 / h0)
-    a = np.empty((greens_columns.shape[0], greens_columns.shape[1] + 1), dtype=complex)
-    a[:, -1] = (_times(np.conj(h1), h0) - _times(np.conj(h0), h1)) / _times(h0, d)
-    a[:, :-1] = -b_edge * greens_columns * a[:, -1:]
-    return a
+    u = h0 + (b_edge * greens_columns[:, -1]) * h1
+    scale = 2.0 * np.abs(b_edge * (h1.real * h0.imag - h1.imag * h0.real)) / np.abs(u)
+    return scale[:, None] * greens_columns
 
 
 def solve_energy(

@@ -20,8 +20,10 @@ small N.
 
 The other routes here are independent of the package's production paths:
 the effective interaction from a packed table of basis-pair products at
-the nodes, the edge matching one energy at a time in scalar complex
-arithmetic, the full resolvent by direct inversion and its entries as
+the nodes, the edge matching one energy at a time in numpy scalar
+arithmetic, both as `solver` forms it (S = u^- / u^+ and the real
+interior row) and by a second route (S = T conj(D) / D and the
+complex coefficients A_0..A_N), the full resolvent by direct inversion and its entries as
 determinant ratios, the closed-form nonlinear weight integrals, the
 associated Laguerre and Gegenbauer recursions, the bare basis values at
 a rule's nodes by one plain recursion step per degree, plain weighted
@@ -304,7 +306,7 @@ def r_matrix_expanded(dten: ExpandedDTensor, coefficients: np.ndarray, lam: floa
     repeated indices more than once. The weight is real up to roundoff
     (conjugate splits pair up), and the result is symmetrized.
     """
-    a = np.asarray(coefficients, dtype=complex)[: dten.n_basis]
+    a = np.asarray(coefficients, dtype=complex)
     pu = a[dten.split_u].prod(axis=1)
     pv = np.conj(a)[dten.split_v].prod(axis=1)
     contrib = dten.split_coeff * pu * pv
@@ -315,18 +317,29 @@ def r_matrix_expanded(dten: ExpandedDTensor, coefficients: np.ndarray, lam: floa
     return (0.5 * (raw + raw.conj().T)).real
 
 
+def phased(rows: np.ndarray, seed: int) -> np.ndarray:
+    """Real coefficient rows (..., N), each times its own random unit complex number e^{i phi}.
+
+    `solver.r_matrix` takes real rows; R reads |psi| alone, so the
+    complex routes below must give the same R from these.
+    """
+    rows = np.asarray(rows, dtype=float)
+    phi = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=rows.shape[:-1] + (1,))
+    return rows * np.exp(1j * phi)
+
+
 def node_weights(dten, coefficients: np.ndarray, lam: float) -> np.ndarray:
     """The node weights W = (2 lam^2 / ell!)^n |psi|^{2n} of `solver.r_matrix`, from the complex psi.
 
-    One (Q,) row per coefficient row of a stack (..., N+1); `r_matrix`
-    forms its weights from Re psi and Im psi in one real product instead.
+    One (Q,) row per complex coefficient row of a stack (..., N);
+    `r_matrix` forms its weights from the real psi of real rows instead.
     """
-    psi = np.asarray(coefficients, dtype=complex)[..., : dten.n_basis] @ dten.values
+    psi = np.asarray(coefficients, dtype=complex) @ dten.values
     return (2.0 * lam**2 / factorial(dten.ell)) ** dten.n * (psi.real**2 + psi.imag**2) ** dten.n
 
 
 def r_matrix_pairs(dten, coefficients: np.ndarray, lam: float) -> np.ndarray:
-    """Effective interaction of one coefficient row from a packed table of basis-pair products.
+    """Effective interaction of one complex coefficient row from a packed table of basis-pair products.
 
     pairs[l, p] = Lambda_il Lambda_jl for every basis pair i <= j, with
     the projection stencil Lambda of the D tensor; the node weight of
@@ -343,13 +356,41 @@ def r_matrix_pairs(dten, coefficients: np.ndarray, lam: float) -> np.ndarray:
 
 
 def phase_shift_scalar(h_plus, h_minus, g_corner, b_edge) -> complex:
-    """S of one energy from the basis-edge matching relation, in numpy scalar complex arithmetic.
+    """S = u^- / u^+ of one energy, u^+- = h^+-_{N-1} + b G_corner h^+-_N, in numpy scalar arithmetic.
 
     h_plus and h_minus are the two edge entries k = N-1, N of c + i s
     and c - i s, and g_corner the real G[N-1, N-1]. `solver.phase_shift`
-    evaluates the same formula on a stack with h_minus taken as
-    conj(h_plus), so equality with this oracle, which is given c - i s
-    as built, also pins those conjugate identities bit for bit.
+    evaluates the same formula on a stack with u^- taken as conj(u^+),
+    so equality with this oracle, which is given c - i s as built, also
+    pins that conjugate identity bit for bit.
+    """
+    hp0, hp1 = (np.complex128(x) for x in h_plus)
+    hm0, hm1 = (np.complex128(x) for x in h_minus)
+    coupling = np.float64(b_edge) * np.float64(g_corner)
+    return (hm0 + coupling * hm1) / (hp0 + coupling * hp1)
+
+
+def edge_coefficients_scalar(c_edge, s_edge, column, b_edge) -> list:
+    """The real interior row |b A_N| G[:, N-1] of one energy, in numpy scalar arithmetic.
+
+    c_edge and s_edge are the reference entries k = N-1, N as built and
+    column the real G[:, N-1]. With h = c + i s and u = h_{N-1} + b
+    G_corner h_N, |b A_N| = 2 |b (c_N s_{N-1} - s_N c_{N-1})| / |u|, the
+    Wronskian of `coefficients_complex_scalar` read off c and s.
+    """
+    (c0, c1), (s0, s1) = (map(np.float64, pair) for pair in (c_edge, s_edge))
+    b = np.float64(b_edge)
+    u = np.complex128(complex(c0, s0)) + (b * np.float64(column[-1])) * np.complex128(complex(c1, s1))
+    scale = 2.0 * np.abs(b * (c1 * s0 - s1 * c0)) / np.abs(u)
+    return [scale * np.float64(x) for x in column]
+
+
+def phase_shift_td_scalar(h_plus, h_minus, g_corner, b_edge) -> complex:
+    """S = T conj(D) / D of one energy, the cross-check route, in numpy scalar complex arithmetic.
+
+    T = h^-_{N-1} / h^+_{N-1}, and D = 1 + b G_corner h^+_N / h^+_{N-1},
+    whose conjugate is formed from h^- as built. The same S as
+    `phase_shift_scalar` to rounding: u^+ = h^+_{N-1} D.
     """
     hp0, hp1 = (np.complex128(x) for x in h_plus)
     hm0, hm1 = (np.complex128(x) for x in h_minus)
@@ -360,18 +401,20 @@ def phase_shift_scalar(h_plus, h_minus, g_corner, b_edge) -> complex:
     return t_edge * (1.0 + coupling * r_minus) / (1.0 + coupling * r_plus)
 
 
-def edge_coefficients_scalar(h_plus, h_minus, g_corner, b_edge) -> list:
-    """The edge entries A_{N-1}, A_N of one energy, in numpy scalar complex arithmetic.
+def coefficients_complex_scalar(h_plus, h_minus, column, b_edge) -> np.ndarray:
+    """The complex coefficients A_0..A_N of one energy, the cross-check route, in numpy scalar complex arithmetic.
 
     A_N = Wr / (h^+_{N-1} D) with the Wronskian Wr = h^-_N h^+_{N-1} -
     h^-_{N-1} h^+_N and D = 1 + b G_corner h^+_N / h^+_{N-1}, which is
-    h^-_N - S h^+_N for S of `phase_shift_scalar`; A_{N-1} = -b G_corner A_N.
+    h^-_N - S h^+_N for S of `phase_shift_td_scalar`; A_k = -b G[k, N-1] A_N
+    below the edge. `edge_coefficients_scalar` is |b A_N| G[:, N-1], so
+    these are its row times the unit complex number -b A_N / |b A_N|.
     """
     hp0, hp1 = (np.complex128(x) for x in h_plus)
     hm0, hm1 = (np.complex128(x) for x in h_minus)
-    coupling = np.float64(b_edge) * np.float64(g_corner)
-    a_n = (hm1 * hp0 - hm0 * hp1) / (hp0 * (1.0 + coupling * (hp1 / hp0)))
-    return [-np.float64(b_edge) * np.float64(g_corner) * a_n, a_n]
+    b = np.float64(b_edge)
+    a_n = (hm1 * hp0 - hm0 * hp1) / (hp0 * (1.0 + b * np.float64(column[-1]) * (hp1 / hp0)))
+    return np.array([-b * np.float64(x) * a_n for x in column] + [a_n])
 
 
 def _periodic(history: list, p: int, bifurcation_tolerance: float) -> bool:

@@ -78,6 +78,31 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="cannot parse config"):
             load_config(str(path))
 
+    @pytest.mark.parametrize("loader", ["CSafeLoader", "SafeLoader"])
+    @pytest.mark.parametrize("key,edit", [
+        ("lambda", lambda text: text + "lambda: 2.0\n"),
+        ("strength", lambda text: text.replace("  strength: 7.5\n", "  strength: 7.5\n  strength: 8.0\n")),
+    ])
+    def test_duplicate_key_refused_by_name(self, tmp_path, capsys, monkeypatch, loader, key, edit):
+        # a key given twice, at the top or in a nested mapping, is not read as its last value
+        if loader == "SafeLoader":
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        path = tmp_path / "twice.yaml"
+        path.write_text(edit(yaml.safe_dump(minimal())), encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"(?s)cannot parse config.*found duplicate key '{key}'"):
+            load_config(str(path))
+        assert main(["scan", "--config", str(path)]) == EXIT_CONFIG
+        assert f"found duplicate key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("loader", ["CSafeLoader", "SafeLoader"])
+    def test_unhashable_key_is_a_config_error(self, tmp_path, monkeypatch, loader):
+        if loader == "SafeLoader":
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        path = tmp_path / "unhashable.yaml"
+        path.write_text(yaml.safe_dump(minimal()) + "? [1, 2]\n: 3\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="(?s)cannot parse config.*unhashable key"):
+            load_config(str(path))
+
     def test_trapezoid_run_fields(self):
         cfg = load_config(str(CONFIG_DIR / "table3.yaml"))
         assert cfg.ell == 1

@@ -17,6 +17,7 @@ from oracles import (
     d_tensor_expanded,
     laguerre_streamed,
     own_rule,
+    phased,
     quadrature_values,
     r_matrix_expanded,
 )
@@ -158,14 +159,13 @@ class TestNodeSpaceDualRoute:
     def test_r_matrix_matches_expanded_contraction(self, n, ell, n_basis, order):
         rule = build_rule(order or quadrature_bound(n, n_basis), ell)
         override = rule.order < quadrature_bound(n, n_basis)
-        rng = np.random.default_rng(100 * n + 10 * ell + n_basis)
-        coeffs = rng.normal(size=n_basis) + 1j * rng.normal(size=n_basis)
+        rows = np.random.default_rng(100 * n + 10 * ell + n_basis).normal(size=n_basis)
         lam = 1.3
         built_on = rule if override else own_rule(n, ell, n_basis)
         want = r_matrix_expanded(
-            d_tensor_expanded(n, ell, n_basis, built_on, override=override), coeffs, lam
+            d_tensor_expanded(n, ell, n_basis, built_on, override=override), phased(rows, n_basis), lam
         )
-        got = r_matrix(d_tensor(n, ell, n_basis, rule, override=override), coeffs, lam)
+        got = r_matrix(d_tensor(n, ell, n_basis, rule, override=override), rows, lam)
         assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
 
 
@@ -175,8 +175,7 @@ class TestOwnRule:
         # at or above the bound D is built on its own rule of quadrature_bound
         # nodes, so the config's rule order changes no bit of R
         bound = quadrature_bound(n, n_basis)
-        rng = np.random.default_rng(bound)
-        rows = rng.normal(size=(3, n_basis + 1)) + 1j * rng.normal(size=(3, n_basis + 1))
+        rows = np.random.default_rng(bound).normal(size=(3, n_basis))
         first, *others = (
             r_matrix(d_tensor(n, ell, n_basis, build_rule(order, ell)), rows, 1.1)
             for order in (bound, 2 * bound, 5 * n_basis)
@@ -189,8 +188,7 @@ class TestOwnRule:
     def test_r_matches_the_basis_rule_far_above_the_bound(self, n, ell, n_basis):
         # the basis rule only converges to R in its order; at Q = 25 N it
         # agrees with the exact own-rule R to about 1e-12 of max|R|
-        rng = np.random.default_rng(n_basis + ell)
-        rows = rng.normal(size=(4, n_basis + 1)) + 1j * rng.normal(size=(4, n_basis + 1))
+        rows = np.random.default_rng(n_basis + ell).normal(size=(4, n_basis))
         got = r_matrix(d_tensor(n, ell, n_basis, build_rule(quadrature_bound(n, n_basis), ell)), rows, 1.1)
         want = r_matrix(d_tensor_basis_rule(n, ell, n_basis, 25 * n_basis), rows, 1.1)
         for one, ref in zip(got, want):
@@ -217,7 +215,7 @@ class TestEnvelopedValues:
         # int x^{(n+1) ell} e^{-(n+1) x} L~_i L~_j dx / ell!, the closed-form F
         n_basis, lam = 20, 1.0
         pref = (2.0 * lam**2 / factorial(ell)) ** n
-        e_0 = np.eye(n_basis + 1)[0]
+        e_0 = np.eye(n_basis)[0]
         r = r_matrix(d_tensor(n, ell, n_basis, build_rule(100, ell)), e_0, lam)
         got = r / pref
         want = f_weight_quadrature(n, ell, n_basis)

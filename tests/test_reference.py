@@ -86,6 +86,19 @@ class TestOscillatorCoefficients:
             closed = sine_like_closed_form(energy, lam, ell, degrees)
             assert np.abs(s[list(degrees)] - closed).max() <= 1e-11 * np.abs(closed).max()
 
+    @pytest.mark.parametrize("ell", [0, 1, 2, 3])
+    @pytest.mark.parametrize("lam", [0.6, 1.0, 1.4])
+    @pytest.mark.parametrize("kmax", [20, 1000])
+    def test_casoratian_is_constant(self, ell, lam, kmax):
+        # b_k (s_k c_{k+1} - s_{k+1} c_k) = -sqrt(2E) / pi at every k: the
+        # Wronskian the solver's interior rows are scaled by, and a check of
+        # the seeds alpha, c_0 and tau together (5e-13 at kmax 1000)
+        energies = np.linspace(0.3, 6.0, 12)
+        a, b = free_matrix_coeffs(kmax, ell, lam)
+        s, c = oscillator_reference(energies, lam, ell, (a, b))
+        casoratian = b[:-1, None] * (s[:-1] * c[1:] - s[1:] * c[:-1])
+        assert np.abs(casoratian / (-np.sqrt(2.0 * energies) / math.pi) - 1.0).max() <= 1e-12
+
     @pytest.mark.parametrize("basis", ["oscillator", "laguerre"])
     @pytest.mark.parametrize("ell,kmax", [(-1, 5), (0, -1)])
     def test_negative_ell_or_kmax_rejected(self, basis, ell, kmax):

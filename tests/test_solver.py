@@ -32,6 +32,7 @@ from jmscatter.solver import (
 )
 from oracles import (
     c_tensor_quadrature,
+    coefficients_complex_scalar,
     edge_coefficients_scalar,
     greens_diagonal_minor,
     greens_inverse,
@@ -40,6 +41,8 @@ from oracles import (
     locate_resonance,
     node_weights,
     phase_shift_scalar,
+    phase_shift_td_scalar,
+    phased,
     r_matrix_pairs,
 )
 
@@ -180,8 +183,7 @@ def contraction():
     assert quadrature_bound(n, n_basis) <= 40
     rule = build_rule(40, ell)
     dten = d_tensor(n, ell, n_basis, rule)
-    rng = np.random.default_rng(21)
-    coeffs = rng.normal(size=n_basis) + 1j * rng.normal(size=n_basis)
+    coeffs = np.random.default_rng(21).normal(size=n_basis)
     return dten, rule, coeffs
 
 
@@ -199,8 +201,7 @@ class TestRMatrix:
     def test_output_symmetric_real(self, n, ell, n_basis, order):
         rule = build_rule(order, ell)
         dten = d_tensor(n, ell, n_basis, rule, override=order < quadrature_bound(n, n_basis))
-        rng = np.random.default_rng(order)
-        coeffs = rng.normal(size=n_basis) + 1j * rng.normal(size=n_basis)
+        coeffs = np.random.default_rng(order).normal(size=n_basis)
         rm = r_matrix(dten, coeffs, 1.3)
         assert rm.dtype == np.float64
         assert np.all(np.isfinite(rm))
@@ -212,23 +213,24 @@ class TestRMatrix:
         # accuracy (||Lambda||_2^2 = 1.001 at N = 20), the basis rule's to rounding
         nodes = dten.stencil.shape[1]
         bound = np.linalg.norm(dten.stencil, 2) ** 2 * (1 + 4 * nodes * np.finfo(float).eps)
-        assert np.linalg.eigvalsh(rm).max() <= node_weights(dten, coeffs, 1.3).max() * bound
+        assert np.linalg.eigvalsh(rm).max() <= node_weights(dten, phased(coeffs, order), 1.3).max() * bound
         # a stack of coefficient rows: one R per row, each exactly
         # symmetric and equal to its one-row call
-        rows = np.stack([coeffs, coeffs.conj(), 2.0 * coeffs[::-1]])
+        rows = np.stack([coeffs, -coeffs, 2.0 * coeffs[::-1]])
         stack = r_matrix(dten, rows, 1.3)
         assert stack.shape == (3, n_basis, n_basis)
         assert np.array_equal(stack, stack.swapaxes(-1, -2))
         assert np.array_equal(stack[0], rm)
-        for row, one, top in zip(rows, stack, node_weights(dten, rows, 1.3).max(axis=-1)):
+        for row, one, top in zip(rows, stack, node_weights(dten, phased(rows, order), 1.3).max(axis=-1)):
             assert np.array_equal(one, r_matrix(dten, row, 1.3))
             assert np.linalg.eigvalsh(one).max() <= top * bound
 
     def test_dual_route_against_product_expansion(self, contraction):
         # reroute the contraction through the product-expansion tensor and
         # the weighted polynomial integrals; no array is shared with the
-        # node-space route
-        dten, rule, coeffs = contraction
+        # node-space route; it takes the real row times a phase
+        dten, rule, rows = contraction
+        coeffs = phased(rows, 22)
         n, ell, n_basis = dten.n, dten.ell, dten.n_basis
         lam = 1.3
         ct = c_tensor_quadrature(n, ell, n_basis, rule)
@@ -245,7 +247,7 @@ class TestRMatrix:
         pref = (2.0 * lam**2 / math.factorial(ell)) ** n
         raw = pref * g @ fblock @ hc.T
         expected = (0.5 * (raw + raw.conj().T)).real
-        rm = r_matrix(dten, coeffs, lam)
+        rm = r_matrix(dten, rows, lam)
         scale = np.abs(expected).max()
         assert np.abs(rm - expected).max() < 1e-8 * scale
 
@@ -264,11 +266,10 @@ class TestRMatrix:
     def test_matches_pair_table_and_is_positive_semidefinite(self, n, ell, n_basis, order):
         rule = build_rule(order, ell)
         dten = d_tensor(n, ell, n_basis, rule, override=order < quadrature_bound(n, n_basis))
-        rng = np.random.default_rng(7 * order + n)
-        rows = rng.normal(size=(5, n_basis + 1)) + 1j * rng.normal(size=(5, n_basis + 1))
+        rows = np.random.default_rng(7 * order + n).normal(size=(5, n_basis))
         entry_bound = 4 * dten.stencil.shape[1] * np.finfo(float).eps
         stack = r_matrix(dten, rows, 1.1)
-        for row, got in zip(rows, stack):
+        for row, got in zip(phased(rows, order), stack):
             want = r_matrix_pairs(dten, row, 1.1)
             scale = np.abs(want).max()
             assert scale > 0.0
@@ -278,7 +279,9 @@ class TestRMatrix:
 
 class TestEdgeMatching:
     """The stacked edge matching equals the scalar formulas of one energy
-    bit for bit, and order 0's edge columns their per-energy products."""
+    bit for bit, and order 0's edge columns their per-energy products.
+    The cross-check route, S = T conj(D) / D with the complex coefficients
+    A_0..A_N, agrees to rounding."""
 
     @pytest.fixture(scope="class", params=["table1", "table3", "table4"])
     def edges(self, request):
@@ -289,29 +292,60 @@ class TestEdgeMatching:
         ref_s, ref_c = oscillator_reference(energies, ham.lam, ham.ell, ham.coeffs)
         h_plus, h_minus = (ref_c[n - 1 :] + 1j * ref_s[n - 1 :]).T, (ref_c[n - 1 :] - 1j * ref_s[n - 1 :]).T
         g = greens_spectral(ham.eigenvalues, ham.eigenvectors, energies)
-        return ham, energies, h_plus, h_minus, g, ham.coeffs[1][n - 1]
+        return ham, energies, (h_plus, h_minus, ref_c[n - 1 :].T, ref_s[n - 1 :].T), g, ham.coeffs[1][n - 1]
+
+    @staticmethod
+    def corners(g, seed):
+        """Order 0's corners, then corners of every magnitude a later order can give."""
+        rng = np.random.default_rng(seed)
+        return g[:, -1], rng.normal(size=len(g)) * 10.0 ** rng.uniform(-6, 3, size=len(g))
+
+    @staticmethod
+    def columns(g, seed):
+        """Order 0's columns, then the same scaled to corners of every magnitude a later order can give."""
+        rng = np.random.default_rng(seed)
+        return g, g * 10.0 ** rng.uniform(-6, 3, size=(len(g), 1))
 
     def test_phase_shift_equals_the_scalar_formula(self, edges):
-        _, _, h_plus, h_minus, g, b_edge = edges
-        rng = np.random.default_rng(5)
-        # order 0's corners, then corners of every magnitude a later order can give
-        for corners in (g[:, -1], rng.normal(size=len(g)) * 10.0 ** rng.uniform(-6, 3, size=len(g))):
+        _, _, (h_plus, h_minus, _, _), g, b_edge = edges
+        for corners in self.corners(g, 5):
             got = phase_shift(h_plus, corners, b_edge)
             want = np.array([phase_shift_scalar(hp, hm, c, b_edge) for hp, hm, c in zip(h_plus, h_minus, corners)])
             assert got.tobytes() == want.tobytes()
 
-    def test_edge_coefficients_equal_the_scalar_formula(self, edges):
-        _, _, h_plus, h_minus, g, b_edge = edges
-        rng = np.random.default_rng(6)
-        # order 0's columns, then corners of every magnitude a later order can give
-        for columns in (g, g * 10.0 ** rng.uniform(-6, 3, size=(len(g), 1))):
-            got = solver.interior_coefficients(h_plus, columns, b_edge)[:, -2:]
-            want = np.array([edge_coefficients_scalar(hp, hm, c, b_edge)
-                             for hp, hm, c in zip(h_plus, h_minus, columns[:, -1])])
+    def test_interior_rows_equal_the_scalar_formula(self, edges):
+        _, _, (h_plus, _, c_edge, s_edge), g, b_edge = edges
+        for columns in self.columns(g, 6):
+            got = solver.interior_coefficients(h_plus, columns, b_edge)
+            assert got.dtype == np.float64 and got.shape == columns.shape
+            want = np.array([edge_coefficients_scalar(c, s, column, b_edge)
+                             for c, s, column in zip(c_edge, s_edge, columns)])
             assert got.tobytes() == want.tobytes()
+            # each row of a stack equals its one-row call
+            for j in (0, 511, 1023):
+                one = solver.interior_coefficients(h_plus[j : j + 1], columns[j : j + 1], b_edge)
+                assert one[0].tobytes() == got[j].tobytes()
+
+    def test_s_matches_the_t_conj_d_route(self, edges):
+        _, _, (h_plus, h_minus, _, _), g, b_edge = edges
+        for corners in self.corners(g, 5):
+            got = phase_shift(h_plus, corners, b_edge)
+            want = np.array([phase_shift_td_scalar(hp, hm, c, b_edge) for hp, hm, c in zip(h_plus, h_minus, corners)])
+            # the cross-check route rounds h_N / h_{N-1}, D and T on their own: up to 8.7 eps apart on order 0's corners
+            assert np.abs(got - want).max() <= 16 * np.finfo(float).eps
+
+    def test_rows_are_the_complex_coefficients_up_to_one_phase(self, edges):
+        # A_k = -b G[k, N-1] A_N: the real row times the unit complex number -b A_N / |b A_N|
+        _, _, (h_plus, h_minus, _, _), g, b_edge = edges
+        for columns in self.columns(g, 6):
+            rows = solver.interior_coefficients(h_plus, columns, b_edge)
+            for hp, hm, column, row in zip(h_plus, h_minus, columns, rows):
+                want = coefficients_complex_scalar(hp, hm, column, b_edge)
+                phase = -b_edge * want[-1] / abs(b_edge * want[-1])
+                assert np.all(np.abs(row * phase - want[:-1]) <= 1e-13 * np.abs(want[:-1]))
 
     def test_spectral_columns_are_per_energy_products(self, edges):
-        ham, energies, _, _, g, _ = edges
+        ham, energies, _, g, _ = edges
         vectors = ham.eigenvectors
         want = np.array([vectors @ (vectors[-1] / (ham.eigenvalues - energy)) for energy in energies])
         assert g.tobytes() == want.tobytes()
@@ -743,8 +777,9 @@ class TestOrderMap:
 
 class TestLevels:
     """An energy on or next to a level of H is a removable singularity of S:
-    G_corner grows without bound and S tends to T conj(r) / r, so the energy
-    is solved as given, linear or cubic, with S on its neighbours' trend."""
+    G_corner grows without bound and S = conj(u) / u tends to conj(h_N) / h_N,
+    so the energy is solved as given, linear or cubic, with S on its
+    neighbours' trend."""
 
     DELTAS = (-1e-12, -1e-15, 0.0, 1e-15, 1e-12)
     AT = (("table1", 2.517304727957556), ("table3", 2.011081376232509))
@@ -765,14 +800,13 @@ class TestLevels:
 
     @pytest.mark.parametrize("name,level", AT)
     def test_linear_s_on_the_level_is_the_limit(self, name, level):
-        # G_corner -> +-inf takes S = T conj(D) / D to T conj(r) / r, r = h_N / h_{N-1}
+        # G_corner -> +-inf takes S = conj(u) / u, u = h_{N-1} + b G_corner h_N, to conj(h_N) / h_N
         e, ham, _, _ = self.level_problem(name, level, coupled=False)
         [res] = scan([e], ham)
         n = ham.n_basis
         ref_s, ref_c = oscillator_reference(e, ham.lam, ham.ell, ham.coeffs)
         h = ref_c[n - 1 :] + 1j * ref_s[n - 1 :]
-        r = h[1] / h[0]
-        assert abs(res.s_matrix - np.conj(h[0]) / h[0] * np.conj(r) / r) < 1e-14
+        assert abs(res.s_matrix - np.conj(h[1]) / h[1]) < 1e-14
 
     @LEVELS
     def test_s_follows_its_trend_through_the_level(self, name, level, coupled):
