@@ -11,7 +11,10 @@ order-0 S, as its block runs no later order. Phi (`_order_map`) advances
 a stack of the block's unsettled energies together: it scales each row's
 g into its interior coefficients, one real row up to their common phase,
 which R does not see, contracts that into its effective interaction R
-and solves the edge columns of (H + c R - E)^{-1} by one stacked LU. A
+and solves the edge columns of (H + c R - E)^{-1} by one stacked LU. The
+scale is the energy's edge Wronskian factor, formed once at order 0,
+over the |u| kept from the previous order's S, so u is formed once per
+order. A
 level of H or of H + c R at the energy is a removable singularity of S:
 G_corner grows without bound, S = conj(u) / u tends to conj(h_N) / h_N
 and the rows stay finite (`interior_coefficients`), so no energy is
@@ -19,7 +22,8 @@ refused or moved and each result carries the energy it was given. A
 block's unsettled energies keep their last S values, certified period
 and a streak counter per period in arrays, one row each, and each
 energy's S history grows by one per order it runs. After each order the
-termination rules run on all rows at once, and an energy leaves the
+termination rules run on all rows at once in a fixed number of numpy
+calls, which a one-energy solve pays per order, and an energy leaves the
 stack when its iteration ends; every row's g equals bit for bit its
 one-energy solve. Termination is convergence of S, a certified cycle of
 period 2 or 3 (the shorter period first, after convergence), or the
@@ -114,8 +118,11 @@ def r_matrix(dten: DTensor, rows: np.ndarray, lam: float) -> np.ndarray:
     exactly. A stack of rows (..., N) gives a stack of R (..., N, N),
     each row its own two products. Since W >= 0, 0 <= R and ||R||_2 <=
     max W ||Lambda||_2^2, Lambda's rows orthonormal only to quadrature
-    accuracy.
+    accuracy. Complex rows are refused with a ValueError naming their
+    dtype: psi^2 of a complex psi is not |psi|^2.
     """
+    if np.iscomplexobj(rows):
+        raise ValueError(f"r_matrix takes real interior rows, got dtype {np.asarray(rows).dtype}")
     psi = (rows[..., None, :] @ dten.values)[..., 0, :]
     weight = (2.0 * lam**2 / factorial(dten.ell)) ** dten.n * (psi**2) ** dten.n
     x = np.einsum("il,...l->...il", dten.stencil, np.sqrt(weight))
@@ -152,35 +159,45 @@ def greens_matrix(shifted: np.ndarray) -> np.ndarray:
     return np.linalg.solve(shifted, edge)[..., 0]
 
 
-def phase_shift(edge: np.ndarray, g_corner: np.ndarray, b_edge: float) -> np.ndarray:
-    """Scattering matrix from the basis-edge matching relation, one per row of a stack.
+def phase_shift(edge: np.ndarray, g_corner: np.ndarray, b_edge: float) -> tuple[np.ndarray, np.ndarray]:
+    """Scattering matrix from the basis-edge matching relation, and |u|, one per row of a stack.
 
     edge holds the (B, 2) outgoing references h = c + i s at k = N-1, N,
     and g_corner the (B,) corner entries G[N-1, N-1]. The incoming
     reference c - i s is conj(h) at a real energy, so the matching
     relation gives S = conj(u) / u, u = h_{N-1} + b G_corner h_N: |S| = 1
     up to roundoff, and each entry equals the scalar formula on its row.
+    |u| is what the next order's interior rows need of u
+    (`interior_coefficients`), so u is formed once per order.
     """
     u = edge[:, 0] + (b_edge * g_corner) * edge[:, 1]
-    return np.conj(u) / u
+    return np.conj(u) / u, np.abs(u)
 
 
-def interior_coefficients(edge: np.ndarray, greens_columns: np.ndarray, b_edge: float) -> np.ndarray:
+def edge_wronskian(edge: np.ndarray, b_edge: float) -> np.ndarray:
+    """2 |b (c_N s_{N-1} - s_N c_{N-1})| of each row of (B, 2) outgoing edge references h = c + i s.
+
+    The Wronskian conj(h_N) h_{N-1} - conj(h_{N-1}) h_N of the reference
+    pair is 2i (c_N s_{N-1} - s_N c_{N-1}); it depends on the energy
+    alone, so `scan` forms it once per energy.
+    """
+    h0, h1 = edge[:, 0], edge[:, 1]
+    return 2.0 * np.abs(b_edge * (h1.real * h0.imag - h1.imag * h0.real))
+
+
+def interior_coefficients(wronskian: np.ndarray, size: np.ndarray, greens_columns: np.ndarray) -> np.ndarray:
     """Interior coefficients A_0..A_{N-1} up to their common phase, one real row per energy of a stack.
 
-    edge holds the (B, 2) outgoing references h and greens_columns (B, N).
-    The tail solution's edge coefficient A_N = conj(h_N) - S h_N, with S
-    and u as in `phase_shift`, equals Wr / u with the Wronskian Wr =
-    conj(h_N) h_{N-1} - conj(h_{N-1}) h_N = 2i (c_N s_{N-1} - s_N c_{N-1}),
+    wronskian is the (B,) `edge_wronskian`, size the (B,) |u| of
+    `phase_shift` on the same columns and greens_columns (B, N). The
+    tail solution's edge coefficient A_N = conj(h_N) - S h_N equals
+    Wr / u with the Wronskian Wr = conj(h_N) h_{N-1} - conj(h_{N-1}) h_N,
     and A_k = -b G[k, N-1] A_N below the edge: a real column times one
     complex number. R reads |psi| alone (`r_matrix`), so each row is the
     real |b A_N| G[:, N-1], |b A_N| = 2 |b (c_N s_{N-1} - s_N c_{N-1})| / |u|.
     Near a level of H, |u| grows like G_corner, so the rows stay finite.
     """
-    h0, h1 = edge[:, 0], edge[:, 1]
-    u = h0 + (b_edge * greens_columns[:, -1]) * h1
-    scale = 2.0 * np.abs(b_edge * (h1.real * h0.imag - h1.imag * h0.real)) / np.abs(u)
-    return scale[:, None] * greens_columns
+    return (wronskian / size)[:, None] * greens_columns
 
 
 def solve_energy(
@@ -237,50 +254,60 @@ def scan(
         ref_s, ref_c = oscillator_reference(block, hamiltonian.lam, hamiltonian.ell, hamiltonian.coeffs)
         edge = (ref_c[n - 1 :] + 1j * ref_s[n - 1 :]).T
         g = greens_spectral(hamiltonian.eigenvalues, hamiltonian.eigenvectors, block)
-        s0 = phase_shift(edge, g[:, -1], b_edge)
+        s0, size = phase_shift(edge, g[:, -1], b_edge)
+        wronskian = edge_wronskian(edge, b_edge)
         # Per energy: its S history (Python complex), _STATUSES index and period (0: none).
         histories = [[s] for s in s0.tolist()]
         status, period = np.zeros(block.size, dtype=int), np.zeros(block.size, dtype=int)
-        # The live energies' block indices, g, E, outgoing edge references and last `lags + 1` values of S
-        # (S_m last, infinity before order 0), certified periods and period streaks, compacted as they end.
+        # The live energies' block indices, g, |u|, edge Wronskians, E, outgoing edge references, recent S
+        # (column q - 1 holds S_{m-q}, infinity before order 0, and the last column S_m), certified periods
+        # and period streaks, compacted as they end. The rules take few numpy calls: a one-row order pays them.
         lags = _PERIODS[-1]
         live, energies = np.arange(block.size), block
-        s = np.column_stack((np.full((live.size, lags), np.inf), s0))
+        # Each order rotates S_m from the last column to the first: column -1, then columns 0 .. lags - 1.
+        recent, rotate = np.full((block.size, lags + 1), np.inf, dtype=complex), np.arange(-1, lags)
+        recent[:, 0] = s0
         cycle, streaks = np.zeros(live.size, dtype=int), np.zeros((live.size, _PERIODS.size), dtype=int)
         for m in range(1, orders + 1):
             if not live.size:
                 break
-            s_m = np.empty(live.size, dtype=complex)
+            s_m = recent[:, lags]
             for part in (slice(i, i + _STACK) for i in range(0, live.size, _STACK)):
-                g[part] = _order_map(g[part], energies[part], edge[part], b_edge, hamiltonian, dten, coupling)
-                s_m[part] = phase_shift(edge[part], g[part, -1], b_edge)
+                g[part] = _order_map(g[part], wronskian[part], size[part], energies[part], hamiltonian, dten, coupling)
+                s_m[part], size[part] = phase_shift(edge[part], g[part, -1], b_edge)
             for j, value in zip(live.tolist(), s_m.tolist()):
                 histories[j].append(value)
-            s = np.column_stack((s[:, 1:], s_m))
-            # dist[:, q - 1] = |S_m - S_{m-q}|; `first` is the least q with S_{m-q} near S_m (lags + 1 for none).
-            dist = np.abs(s[:, -2::-1] - s_m[:, None])
+            # dist[:, q - 1] = |S_m - S_{m-q}|; `first` is the least q with S_{m-q} near S_m, and lags + 1
+            # for none: the column of S_m itself counts as near.
+            dist = np.abs(recent - s_m[:, None])
             near = dist < bifurcation_tolerance
-            first = np.where(near.any(axis=1), near.argmax(axis=1) + 1, lags + 1)
-            converged = dist[:, 0] < tolerance
-            free, settled = cycle == 0, np.zeros(live.size, dtype=bool)
-            if not free.all():
+            near[:, lags] = True
+            first = near.argmax(axis=1) + 1
+            # Each period's streak counts the orders in a row that look periodic with it while no cycle is
+            # certified; a streak of _CYCLE_STREAK certifies its period.
+            periodic = first[:, None] == _PERIODS
+            # An energy ends when S converges (before any cycle rule), when its cycle settles, and at the cap.
+            converged, settled = dist[:, 0] < tolerance, np.zeros(live.size, dtype=bool)
+            if np.count_nonzero(cycle):
                 # Cycle values that merge are a fixed point approached with alternating sign: revoke the cycle.
                 revoked = first < cycle
                 # Ride the certified cycle until its values settle, or to the cap.
-                settled = ~free & ~revoked & ((dist[np.arange(live.size), cycle - 1] < tolerance) | (m == orders))
+                settled = (cycle > 0) & ~revoked & ((dist[np.arange(live.size), cycle - 1] < tolerance) | (m == orders))
+                periodic &= (cycle == 0)[:, None]
                 cycle[revoked] = 0
-            # Each period's streak counts the orders in a row that look periodic with it while no cycle is
-            # certified; a streak of _CYCLE_STREAK certifies its period.
-            streaks = np.where((first[:, None] == _PERIODS) & free[:, None], streaks + 1, 0)
-            cycle = np.where(streaks.max(axis=1) >= _CYCLE_STREAK, first, cycle)
-            # An energy ends when S converges (before any cycle rule), when its cycle settles, and at the cap.
-            done = converged | settled | (m == orders)
-            if done.any():
+            streaks = (streaks + 1) * periodic
+            certified = streaks >= _CYCLE_STREAK
+            if np.count_nonzero(certified):
+                cycle = np.where(certified.any(axis=1), first, cycle)
+            done = converged | settled if m < orders else np.ones(live.size, dtype=bool)
+            recent = recent[:, rotate]
+            if np.count_nonzero(done):
                 rows = live[done]
                 verdict = np.where(converged, 0, np.where(settled, 1, 2))[done]
                 status[rows], period[rows] = verdict, np.where(verdict == 1, cycle[done], 0)
-                live, g, energies, edge, s, cycle, streaks = (
-                    x[~done] for x in (live, g, energies, edge, s, cycle, streaks))
+                keep = ~done
+                live, g, size, wronskian, energies, edge, recent, cycle, streaks = (
+                    x[keep] for x in (live, g, size, wronskian, energies, edge, recent, cycle, streaks))
         return [ScatteringResult(energy, _STATUSES[code], tuple(history), p or None)
                 for energy, code, p, history in zip(block.tolist(), status.tolist(), period.tolist(), histories)]
 
@@ -288,21 +315,21 @@ def scan(
 
 
 def _order_map(
-    g: np.ndarray, energies: np.ndarray, edge: np.ndarray, b_edge: float,
+    g: np.ndarray, wronskian: np.ndarray, size: np.ndarray, energies: np.ndarray,
     hamiltonian: LinearHamiltonian, dten: DTensor, coupling: float,
 ) -> np.ndarray:
     """One order for a stack of B energies, g <- Phi(g) row by row.
 
-    g is (B, N), energies (B,) and edge the (B, 2) outgoing references.
-    Each row's coefficients of g give its effective interaction R(a);
-    returns the (B, N) edge columns of (H + c R(a) - E)^{-1}
+    g is (B, N); wronskian, size (|u| of g, `phase_shift`) and energies
+    are (B,). Each row's coefficients of g give its effective interaction
+    R(a); returns the (B, N) edge columns of (H + c R(a) - E)^{-1}
     (`greens_matrix`). A row's output depends on that row alone.
     """
-    a = interior_coefficients(edge, g, b_edge)
+    a = interior_coefficients(wronskian, size, g)
     r = r_matrix(dten, a, hamiltonian.lam)
-    # R's own buffer becomes H + c R - E.
+    # R's own buffer becomes H + c R - E; einsum's diagonal is a writeable strided view of it.
     r *= coupling
     r += hamiltonian.matrix
-    diagonal = np.arange(r.shape[-1])
-    r[:, diagonal, diagonal] -= energies[:, None]
+    diagonal = np.einsum("bii->bi", r)
+    diagonal -= energies[:, None]
     return greens_matrix(r)

@@ -28,7 +28,8 @@ determinant ratios, the closed-form nonlinear weight integrals, the
 associated Laguerre and Gegenbauer recursions, the bare basis values at
 a rule's nodes by one plain recursion step per degree, plain weighted
 quadrature sums, the Ei series and the oscillator reference seeds in
-scalar math, one term and one energy at a time, the reference
+scalar math, one term and one energy at a time, the Ei series of a
+whole array one term at a time (`re_upper_gamma_neg_loop`), the reference
 coefficients' three-term recursion one sequence at a time, the Gauss
 rule from LAPACK's tridiagonal eigensolver, D's own Gauss rule from
 scipy's Gauss-Laguerre roots (`own_rule`), D on a basis rule of any
@@ -58,7 +59,7 @@ from scipy.special import roots_genlaguerre
 
 from jmscatter.linearize import DTensor, _check_bound, quadrature_bound
 from jmscatter.quadrature import QuadratureRule
-from jmscatter.specfun import jacobi_coefficients, laguerre_upward
+from jmscatter.specfun import _OVERFLOW, finite_positive, jacobi_coefficients, laguerre_upward
 
 SymmetricIndexTuple = tuple[int, ...]
 
@@ -355,6 +356,12 @@ def r_matrix_pairs(dten, coefficients: np.ndarray, lam: float) -> np.ndarray:
     return r
 
 
+def edge_u_scalar(h_plus, g_corner, b_edge) -> complex:
+    """u = h_{N-1} + b G_corner h_N of one energy in numpy scalar arithmetic; `solver.phase_shift` returns its |u|."""
+    hp0, hp1 = (np.complex128(x) for x in h_plus)
+    return hp0 + (np.float64(b_edge) * np.float64(g_corner)) * hp1
+
+
 def phase_shift_scalar(h_plus, h_minus, g_corner, b_edge) -> complex:
     """S = u^- / u^+ of one energy, u^+- = h^+-_{N-1} + b G_corner h^+-_N, in numpy scalar arithmetic.
 
@@ -383,6 +390,20 @@ def edge_coefficients_scalar(c_edge, s_edge, column, b_edge) -> list:
     u = np.complex128(complex(c0, s0)) + (b * np.float64(column[-1])) * np.complex128(complex(c1, s1))
     scale = 2.0 * np.abs(b * (c1 * s0 - s1 * c0)) / np.abs(u)
     return [scale * np.float64(x) for x in column]
+
+
+def interior_rows_from_edge(edge: np.ndarray, greens_columns: np.ndarray, b_edge: float) -> np.ndarray:
+    """The real interior rows |b A_N| G[:, N-1] of a stack, recomputed from the edge references and the columns.
+
+    u = h_{N-1} + b G_corner h_N is formed from the columns' own corners
+    and 2 |b (c_N s_{N-1} - s_N c_{N-1})| from the edge, where `scan`
+    carries |u| from the previous order's `phase_shift` and the Wronskian
+    factor from order 0; the rows must agree bit for bit.
+    """
+    h0, h1 = edge[:, 0], edge[:, 1]
+    u = h0 + (b_edge * greens_columns[:, -1]) * h1
+    scale = 2.0 * np.abs(b_edge * (h1.real * h0.imag - h1.imag * h0.real)) / np.abs(u)
+    return scale[:, None] * greens_columns
 
 
 def phase_shift_td_scalar(h_plus, h_minus, g_corner, b_edge) -> complex:
@@ -708,6 +729,51 @@ def exp_integral_ei_scalar(u: float) -> float:
         total += contrib
         if contrib < 1e-16 * abs(total):
             return total
+
+
+def re_upper_gamma_neg_loop(ell: int, u) -> np.ndarray:
+    """Re Gamma(-ell, -u) of a 1-d array with the Ei series summed one term at a time over the whole array.
+
+    The per-term loop that the package's chunked series must reproduce
+    bit for bit: every element stops at its first contribution below
+    1e-16 of its total, and of the elements whose terms overflow, the
+    first in the array at the earliest such term is named in the error.
+    """
+    us = finite_positive(u, "re_upper_gamma_neg argument u")
+    finite = np.zeros_like(us)
+    for i, v in enumerate(us.tolist() if ell > 0 else ()):
+        acc = sum([factorial(ell - 1 - m) * v**m for m in range(ell)])
+        try:
+            finite[i] = math.exp(v) * v ** (-ell) * acc
+        except OverflowError:
+            raise ArithmeticError(_OVERFLOW.format(v)) from None
+    ei, term, pending = np.empty_like(us), np.ones_like(us), np.ones(us.shape, dtype=bool)
+    total = np.euler_gamma + np.array([math.log(v) for v in us.tolist()])
+    with np.errstate(over="ignore"):
+        for m in itertools.count(1):
+            term = term * (us / m)
+            contrib = term / m
+            total = total + contrib
+            if np.isinf(term).any():
+                raise ArithmeticError(_OVERFLOW.format(us[np.isinf(term)][0]))
+            done = pending & (contrib < 1e-16 * np.abs(total))
+            ei[done] = total[done]
+            pending &= ~done
+            if not pending.any():
+                break
+    sign = -1.0 if ell % 2 else 1.0
+    return sign / factorial(ell) * (finite - ei)
+
+
+def ei_series_length(u: float) -> tuple[int, bool]:
+    """The term at which `exp_integral_ei_scalar`'s loop stops, and whether it stops there because the term overflowed."""
+    total, term, m = np.euler_gamma + math.log(u), 1.0, 0
+    while True:
+        m += 1
+        term *= u / m
+        total += term / m
+        if term == math.inf or term / m < 1e-16 * abs(total):
+            return m, term == math.inf
 
 
 def oscillator_seeds_scalar(energy: float, lam: float, ell: int) -> tuple[float, float, float]:

@@ -25,6 +25,7 @@ from jmscatter.reference import oscillator_reference, reference_coefficients
 from jmscatter.solver import (
     ScatteringResult,
     greens_matrix,
+    edge_wronskian,
     greens_spectral,
     phase_shift,
     r_matrix,
@@ -34,9 +35,11 @@ from oracles import (
     c_tensor_quadrature,
     coefficients_complex_scalar,
     edge_coefficients_scalar,
+    edge_u_scalar,
     greens_diagonal_minor,
     greens_inverse,
     greens_offdiag_minor,
+    interior_rows_from_edge,
     iteration_verdict,
     locate_resonance,
     node_weights,
@@ -256,6 +259,16 @@ class TestRMatrix:
         with pytest.raises(ValueError):
             r_matrix(dten, np.ones(3), 1.0)
 
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    def test_complex_rows_refused_naming_the_dtype(self, contraction, dtype):
+        # psi**2 of a complex row is not |psi|^2: unrefused, such rows gave a complex, meaningless R
+        dten, _, _ = contraction
+        rows = np.ones((2, dten.n_basis), dtype=dtype)
+        with pytest.raises(ValueError, match=f"real interior rows, got dtype {np.dtype(dtype).name}"):
+            r_matrix(dten, rows, 1.0)
+        with pytest.raises(ValueError, match=np.dtype(dtype).name):
+            r_matrix(dten, rows[0], 1.0)
+
     # the pair-table route rounds each of its Q-term sums differently: a
     # bound of 4 Q eps max|R| per entry, Q the node count D was built on
     # (its own rule's at or above the bound), fixed from the dtype, and N
@@ -306,30 +319,38 @@ class TestEdgeMatching:
         rng = np.random.default_rng(seed)
         return g, g * 10.0 ** rng.uniform(-6, 3, size=(len(g), 1))
 
+    @staticmethod
+    def rows(h_plus, columns, b_edge):
+        """The interior rows as `scan` forms them: the edge Wronskian and |u| of `phase_shift` on the columns."""
+        return solver.interior_coefficients(
+            edge_wronskian(h_plus, b_edge), phase_shift(h_plus, columns[:, -1], b_edge)[1], columns)
+
     def test_phase_shift_equals_the_scalar_formula(self, edges):
         _, _, (h_plus, h_minus, _, _), g, b_edge = edges
         for corners in self.corners(g, 5):
-            got = phase_shift(h_plus, corners, b_edge)
+            got, size = phase_shift(h_plus, corners, b_edge)
             want = np.array([phase_shift_scalar(hp, hm, c, b_edge) for hp, hm, c in zip(h_plus, h_minus, corners)])
             assert got.tobytes() == want.tobytes()
+            want = np.array([np.abs(edge_u_scalar(hp, c, b_edge)) for hp, c in zip(h_plus, corners)])
+            assert size.tobytes() == want.tobytes()
 
     def test_interior_rows_equal_the_scalar_formula(self, edges):
         _, _, (h_plus, _, c_edge, s_edge), g, b_edge = edges
         for columns in self.columns(g, 6):
-            got = solver.interior_coefficients(h_plus, columns, b_edge)
+            got = self.rows(h_plus, columns, b_edge)
             assert got.dtype == np.float64 and got.shape == columns.shape
             want = np.array([edge_coefficients_scalar(c, s, column, b_edge)
                              for c, s, column in zip(c_edge, s_edge, columns)])
             assert got.tobytes() == want.tobytes()
             # each row of a stack equals its one-row call
             for j in (0, 511, 1023):
-                one = solver.interior_coefficients(h_plus[j : j + 1], columns[j : j + 1], b_edge)
+                one = self.rows(h_plus[j : j + 1], columns[j : j + 1], b_edge)
                 assert one[0].tobytes() == got[j].tobytes()
 
     def test_s_matches_the_t_conj_d_route(self, edges):
         _, _, (h_plus, h_minus, _, _), g, b_edge = edges
         for corners in self.corners(g, 5):
-            got = phase_shift(h_plus, corners, b_edge)
+            got, _ = phase_shift(h_plus, corners, b_edge)
             want = np.array([phase_shift_td_scalar(hp, hm, c, b_edge) for hp, hm, c in zip(h_plus, h_minus, corners)])
             # the cross-check route rounds h_N / h_{N-1}, D and T on their own: up to 8.7 eps apart on order 0's corners
             assert np.abs(got - want).max() <= 16 * np.finfo(float).eps
@@ -338,7 +359,7 @@ class TestEdgeMatching:
         # A_k = -b G[k, N-1] A_N: the real row times the unit complex number -b A_N / |b A_N|
         _, _, (h_plus, h_minus, _, _), g, b_edge = edges
         for columns in self.columns(g, 6):
-            rows = solver.interior_coefficients(h_plus, columns, b_edge)
+            rows = self.rows(h_plus, columns, b_edge)
             for hp, hm, column, row in zip(h_plus, h_minus, columns, rows):
                 want = coefficients_complex_scalar(hp, hm, column, b_edge)
                 phase = -b_edge * want[-1] / abs(b_edge * want[-1])
@@ -432,10 +453,11 @@ class TestSolveEnergy:
 
     @staticmethod
     def script_s(monkeypatch, s_of_order):
-        # phase_shift returns S_m = s_of_order(m); R, the resolvent and the
-        # coefficients of every order are still computed for real
-        orders = itertools.count()
-        monkeypatch.setattr(solver, "phase_shift", lambda edge, *args: np.full(len(edge), s_of_order(next(orders))))
+        # phase_shift returns S_m = s_of_order(m) with the true |u|; R, the
+        # resolvent and the coefficients of every order are still computed for real
+        orders, original = itertools.count(), solver.phase_shift
+        monkeypatch.setattr(solver, "phase_shift",
+                            lambda edge, *args: (np.full(len(edge), s_of_order(next(orders))), original(edge, *args)[1]))
 
     def test_period_three_cycle_detected(self, gauss_setup, monkeypatch):
         cycle = [complex(np.exp(2j * phi)) for phi in (0.3, 1.1, 2.0)]
@@ -535,13 +557,13 @@ def script_rows(monkeypatch, energies, sequences):
 
     `_order_map` keeps every row's g, noting which energies its stack
     holds; `phase_shift` then serves each of them its
-    next scripted S. Order 0 is one call over the whole block, in grid
-    order, so the grid must fit one block.
+    next scripted S, with |u| = 1. Order 0 is one call over the whole
+    block, in grid order, so the grid must fit one block.
     """
     row = {energy: i for i, energy in enumerate(energies)}
     served, stack = [0] * len(energies), [list(range(len(energies)))]
 
-    def order_map(g, stack_energies, *rest):
+    def order_map(g, wronskian, size, stack_energies, *rest):
         stack[0] = [row[e] for e in stack_energies.tolist()]
         return g
 
@@ -550,7 +572,7 @@ def script_rows(monkeypatch, energies, sequences):
         for i in stack[0]:
             out.append(sequences[i][served[i]])
             served[i] += 1
-        return np.array(out, dtype=complex)
+        return np.array(out, dtype=complex), np.ones(len(out))
 
     monkeypatch.setattr(solver, "_order_map", order_map)
     monkeypatch.setattr(solver, "phase_shift", scripted)
@@ -713,7 +735,7 @@ class TestLinearResults:
         assert [res.energy for res in results] == energies.tolist()
         ref_s, ref_c = oscillator_reference(energies, ham.lam, ham.ell, ham.coeffs)
         g = greens_spectral(ham.eigenvalues, ham.eigenvectors, energies)
-        want = phase_shift((ref_c[n - 1 :] + 1j * ref_s[n - 1 :]).T, g[:, -1], ham.coeffs[1][n - 1])
+        want, _ = phase_shift((ref_c[n - 1 :] + 1j * ref_s[n - 1 :]).T, g[:, -1], ham.coeffs[1][n - 1])
         assert [(res.status, res.period, len(res.history)) for res in results] == [("converged", None, 1)] * len(energies)
         assert np.array([res.history[0] for res in results]).tobytes() == want.tobytes()
 
@@ -727,7 +749,8 @@ class TestLinearResults:
 
 class TestOrderMap:
     """Each order m >= 1 is one pure step g <- _order_map(g) on the real
-    edge column; S_m is phase_shift of the new corner entry."""
+    edge column, given the energy's edge Wronskian and |u| of g; S_m and
+    the next |u| are phase_shift of the new corner entry."""
 
     @pytest.mark.parametrize("name,energy", [("table3", 1.0), ("table4", 3.0)])
     def test_iterates_reproduce_the_history(self, name, energy):
@@ -740,14 +763,15 @@ class TestOrderMap:
         h_plus = ref_c[n - 1 :] + 1j * ref_s[n - 1 :]
         b_edge = ham.coeffs[1][n - 1]
         (g,) = greens_spectral(ham.eigenvalues, ham.eigenvectors, [energy])
-        (s,) = phase_shift(h_plus[None], g[None, n - 1], b_edge)
+        wronskian = edge_wronskian(h_plus[None], b_edge)
+        (s,), size = phase_shift(h_plus[None], g[None, n - 1], b_edge)
         assert s == res.history[0]
         for expected in res.history[1:]:
-            args = (g[None], np.array([energy]), h_plus[None], b_edge, ham, dten, cfg.coupling_g)
+            args = (g[None], wronskian, size, np.array([energy]), ham, dten, cfg.coupling_g)
             (g,) = solver._order_map(*args)
             assert g.dtype == np.float64 and g.shape == (n,)
             assert solver._order_map(*args)[0].tobytes() == g.tobytes()
-            (s,) = phase_shift(h_plus[None], g[None, n - 1], b_edge)
+            (s,), size = phase_shift(h_plus[None], g[None, n - 1], b_edge)
             assert s == expected
 
     def test_row_on_a_level_of_its_own_matrix_leaves_the_others_alone(self):
@@ -761,18 +785,57 @@ class TestOrderMap:
         h_plus = (ref_c[n - 1 :] + 1j * ref_s[n - 1 :]).T
         b_edge = ham.coeffs[1][n - 1]
         g = greens_spectral(ham.eigenvalues, ham.eigenvectors, energies)
-        h_eff = ham.matrix + c * r_matrix(dten, solver.interior_coefficients(h_plus, g, b_edge)[1], ham.lam)
+        wronskian, size = edge_wronskian(h_plus, b_edge), phase_shift(h_plus, g[:, -1], b_edge)[1]
+        h_eff = ham.matrix + c * r_matrix(dten, solver.interior_coefficients(wronskian, size, g)[1], ham.lam)
         levels = np.linalg.eigvalsh(h_eff)
         energies[1] = levels[np.argmin(np.abs(levels - 2.0))]
-        columns = solver._order_map(g, energies, h_plus, b_edge, ham, dten, c)
+        columns = solver._order_map(g, wronskian, size, energies, ham, dten, c)
         assert np.isfinite(columns).all() and np.abs(columns[1]).max() > 1e8
         # the near-singular row's column still solves its system, to the rounding of its size
         residual = (h_eff - energies[1] * np.eye(n)) @ columns[1] - np.eye(n)[-1]
         assert np.abs(residual).max() < 1e-8 * np.abs(columns[1]).max()
         for j in range(3):
             one = slice(j, j + 1)
-            alone = solver._order_map(g[one], energies[one], h_plus[one], b_edge, ham, dten, c)
+            alone = solver._order_map(g[one], wronskian[one], size[one], energies[one], ham, dten, c)
             assert alone[0].tobytes() == columns[j].tobytes()
+
+
+class TestCarriedEdgeConstants:
+    """`scan` forms each energy's edge Wronskian once, at order 0, and
+    carries |u| from each order's S into the next order's interior rows;
+    the rows equal those recomputed from the edge and g
+    (`oracles.interior_rows_from_edge`) bit for bit."""
+
+    @pytest.mark.parametrize("name,energies", [
+        ("table1", [2.4, 2.45, 2.5, 2.55, 2.6]),
+        ("table3", [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]),
+        ("table4", [1.0, 2.0, 2.77, 3.0, 4.0, 5.0]),
+    ])
+    def test_rows_equal_the_rows_from_edge_and_g(self, monkeypatch, name, energies):
+        cfg, ham, dten, options = _config_problem(name)
+        # and an energy on a level of H, where |u| grows like G_corner
+        energies = energies + [float(ham.eigenvalues[np.argmin(np.abs(ham.eigenvalues - 2.5))])]
+        monkeypatch.setattr(solver, "_STACK", 3)
+        calls, order_map, rows_of = [], solver._order_map, solver.interior_coefficients
+
+        def recorded_map(g, wronskian, size, stack_energies, *rest):
+            calls.append([stack_energies.copy(), g.copy(), None])
+            return order_map(g, wronskian, size, stack_energies, *rest)
+
+        def recorded_rows(*args):
+            calls[-1][2] = rows_of(*args)
+            return calls[-1][2]
+
+        monkeypatch.setattr(solver, "_order_map", recorded_map)
+        monkeypatch.setattr(solver, "interior_coefficients", recorded_rows)
+        results = scan(energies, ham, dten, **options)
+        assert sum(res.iterations for res in results) == sum(len(e) for e, _, _ in calls) > 3 * len(energies)
+        n = ham.n_basis
+        ref_s, ref_c = oscillator_reference(np.array(energies), ham.lam, ham.ell, ham.coeffs)
+        edges = dict(zip(energies, (ref_c[n - 1 :] + 1j * ref_s[n - 1 :]).T))
+        for stack_energies, g, rows in calls:
+            edge = np.array([edges[e] for e in stack_energies.tolist()])
+            assert rows.tobytes() == interior_rows_from_edge(edge, g, ham.coeffs[1][n - 1]).tobytes()
 
 
 class TestLevels:

@@ -1,6 +1,7 @@
 """Special-function building blocks against frozen values and recursions."""
 
 import hashlib
+import itertools
 import re
 from math import inf, lgamma, nan
 
@@ -13,6 +14,7 @@ from scipy.special import eval_genlaguerre, expi, hyp2f1, jv, yv
 from jmscatter import specfun as sf
 from jmscatter.reference import _hyp2f1_seed, reference_coefficients
 from oracles import (
+    ei_series_length,
     exp_integral_ei_scalar,
     gegenbauer,
     gegenbauer_associated,
@@ -20,6 +22,7 @@ from oracles import (
     laguerre_associated_normalized,
     laguerre_normalized,
     laguerre_streamed,
+    re_upper_gamma_neg_loop,
 )
 
 
@@ -281,6 +284,57 @@ class TestArrayArguments:
             sf.re_upper_gamma_neg(2, grid)
         with pytest.raises(ValueError):
             sf.re_upper_gamma_neg(0, bad)
+
+
+class TestChunkedSeries:
+    """The Ei series runs in chunks of _SERIES_CHUNK terms over the pending
+    elements; every element keeps the bits and the stopping term of the
+    per-term loop (`oracles.re_upper_gamma_neg_loop`), wherever in a
+    chunk it stops, and an overflow names the u the loop names."""
+
+    WIDTH = sf._SERIES_CHUNK
+
+    @classmethod
+    def stopping_at(cls, offset, chunks=(1, 2)):
+        """u from a fine grid whose series stops on term k * WIDTH + offset, one per k in `chunks`."""
+        found = {}
+        for u in np.arange(0.05, 60.0, 0.01).tolist():
+            length, _ = ei_series_length(u)
+            if (length - offset) % cls.WIDTH == 0 and (length - offset) // cls.WIDTH in chunks:
+                found.setdefault(length, u)
+        assert len(found) == len(chunks)
+        return list(found.values())
+
+    @pytest.mark.parametrize("offset", [0, 1])
+    @pytest.mark.parametrize("ell", [0, 1, 2, 3])
+    def test_stop_on_the_last_or_first_term_of_a_chunk(self, ell, offset):
+        # offset 0: the last term of chunk k; offset 1: the first term of chunk k + 1
+        for u in self.stopping_at(offset):
+            got = sf.re_upper_gamma_neg(ell, np.array([u]))
+            assert got.tobytes() == re_upper_gamma_neg_loop(ell, [u]).tobytes()
+            assert got[0] == sf.re_upper_gamma_neg(ell, u)
+
+    @pytest.mark.parametrize("ell", [0, 1, 2, 3])
+    def test_array_of_elements_ending_in_different_chunks(self, ell):
+        ends = self.stopping_at(0) + self.stopping_at(1) + [0.01, 2.0, 33.3, 150.0, 700.0]
+        u = np.random.default_rng(ell).permutation(np.repeat(ends, 3))
+        assert len({(ei_series_length(v)[0] - 1) // self.WIDTH for v in u.tolist()}) >= 4
+        assert sf.re_upper_gamma_neg(ell, u).tobytes() == re_upper_gamma_neg_loop(ell, u).tobytes()
+
+    def test_overflow_in_one_chunk_names_the_earliest_term(self):
+        # two u overflow in the same chunk, the second in the array at an earlier term: the loop names it
+        overflow = {u: ei_series_length(u) for u in np.arange(700.0, 1000.0, 1.0).tolist()}
+        overflow = {u: m for u, (m, overflowed) in overflow.items() if overflowed}
+        late, early = next((a, b) for a, b in itertools.combinations(overflow, 2)
+                           if (overflow[a] - 1) // self.WIDTH == (overflow[b] - 1) // self.WIDTH
+                           and overflow[a] > overflow[b])
+        grid = [3.0, late, 1.5, early, 2.0]
+        with pytest.raises(ArithmeticError) as loop:
+            re_upper_gamma_neg_loop(0, grid)
+        assert str(loop.value).endswith(f"= {early:g}")
+        with pytest.raises(ArithmeticError) as chunked:
+            sf.re_upper_gamma_neg(0, grid)
+        assert str(chunked.value) == str(loop.value)
 
 
 class TestHypergeometric:
